@@ -6,8 +6,7 @@ Subcommands:
   list-suites    print the registry
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error.  HEATLAB_THREADS caps intra-suite parallelism; row
-order is independent of scheduling.
+configuration error.
 """
 
 from __future__ import annotations

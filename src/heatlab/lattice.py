@@ -155,9 +155,11 @@ class GroupSpec:
             raise GroupSpecError("cyclic family takes exactly one generator")
         if self.family in ("cyclic", "schottky"):
             for g in mats:
-                if abs(g[0, 0] + g[1, 1]) <= 2.0 + _DET_TOL:
+                trace = g[0, 0] + g[1, 1]
+                if abs(trace.imag) <= _DET_TOL and abs(trace.real) <= 2.0 + _DET_TOL:
                     raise GroupSpecError(
-                        f"generator trace {g[0, 0] + g[1, 1]} is not loxodromic (|trace| > 2)"
+                        f"generator trace {trace} is not loxodromic "
+                        "(a trace outside the real segment [-2, 2])"
                     )
         if self.family == "schottky":
             self._letter_circles()  # validates disjointness at construction
@@ -210,6 +212,15 @@ class OrbitSet:
 
     def __len__(self) -> int:
         return int(self.distances.size)
+
+    def counting_constant(self, delta: float) -> float:
+        """max_k N(k) e^{-delta k} over the unit radii k = 0..floor(r_max) with
+        N(k) > 0: the c of the counting bound N(R) <= c e^{delta R} fitted on
+        the enumerated range (1 when no radius counts a point)."""
+        ks = np.arange(0.0, math.floor(self.r_max) + 1.0)
+        counts = np.searchsorted(self.distances, ks, side="right")
+        mask = counts > 0
+        return float(np.max(counts[mask] * np.exp(-delta * ks[mask]))) if mask.any() else 1.0
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -317,7 +328,18 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
                     f"node budget {node_budget} exhausted before certifying r_max={r_max}; "
                     "disks may be nearly tangent"
                 )
-            d = distance(xp, mobius_apply(child, yp))
+            z, h = mobius_apply(child, yp)
+            if not 0.0 < h < math.inf:
+                raise EnumerationError(
+                    f"word matrix entries overflowed at depth {depth + 1} (image height {h}); "
+                    f"cannot certify r_max={r_max}"
+                )
+            d = distance(xp, (z, h))
+            if not d < math.inf:  # also catches nan from an overflowed image point
+                raise EnumerationError(
+                    f"orbit distance {d} at depth {depth + 1} is not finite (word matrix "
+                    f"entries overflowed); cannot certify r_max={r_max}"
+                )
             if d <= r_max:
                 records.append((d, depth + 1))
             stack.append((child, b, depth + 1))
@@ -395,15 +417,11 @@ def poincare_series(orbit: OrbitSet, s: float, delta: float) -> PoincareEval:
     """
     if not s > delta:
         raise ValueError(f"series certified to converge only for s > delta ({s} <= {delta})")
-    distances = orbit.distances
-    partial = float(np.sum(np.exp(-s * distances)))
+    partial = float(np.sum(np.exp(-s * orbit.distances)))
     if orbit.exhaustive:
         return PoincareEval(s=s, partial_sum=partial, n_terms=len(orbit),
                             tail_bound=0.0, delta_used=delta)
-    ks = np.arange(0.0, math.floor(orbit.r_max) + 1.0)
-    counts = np.array([np.count_nonzero(distances <= k) for k in ks], dtype=float)
-    mask = counts > 0
-    c_count = float(np.max(counts[mask] * np.exp(-delta * ks[mask]))) if mask.any() else 1.0
+    c_count = orbit.counting_constant(delta)
     k0 = math.floor(orbit.r_max)
     gap = s - delta
     tail = c_count * math.exp(delta) * math.exp(-k0 * gap) / (1.0 - math.exp(-gap))

@@ -195,7 +195,8 @@ class RieszDecay:
 
 
 def _riesz_integrand(t: float, r: float) -> float:
-    return math.exp(float(oracle.h3_radial_log_abs(t, r))) / math.sqrt(t)
+    # riesz_kernel_decay has checked r > 0 and integrates over t > 0 only
+    return math.exp(float(oracle._h3_radial_log_abs_unchecked(t, r))) / math.sqrt(t)
 
 
 def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1,

@@ -13,6 +13,7 @@ zero in extreme regimes, the log variants never do.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,17 +41,20 @@ class FdDerivative:
     value: float
     error: float
     rel_error: float
+    subnormal_stencil: bool = False  # some kernel value was zero or subnormal
 
     @property
     def precision_ok(self) -> bool:
-        return self.rel_error <= _FD_PRECISION_LIMIT
+        return not self.subnormal_stencil and self.rel_error <= _FD_PRECISION_LIMIT
 
 
 @dataclass(frozen=True)
 class QuotientKernelEval:
-    value: float
+    """Orbit sum and its truncation bound; arrays over t for a t-grid."""
+
+    value: float | np.ndarray
     terms_used: int
-    truncation_bound: float
+    truncation_bound: float | np.ndarray
 
 
 def _log_r_over_sinh(r):
@@ -118,6 +122,12 @@ def h3_radial_log_abs(t, r):
     t = np.asarray(t, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radial derivative needs r > 0")
+    return _h3_radial_log_abs_unchecked(t, r)
+
+
+def _h3_radial_log_abs_unchecked(t, r):
+    """h3_radial_log_abs without the domain checks, for callers that have
+    already validated t > 0 and r > 0 (scalar quadrature integrands)."""
     magnitude = 1.0 / np.tanh(r) - 1.0 / r + r / (2.0 * t)
     return h3_log(t, r) + np.log(magnitude)
 
@@ -218,16 +228,23 @@ def fd_time_derivative(kernel, order: int, t: float, r: float,
         raise ValueError("time must be positive")
     if order == 0:
         value = float(kernel(t, r))
-        return FdDerivative(value=value, error=0.0, rel_error=0.0)
+        return FdDerivative(value=value, error=0.0, rel_error=0.0,
+                            subnormal_stencil=abs(value) < sys.float_info.min)
     h = step_scale * t
     if t <= max(order, 8.0) * h:  # widest stencil point is t - 8h
         raise ValueError(f"step {h} too large for order {order} at t={t}")
     stencil = _FD_STENCILS[order]
+    # smallest |kernel value| seen: zero or subnormal values carry too few
+    # significant bits for the differences to mean anything
+    smallest = math.inf
 
     def diff(step: float) -> float:
+        nonlocal smallest
         acc = 0.0
         for offset, coeff in stencil:
-            acc += coeff * kernel(t + offset * step, r)
+            f = kernel(t + offset * step, r)
+            smallest = min(smallest, abs(f))
+            acc += coeff * f
         return acc / step ** order
 
     # Richardson ladder with h as the smallest step: the base step stays
@@ -238,7 +255,8 @@ def fd_time_derivative(kernel, order: int, t: float, r: float,
     value = (16.0 * r1b - r1a) / 15.0
     error = abs(value - r1b)
     scale = max(abs(value), 1e-300)
-    return FdDerivative(value=value, error=error, rel_error=error / scale)
+    return FdDerivative(value=value, error=error, rel_error=error / scale,
+                        subnormal_stencil=smallest < sys.float_info.min)
 
 
 def radial_gradient(space: str, t: float, r: float) -> float:
@@ -268,18 +286,21 @@ def radial_gradient(space: str, t: float, r: float) -> float:
 _SPACE_DATA = {"h2": (2, 0.5), "h3": (3, 1.0)}  # (dimension, rho_norm)
 
 
-def _space_derivative_values(space: str, t: float, distances: np.ndarray, order: int) -> np.ndarray:
+def _space_derivative_values(space: str, ts: np.ndarray, distances: np.ndarray,
+                             order: int) -> np.ndarray:
+    """d^i_t h at every (t, distance) pair, shape (len(ts), len(distances))."""
     if space == "h3":
-        log_abs, sign = h3_dt_log_abs(t, distances, order)
+        log_abs, sign = h3_dt_log_abs(ts[:, None], distances, order)
         return np.exp(log_abs) * sign
     if space == "h2":
         if order == 0:
-            return np.array([math.exp(h2_log(t, float(d))) for d in distances])
-        values = []
-        for d in distances:
-            fd = fd_time_derivative(lambda tt, rr: math.exp(h2_log(tt, rr)), order, t, float(d))
-            values.append(fd.value)
-        return np.array(values)
+            return np.array([[math.exp(h2_log(t, float(d))) for d in distances] for t in ts])
+
+        def plane(tt, rr):
+            return math.exp(h2_log(tt, rr))
+
+        return np.array([[fd_time_derivative(plane, order, t, float(d)).value for d in distances]
+                         for t in ts])
     raise ValueError(f"unknown space {space!r}")
 
 
@@ -299,7 +320,7 @@ def _tail_envelope_constant(space: str, order: int, epsilon: float) -> float:
         if space == "h3":
             log_abs, _ = h3_dt_log_abs(t, d_grid, order)
         else:
-            vals = np.abs(_space_derivative_values(space, float(t), d_grid, order))
+            vals = np.abs(_space_derivative_values(space, np.array([t]), d_grid, order)[0])
             with np.errstate(divide="ignore"):
                 log_abs = np.log(vals)
         log_env = (-(n / 2.0 + order) * math.log(t)
@@ -308,20 +329,32 @@ def _tail_envelope_constant(space: str, order: int, epsilon: float) -> float:
     return math.exp(best) * 1.5  # safety headroom over the grid fit
 
 
-def quotient_kernel(group, space: str, t: float, x, y, order: int, r_cut: float,
+_TAIL_SHELL_CAP = 100000  # most unit shells one truncation tail sums
+_TAIL_BLOCK = 1 << 20  # array elements per block of t rows
+_TAIL_STOP = 1e-18  # stop once a shell adds at most this share of the running tail
+
+
+def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
                     delta: float | None = None, epsilon: float = 0.2) -> QuotientKernelEval:
     """Orbit sum of kernel time derivatives over points with d(x, gy) <= r_cut.
 
     `group` is either an object with an ``orbit(x, y, r_max)`` method or an
-    already-enumerated orbit with ``distances``/``r_max`` attributes.  The
-    truncation bound integrates the Gaussian envelope of the derivative
-    against the exponential counting bound c * e^{delta R}, summed over unit
-    shells beyond r_cut.
+    already-enumerated `OrbitSet`.  `t` is a positive time or a 1-D array of
+    them; for an array, `value` and `truncation_bound` are arrays over t,
+    each entry bit-identical to a scalar call at that t.  The truncation
+    bound integrates the Gaussian envelope of the derivative against the
+    exponential counting bound c * e^{delta R}, summed over unit shells
+    beyond r_cut until a shell adds at most 1e-18 of the running tail.
     """
     space = space.lower()
     if space not in _SPACE_DATA:
         raise ValueError(f"unknown space {space!r}")
-    if t <= 0.0:
+    ts = np.asarray(t, dtype=float)
+    scalar = ts.ndim == 0
+    ts = ts.reshape(1) if scalar else ts
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("t must be a positive time or a nonempty 1-D array of them")
+    if np.any(ts <= 0.0):
         raise ValueError("time must be positive")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("tail envelope needs epsilon in (0, 1); the Gaussian decay rate "
@@ -337,31 +370,55 @@ def quotient_kernel(group, space: str, t: float, x, y, order: int, r_cut: float,
 
     distances = np.asarray(orbit.distances, dtype=float)
     used = distances[distances <= r_cut + 1e-12]
-    value = float(np.sum(_space_derivative_values(space, t, used, order)))
+    values = np.sum(_space_derivative_values(space, ts, used, order), axis=1)
 
     if getattr(orbit, "exhaustive", False) and used.size == distances.size:
-        return QuotientKernelEval(value=value, terms_used=int(used.size), truncation_bound=0.0)
+        tails = np.zeros_like(values)
+    else:
+        if delta is None:
+            delta = getattr(orbit, "delta_hint", None)
+        if delta is None:
+            raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
+        scale = _tail_envelope_constant(space, order, epsilon) * orbit.counting_constant(delta)
+        tails = _truncation_tails(space, order, epsilon, delta, scale, math.floor(r_cut),
+                                  ts, np.abs(values))
+    if scalar:
+        return QuotientKernelEval(value=float(values[0]), terms_used=int(used.size),
+                                  truncation_bound=float(tails[0]))
+    return QuotientKernelEval(value=values, terms_used=int(used.size), truncation_bound=tails)
 
-    if delta is None:
-        delta = getattr(orbit, "delta_hint", None)
-    if delta is None:
-        raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
+
+def _truncation_tails(space: str, order: int, epsilon: float, delta: float, scale: float,
+                      k0: int, ts: np.ndarray, value_abs: np.ndarray) -> np.ndarray:
+    """Per-t sum of the shell terms scale * e^{delta (k+1)} * envelope(t, k)
+    for k = k0, k0+1, ..., stopping at the first shell whose term is at most
+    1e-18 of max(running tail, |value|, 1e-300).
+
+    The log-term is a concave quadratic in k.  From the first shell kp at
+    or past its peak it falls by 45 (more than -log 1e-18) within j shells,
+    j from the quadratic; the stop comes no later, because the running tail
+    then holds the term at kp.  The block is sized to that, and each t row
+    is summed left to right, independently of the other rows.
+    """
     n, rho = _SPACE_DATA[space]
-    # counting constant fitted on the enumerated range: N(k) <= c e^{delta k}
-    ks = np.arange(0.0, math.floor(orbit.r_max) + 1.0)
-    counts = np.array([np.count_nonzero(distances <= k) for k in ks])
-    mask = counts > 0
-    c_count = float(np.max(counts[mask] * np.exp(-delta * ks[mask]))) if mask.any() else 1.0
-    c_env = _tail_envelope_constant(space, order, epsilon)
-    k0 = math.floor(r_cut)
-    tail = 0.0
-    log_t_part = -(n / 2.0 + order) * math.log(t) - (1.0 - epsilon) * rho * rho * t
-    for k in range(k0, k0 + 100000):
-        log_term = (delta * (k + 1)
-                    + log_t_part
-                    - (1.0 - epsilon) * (rho * k + k * k / (4.0 * t)))
-        term = c_env * c_count * math.exp(log_term)
-        tail += term
-        if term <= 1e-18 * max(tail, abs(value), 1e-300):
-            break
-    return QuotientKernelEval(value=value, terms_used=int(used.size), truncation_bound=tail)
+    a = 1.0 - epsilon
+    log_t_part = -(n / 2.0 + order) * np.log(ts) - a * rho * rho * ts
+    kp = np.maximum(float(k0), np.ceil(2.0 * ts * (delta - a * rho) / a))
+    slope = a * rho + a * kp / (2.0 * ts) - delta  # -(d/dk log-term) at kp, >= 0
+    shells = kp - k0 + 90.0 / (slope + np.sqrt(slope * slope + 45.0 * a / ts)) + 2.0
+    m = int(min(math.ceil(float(np.max(shells))), _TAIL_SHELL_CAP))
+    ks = np.arange(k0, k0 + m, dtype=float)
+    tails = np.empty_like(ts)
+    rows = max(1, _TAIL_BLOCK // m)
+    for lo in range(0, ts.size, rows):
+        blk = slice(lo, lo + rows)
+        t_col = ts[blk, None]
+        log_terms = (delta * (ks + 1.0) + log_t_part[blk, None]
+                     - a * (rho * ks + ks * ks / (4.0 * t_col)))
+        terms = scale * np.exp(log_terms)
+        running = np.cumsum(terms, axis=1)
+        floor = np.maximum(value_abs[blk, None], 1e-300)
+        stop = terms <= _TAIL_STOP * np.maximum(running, floor)
+        last = np.where(stop.any(axis=1), np.argmax(stop, axis=1), m - 1)
+        tails[blk] = running[np.arange(last.size), last]
+    return tails

@@ -3,16 +3,13 @@
 Each suite exercises one acceptance-grade property of the bound layer
 against the exact oracles and returns a report of check rows; the CLI and
 the acceptance tests share these implementations.  All suites are
-deterministic for a fixed seed.  HEATLAB_THREADS caps worker threads in the
-few loops that parallelize; row order never depends on scheduling.
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,25 +55,6 @@ class SuiteReport:
 
     def sorted_rows(self) -> list[CheckRow]:
         return sorted(self.rows, key=lambda r: (r.check, sorted(r.params.items())))
-
-
-def _workers() -> int:
-    raw = os.environ.get("HEATLAB_THREADS", "")
-    try:
-        cap = int(raw) if raw else 4
-    except ValueError:
-        cap = 4
-    return max(1, min(cap, 16))
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded up to the HEATLAB_THREADS cap."""
-    items = list(items)
-    workers = _workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _tol_row(check: str, params: dict, err: float, tol: float) -> CheckRow:
@@ -236,8 +214,7 @@ def suite_grigoryan(cfg: SuiteConfig) -> SuiteReport:
     t_grid = np.geomspace(0.01, 30.0, 30)
     r_grid = np.linspace(0.0, 20.0, 30)
     for i in (1, 2):
-        bounds = np.array(parallel_map(lambda t, i=i: envelope.grigoryan_bound_exact_h3(i, float(t)),
-                                       t_grid))
+        bounds = np.array([envelope.grigoryan_bound_exact_h3(i, float(t)) for t in t_grid])
         worst_ratio = 0.0
         for t, bnd in zip(t_grid, bounds):
             lhs = np.abs(np.exp(oracle.h3_log(t, r_grid)) * oracle.h3_dt_prefactor(t, r_grid, i))
@@ -247,8 +224,7 @@ def suite_grigoryan(cfg: SuiteConfig) -> SuiteReport:
     model = build_real_hyperbolic(3)
     for i in (1, 2):
         t_own = np.geomspace(0.01, 30.0, 60)
-        fi = np.array(parallel_map(
-            lambda t, i=i: envelope.h3_exact_diagonal_f_iterated(i, float(t)), t_own))
+        fi = np.array([envelope.h3_exact_diagonal_f_iterated(i, float(t)) for t in t_own])
         shape = envelope.grigoryan_f_lower_shape(model, i, t_own)
         min_ratio = float(np.min(fi / shape))
         report.rows.append(CheckRow("f_iter_lower_shape", {"i": i},
@@ -342,31 +318,37 @@ def suite_quotient(cfg: SuiteConfig) -> SuiteReport:
             orbit_cache[d] = (orbit, series.partial_sum)
         return orbit_cache[d]
 
-    value_cache: dict[tuple[int, float, float], float] = {}
+    # coarse and fine (t, d) grids; each orbit sum is evaluated once over
+    # the times of both grids
+    grids = {n: (np.geomspace(0.1, 10.0, n), np.linspace(0.0, d_hi, n)) for n in (20, 40)}
+    t_all = np.concatenate([t_grid for t_grid, _ in grids.values()])
+    log_abs_cache: dict[tuple[int, float], dict[float, float]] = {}
 
-    def measured_log_abs(i: int, t: float, d: float) -> float:
-        key = (i, t, d)
-        if key not in value_cache:
+    def measured_log_abs(i: int, d: float) -> dict[float, float]:
+        """t -> log |orbit-summed i-th derivative| at separation d."""
+        if (i, d) not in log_abs_cache:
             orbit, _ = orbit_and_series(d)
-            ev = oracle.quotient_kernel(orbit, "h3", t, None, None, i, r_cut, delta=delta)
-            value_cache[key] = math.log(max(abs(ev.value), 1e-300))
-        return value_cache[key]
+            ev = oracle.quotient_kernel(orbit, "h3", t_all, None, None, i, r_cut, delta=delta)
+            log_abs_cache[(i, d)] = {t: math.log(max(abs(v), 1e-300))
+                                     for t, v in zip(t_all.tolist(), ev.value.tolist())}
+        return log_abs_cache[(i, d)]
 
-    def fit_on(i: int, triple: AlphaTriple, nt: int, nd: int) -> float:
+    def fit_on(i: int, triple: AlphaTriple, n: int) -> float:
+        t_grid, d_grid = grids[n]
         best = -math.inf
-        for t in np.geomspace(0.1, 10.0, nt):
-            for d in np.linspace(0.0, d_hi, nd):
-                t, d = float(t), float(d)
-                orbit, series = orbit_and_series(d)
-                log_bound = float(lattice.theorem2_rhs_log(
-                    model, delta, triple, i, t, orbit.d_min, eps)) + math.log(series)
-                best = max(best, measured_log_abs(i, t, d) - log_bound)
+        for d in d_grid.tolist():
+            orbit, series = orbit_and_series(d)
+            log_bound = lattice.theorem2_rhs_log(
+                model, delta, triple, i, t_grid, orbit.d_min, eps) + math.log(series)
+            measured = measured_log_abs(i, d)
+            best = max(best, max(measured[t] - bound
+                                 for t, bound in zip(t_grid.tolist(), log_bound.tolist())))
         return math.exp(best)
 
     for i in (0, 1):
         for triple in triples:
-            fit = envelope.TwoGridFit(c_coarse=fit_on(i, triple, 20, 20),
-                                      c_fine=fit_on(i, triple, 40, 40))
+            fit = envelope.TwoGridFit(c_coarse=fit_on(i, triple, 20),
+                                      c_fine=fit_on(i, triple, 40))
             report.rows.append(_stability_row(
                 "two_grid_stability",
                 {"i": i, "a1": triple.a1, "a2": triple.a2, "a3": triple.a3, "delta": delta},
@@ -400,15 +382,16 @@ def suite_theorem2(cfg: SuiteConfig) -> SuiteReport:
 
     group, x, delta, d_hi = _quotient_setup(cfg)
     s_val = 0.5
+    t_grid = np.geomspace(0.1, 10.0, 12)
     best = -math.inf
-    for t in np.geomspace(0.1, 10.0, 12):
-        for d in np.linspace(0.0, d_hi, 12):
-            y = (0.0 + 0.0j, math.exp(float(d)))
-            orbit = group.orbit(x, y, 80.0)
-            ev = oracle.quotient_kernel(orbit, "h3", float(t), x, y, 0, 80.0, delta=delta)
-            series = lattice.poincare_series(orbit, s=s_val, delta=delta)
-            rhs = float(lattice.quotient_regime_rhs(1, model, delta, s_val, t, orbit.d_min))
-            best = max(best, math.log(max(ev.value, 1e-300)) - math.log(rhs * series.partial_sum))
+    for d in np.linspace(0.0, d_hi, 12):
+        y = (0.0 + 0.0j, math.exp(float(d)))
+        orbit = group.orbit(x, y, 80.0)
+        ev = oracle.quotient_kernel(orbit, "h3", t_grid, x, y, 0, 80.0, delta=delta)
+        series = lattice.poincare_series(orbit, s=s_val, delta=delta)
+        rhs = lattice.quotient_regime_rhs(1, model, delta, s_val, t_grid, orbit.d_min)
+        for value, rhs_t in zip(ev.value.tolist(), rhs.tolist()):
+            best = max(best, math.log(max(value, 1e-300)) - math.log(rhs_t * series.partial_sum))
     c_fit = math.exp(best)
     report.rows.append(CheckRow("regime1_domination", {"s": s_val, "delta": delta},
                                 c_fit, math.inf, 0.0, math.isfinite(c_fit)))
@@ -486,7 +469,7 @@ def suite_riesz(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport(suite="riesz")
     start = time.perf_counter()
     r_grid = np.linspace(0.5, 15.0, 15)
-    results = parallel_map(lambda r: lpthresholds.riesz_kernel_decay("h3", float(r)), r_grid)
+    results = [lpthresholds.riesz_kernel_decay("h3", float(r)) for r in r_grid]
     all_finite = all(math.isfinite(res.value) and res.value > 0.0 for res in results)
     tails_small = all(res.tail_small_t + res.tail_large_t <= 1e-12 * res.value
                       for res in results)

@@ -120,25 +120,6 @@ class TestExitCodes:
         assert parsed and all(row["pass"] for row in parsed)
 
 
-class TestThreadCap:
-    def test_thread_cap_does_not_change_rows(self, tmp_path, monkeypatch):
-        cfg = SuiteConfig(name="grigoryan")
-        monkeypatch.setenv("HEATLAB_THREADS", "1")
-        serial = run_suite(cfg)
-        monkeypatch.setenv("HEATLAB_THREADS", "8")
-        threaded = run_suite(cfg)
-        a, b = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        emit_csv(serial, str(a))
-        emit_csv(threaded, str(b))
-        assert filecmp.cmp(str(a), str(b), shallow=False)
-
-    def test_invalid_cap_falls_back(self, monkeypatch):
-        from heatlab.suites import parallel_map
-
-        monkeypatch.setenv("HEATLAB_THREADS", "not-a-number")
-        assert parallel_map(lambda v: v * 2, [1, 2, 3]) == [2, 4, 6]
-
-
 class TestConfigPlumbing:
     def test_config_overrides_epsilon_and_seed(self, tmp_path, monkeypatch):
         captured = {}

@@ -47,6 +47,12 @@ def schottky_pair() -> GroupSpec:
                      family="schottky")
 
 
+def screw(w: complex) -> np.ndarray:
+    """diag(e^{w/2}, e^{-w/2}): (z, h) -> (e^w z, e^{Re w} h)."""
+    half = np.exp(w / 2.0)
+    return np.array([[half, 0.0], [0.0, 1.0 / half]], dtype=complex)
+
+
 class TestGeometry:
     def test_distance_axis_points(self):
         assert distance((0.0, 1.0), (0.0, math.e)) == pytest.approx(1.0, rel=1e-14)
@@ -103,6 +109,17 @@ class TestGroupSpec:
     def test_schottky_disjoint_disks_accepted(self):
         schottky_pair()
 
+    def test_screw_motion_accepted(self):
+        # trace 2 cosh(w/2) = 0.82 + 1.56i: loxodromic although |trace| < 2
+        w = 1.5 + 2.5j
+        group = GroupSpec(dim=3, generators=(screw(w),), family="cyclic")
+        trace = group.generators[0][0, 0] + group.generators[0][1, 1]
+        assert abs(trace) < 2.0 and translation_length(group.generators[0]) == pytest.approx(1.5)
+
+    def test_pure_rotation_rejected(self):
+        with pytest.raises(GroupSpecError):
+            GroupSpec(dim=3, generators=(screw(2.5j),), family="cyclic")
+
     def test_schottky_overlapping_disks_rejected(self):
         with pytest.raises(GroupSpecError):
             GroupSpec(dim=2,
@@ -117,6 +134,29 @@ class TestEnumerateOrbit:
         expected = [0.0, 2.0, 2.0, 4.0, 4.0, 6.0, 6.0, 8.0, 8.0, 10.0, 10.0]
         assert np.allclose(orbit.distances, expected, atol=1e-12)
         assert list(orbit.word_lengths) == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+    def test_screw_motion_distances_closed_form(self):
+        w = 1.5 + 2.5j
+        group = GroupSpec(dim=3, generators=(screw(w),), family="cyclic")
+        (zx, hx), (zy, hy) = (0.3 + 0.1j, 1.0), (0.2j, 2.0)
+        orbit = enumerate_orbit(group, (zx, hx), (zy, hy), 30.0)
+        expected = []
+        for k in range(-40, 41):  # g^k (z, h) = (e^{kw} z, e^{k Re w} h)
+            zk, hk = np.exp(k * w) * zy, math.exp(k * w.real) * hy
+            d = math.acosh(1.0 + (abs(zx - zk) ** 2 + (hx - hk) ** 2) / (2.0 * hx * hk))
+            if d <= 30.0:
+                expected.append((d, abs(k)))
+        expected.sort()
+        assert len(orbit) == len(expected) > 30
+        assert np.allclose(orbit.distances, [d for d, _ in expected], rtol=1e-12, atol=1e-12)
+        assert list(orbit.word_lengths) == [k for _, k in expected]
+
+    def test_schottky_overflow_raises_enumeration_error(self):
+        # pruning stops cutting branches here and the word matrices overflow
+        gens = tuple(schottky_generator(u, 1.0).astype(complex) for u in (2.0, 6.0))
+        group = GroupSpec(dim=3, generators=gens, family="schottky")
+        with pytest.raises(EnumerationError, match="not finite"):
+            enumerate_orbit(group, (0j, 5.0), (0j, 5.0), 36.6)
 
     def test_trivial_group(self):
         group = GroupSpec(dim=2, generators=(), family="trivial")
@@ -246,6 +286,19 @@ class TestCountingFunction:
         c_hi = float(np.max(counts * np.exp(-delta * ks)))
         c_lo = float(np.min(counts * np.exp(-delta * ks)))
         assert 0.0 < c_lo <= c_hi < math.inf
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.4, 0.9])
+    def test_counting_constant_matches_shell_counts(self, delta):
+        orbits = [enumerate_orbit(schottky_pair(), (0.0, 2.0), (0.3, 1.5), 16.0),
+                  enumerate_orbit(axis_group(2.0), (0.0, 1.0), (0.5, 3.0), 25.5),
+                  enumerate_orbit(axis_group(3.0), (0.0, 1.0), (0.0, 20.0), 4.0)]
+        for orbit in orbits:
+            ks = np.arange(0.0, math.floor(orbit.r_max) + 1.0)
+            counts = np.array([np.count_nonzero(orbit.distances <= k) for k in ks])
+            mask = counts > 0
+            expected = (float(np.max(counts[mask] * np.exp(-delta * ks[mask])))
+                        if mask.any() else 1.0)
+            assert orbit.counting_constant(delta) == expected
 
 
 class TestCriticalExponent:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -204,6 +205,26 @@ class TestFdTimeDerivative:
         with pytest.raises(ValueError):
             oracle.fd_time_derivative(lambda t, r: t, 5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_subnormal_stencil_not_precise(self, order):
+        # r^2/4t = 720: every stencil value of the 3-space kernel is subnormal
+        t, r = 0.05, 12.0
+        assert 0.0 < h3_value(t, r) < 2.2250738585072014e-308
+        fd = oracle.fd_time_derivative(h3_value, order, t, r)
+        assert fd.subnormal_stencil
+        assert not fd.precision_ok
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_underflowed_stencil_not_precise(self, order):
+        # r^2/4t = 1000: the kernel underflows to 0 at every stencil point
+        fd = oracle.fd_time_derivative(h3_value, order, 0.04, math.sqrt(160.0))
+        assert fd.value == 0.0 and fd.rel_error == 0.0
+        assert not fd.precision_ok
+
+    def test_normal_stencil_keeps_flag_clear(self):
+        fd = oracle.fd_time_derivative(h3_value, 1, 0.5, 6.0)
+        assert not fd.subnormal_stencil and fd.precision_ok
+
 
 def make_cyclic_h3(translation: float) -> lattice.GroupSpec:
     half = math.exp(translation / 2.0)
@@ -255,3 +276,85 @@ class TestQuotientKernel:
         ev = oracle.quotient_kernel(group, "h2", 1.0, x, x, 0, 12.0, delta=0.05)
         direct = sum(math.exp(oracle.h2_log(1.0, d)) for d in group.orbit(x, x, 12.0).distances)
         assert ev.value == pytest.approx(direct, rel=1e-12)
+
+
+def schottky_h3() -> lattice.GroupSpec:
+    # pairs the unit disks at -2 and 2, and at -6 and 6
+    gens = tuple(np.array([[u, u * u - 1.0], [1.0, u]], dtype=complex) for u in (2.0, 6.0))
+    return lattice.GroupSpec(dim=3, generators=gens, family="schottky")
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def sequential_tail(orbit, t, order, r_cut, delta, value, epsilon=0.2):
+    """The truncation tail as a shell-by-shell loop, for comparison."""
+    c_count = max(np.count_nonzero(orbit.distances <= k) * math.exp(-delta * k)
+                  for k in range(math.floor(orbit.r_max) + 1)
+                  if np.count_nonzero(orbit.distances <= k) > 0)
+    c_env = oracle._tail_envelope_constant("h3", order, epsilon)
+    tail = 0.0
+    for k in range(math.floor(r_cut), math.floor(r_cut) + 100000):
+        log_term = (delta * (k + 1) - (1.5 + order) * math.log(t) - (1.0 - epsilon) * t
+                    - (1.0 - epsilon) * (k + k * k / (4.0 * t)))
+        term = c_env * c_count * math.exp(log_term)
+        tail += term
+        if term <= 1e-18 * max(tail, abs(value), 1e-300):
+            return tail
+    return tail
+
+
+class TestQuotientKernelGrid:
+    T_GRID = np.geomspace(0.05, 12.0, 17)
+
+    def orbits(self):
+        x, y = (0.1 + 0.2j, 1.0), (-0.3j, 1.7)
+        cyclic = make_cyclic_h3(3.0).orbit(x, y, 40.0)
+        schottky = schottky_h3().orbit((0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
+        return {"cyclic": (cyclic, 30.0), "schottky": (schottky, 11.0)}
+
+    def assert_grid_matches_scalars(self, orbit, order, r_cut, delta):
+        batch = oracle.quotient_kernel(orbit, "h3", self.T_GRID, None, None, order, r_cut,
+                                       delta=delta)
+        assert batch.value.shape == batch.truncation_bound.shape == self.T_GRID.shape
+        for k, t in enumerate(self.T_GRID):
+            one = oracle.quotient_kernel(orbit, "h3", float(t), None, None, order, r_cut,
+                                         delta=delta)
+            assert isinstance(one.value, float) and isinstance(one.truncation_bound, float)
+            assert same_bits(one.value, batch.value[k])
+            assert same_bits(one.truncation_bound, batch.truncation_bound[k])
+            assert one.terms_used == batch.terms_used
+        return batch
+
+    @pytest.mark.parametrize("kind", ["cyclic", "schottky"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_grid_equals_scalar_calls(self, kind, order):
+        orbit, r_cut = self.orbits()[kind]
+        batch = self.assert_grid_matches_scalars(orbit, order, r_cut, delta=0.6)
+        # the tail underflows to 0 at the smallest times, not at the largest
+        assert np.all(batch.truncation_bound >= 0.0) and batch.truncation_bound[-1] > 0.0
+
+    @pytest.mark.parametrize("kind", ["cyclic", "schottky"])
+    def test_exhaustive_grid_equals_scalar_calls(self, kind):
+        orbit, _ = self.orbits()[kind]
+        whole = dataclasses.replace(orbit, exhaustive=True)
+        batch = self.assert_grid_matches_scalars(whole, 1, orbit.r_max, delta=None)
+        assert np.all(batch.truncation_bound == 0.0)
+        assert batch.terms_used == len(orbit)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.6, 1.5, 1.95])
+    def test_tail_matches_shell_loop(self, delta):
+        # at delta > 0.8 the shell terms first grow, so the stop lies past r_cut
+        orbit, r_cut = self.orbits()["schottky"]
+        batch = oracle.quotient_kernel(orbit, "h3", self.T_GRID, None, None, 1, r_cut,
+                                       delta=delta)
+        for k, t in enumerate(self.T_GRID):
+            expected = sequential_tail(orbit, float(t), 1, r_cut, delta, batch.value[k])
+            assert batch.truncation_bound[k] == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_bad_time_grids(self):
+        orbit, r_cut = self.orbits()["cyclic"]
+        for bad in (np.array([1.0, 0.0]), np.array([[1.0]]), np.array([])):
+            with pytest.raises(ValueError):
+                oracle.quotient_kernel(orbit, "h3", bad, None, None, 0, r_cut, delta=0.1)
