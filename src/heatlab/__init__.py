@@ -11,8 +11,6 @@ from .rootspace import (  # noqa: F401
     admissible_alpha_triple,
     build_from_roots,
     build_real_hyperbolic,
-    h2_model,
-    h3_model,
     rho_min,
     s_p,
 )

@@ -2,7 +2,7 @@
 
 Subcommands:
   verify SUITE   run one named suite, print its rows, optionally emit CSV
-  report         run every suite (or those listed in the config) to CSV files
+  report         run every suite, one CSV file each
   list-suites    print the registry
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
@@ -16,16 +16,12 @@ import csv
 import os
 import sys
 
-from .config import Config, ConfigError, load_config
-from .lattice import GroupSpecError, parse_group
+from .config import Config, ConfigError, format_cell, load_config, write_csv
+from .lattice import group_from_section
 from .suites import CRITERION_SUITES, SUITES, SuiteConfig, SuiteReport, run_suite
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+_SUITE_KEYS = ("epsilon", "seed", "orders", "out")  # keys of [defaults] and [suite NAME]
+_ORDERS = (0, 1, 2)  # time-derivative orders with closed forms
 
 
 def emit_csv(report: SuiteReport, path: str) -> None:
@@ -35,20 +31,11 @@ def emit_csv(report: SuiteReport, path: str) -> None:
     rows = report.sorted_rows()
     param_keys = sorted({key for row in rows for key in row.params})
     header = ["suite", "check", *param_keys, "oracle", "bound", "ratio", "pass"]
+    records = ([report.suite, row.check, *(row.params.get(k, "") for k in param_keys),
+                float(row.oracle), float(row.bound), float(row.ratio), bool(row.passed)]
+               for row in rows)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in rows:
-                record = [report.suite, row.check]
-                record.extend(_format_value(row.params.get(k, "")) for k in param_keys)
-                record.extend([
-                    _format_value(float(row.oracle)),
-                    _format_value(float(row.bound)),
-                    _format_value(float(row.ratio)),
-                    "true" if row.passed else "false",
-                ])
-                writer.writerow(record)
+        write_csv(path, header, records)
     except OSError as exc:
         raise OSError(f"cannot write report to {path!r}: {exc}") from exc
 
@@ -67,38 +54,78 @@ def parse_report_csv(path: str) -> list[dict]:
         return out
 
 
+def _epsilon(value: float, where: str) -> float:
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{where}: epsilon must lie in (0, 1), got {value}")
+    return value
+
+
+def _seed(value: int, where: str) -> int:
+    if value < 0:
+        raise ConfigError(f"{where}: seed must be nonnegative, got {value}")
+    return value
+
+
+def _orders(raw: str, where: str) -> tuple[int, ...]:
+    try:
+        orders = tuple(int(v) for v in raw.split(","))
+    except ValueError:
+        orders = ()
+    if not orders or any(i not in _ORDERS for i in orders):
+        raise ConfigError(f"{where}: orders must be integers in {{0, 1, 2}}, got {raw!r}")
+    return orders
+
+
+def _config_fields(config: Config, command: str) -> dict[str, dict]:
+    """Checked SuiteConfig fields of each [defaults] and [suite NAME]
+    section.  Any other section or key, or a bad value, raises ConfigError;
+    `report` names its own files, so it takes no out key."""
+    keys = _SUITE_KEYS if command == "verify" else tuple(k for k in _SUITE_KEYS if k != "out")
+    fields = {}
+    for name, section in config.sections.items():
+        if name == "group" or not (name or section.entries):
+            continue
+        if not name:
+            raise ConfigError(f"key {next(iter(section.entries))!r} outside any section")
+        if name != "defaults" and not (name.startswith("suite ") and name[6:] in SUITES):
+            raise ConfigError(f"unknown section [{name}]; expected [defaults], "
+                              "[suite NAME] for a registered NAME, or [group]")
+        where = f"[{name}]"
+        for key in section.entries:
+            if key not in keys:
+                hint = " (report writes NAME.csv under --out)" if key == "out" else ""
+                raise ConfigError(f"key {key!r} is not accepted in {where}{hint}; "
+                                  f"expected {', '.join(keys)}")
+        values = {}
+        if "epsilon" in section:
+            values["epsilon"] = _epsilon(section.get_float("epsilon"), where)
+        if "seed" in section:
+            values["seed"] = _seed(section.get_int("seed"), where)
+        if "orders" in section:
+            values["orders"] = _orders(section.get("orders"), where)
+        if "out" in section:
+            values["out"] = section.get("out")
+        fields[name] = values
+    return fields
+
+
 def _suite_config(name: str, args, config: Config | None) -> SuiteConfig:
+    """Defaults, then [defaults], then [suite NAME], then the flags."""
     cfg = SuiteConfig(name=name)
-    sections = []
     if config is not None:
-        if "defaults" in config:
-            sections.append(config.sections["defaults"])
-        key = f"suite {name}"
-        if key in config:
-            sections.append(config.sections[key])
-    for section in sections:
-        cfg.space = section.get("space", cfg.space) or cfg.space
-        cfg.epsilon = section.get_float("epsilon", cfg.epsilon)
-        cfg.seed = section.get_int("seed", cfg.seed)
-        cfg.out = section.get("out", cfg.out)
-        raw_orders = section.get("orders")
-        if raw_orders:
-            cfg.orders = tuple(int(v) for v in raw_orders.split(","))
-    if config is not None and "group" in config:
-        text_lines = ["[group]"]
-        group_section = config.sections["group"]
-        for key, values in group_section.entries.items():
-            text_lines.extend(f"{key} = {v}" for v in values)
-        cfg.group = parse_group("\n".join(text_lines))
-    if getattr(args, "space", None):
-        cfg.space = args.space
-    if getattr(args, "epsilon", None) is not None:
-        cfg.epsilon = args.epsilon
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        fields = _config_fields(config, args.command)
+        for key in ("defaults", f"suite {name}"):
+            for field_name, value in fields.get(key, {}).items():
+                setattr(cfg, field_name, value)
+        if "group" in config:
+            cfg.group = group_from_section(config.sections["group"])
+    if args.epsilon is not None:
+        cfg.epsilon = _epsilon(args.epsilon, "--epsilon")
+    if args.seed is not None:
+        cfg.seed = _seed(args.seed, "--seed")
     if getattr(args, "i", None) is not None:
-        cfg.orders = (args.i,)
-    if getattr(args, "out", None):
+        cfg.orders = _orders(str(args.i), "--i")
+    if args.command == "verify" and args.out:
         cfg.out = args.out
     return cfg
 
@@ -107,7 +134,7 @@ def _print_report(report: SuiteReport, stream) -> None:
     print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'} "
           f"({len(report.rows)} checks, {report.wall_time:.2f} s)", file=stream)
     for row in report.sorted_rows():
-        params = " ".join(f"{k}={_format_value(v)}" for k, v in sorted(row.params.items()))
+        params = " ".join(f"{k}={format_cell(v)}" for k, v in sorted(row.params.items()))
         status = "ok  " if row.passed else "FAIL"
         print(f"  [{status}] {row.check} {params} oracle={row.oracle:.6g} "
               f"bound={row.bound:.6g} ratio={row.ratio:.6g}", file=stream)
@@ -124,10 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", help="suite name (see list-suites)")
     verify.add_argument("--config", help="path to a key=value config file")
     verify.add_argument("--out", help="write the report CSV here")
-    verify.add_argument("--space", choices=("h2", "h3"))
     verify.add_argument("--epsilon", type=float)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--i", type=int, help="restrict derivative order")
+    verify.add_argument("--i", type=int, help="derivative order 0, 1 or 2 (theorem1)")
 
     report = sub.add_parser("report", help="run all suites, one CSV each")
     report.add_argument("--config", help="path to a key=value config file")
@@ -156,56 +182,34 @@ def main(argv=None) -> int:
             print(f"{name:12s} acceptance criterion {criterion} ({role})")
         return 0
 
-    config = None
-    if getattr(args, "config", None):
-        try:
-            config = load_config(args.config)
-        except (OSError, ConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if args.command == "verify" and args.suite not in SUITES:
+        print(f"error: unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}",
+              file=sys.stderr)
+        return 2
+    # every suite's config is checked before the first suite runs
+    names = [args.suite] if args.command == "verify" else sorted(SUITES)
+    try:
+        config = load_config(args.config) if args.config else None
+        configs = [_suite_config(name, args, config) for name in names]
+        if args.command == "report":
+            os.makedirs(args.out, exist_ok=True)
+    except (OSError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    if args.command == "verify":
-        if args.suite not in SUITES:
-            print(f"error: unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}",
-                  file=sys.stderr)
-            return 2
-        try:
-            cfg = _suite_config(args.suite, args, config)
-        except (ConfigError, GroupSpecError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    all_passed = True
+    for cfg in configs:
         report = run_suite(cfg)
         _print_report(report, sys.stdout)
-        if cfg.out:
+        path = cfg.out if args.command == "verify" else os.path.join(args.out, f"{cfg.name}.csv")
+        if path:
             try:
-                emit_csv(report, cfg.out)
+                emit_csv(report, path)
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        return 0 if report.passed else 1
-
-    if args.command == "report":
-        out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
-        all_passed = True
-        for name in sorted(SUITES):
-            try:
-                cfg = _suite_config(name, args, config)
-            except (ConfigError, GroupSpecError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            suite_report = run_suite(cfg)
-            _print_report(suite_report, sys.stdout)
-            try:
-                emit_csv(suite_report, os.path.join(out_dir, f"{name}.csv"))
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            all_passed = all_passed and suite_report.passed
-        return 0 if all_passed else 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+        all_passed = all_passed and report.passed
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":

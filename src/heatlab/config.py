@@ -9,10 +9,13 @@ Format::
 
 Lines outside any section header belong to the anonymous section "".
 Values stay strings; use the typed getters on :class:`Section`.
+
+The module also owns the one CSV cell format every heatlab table uses.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 
@@ -59,17 +62,6 @@ class Section:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r} in [{self.name}]: {raw!r} is not an integer") from exc
-
-    def get_bool(self, key: str, default: bool | None = None) -> bool | None:
-        raw = self.get(key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"key {key!r} in [{self.name}]: {raw!r} is not a boolean")
 
 
 @dataclass
@@ -124,3 +116,22 @@ def parse_floats(raw: str, *, sep: str = ",") -> list[float]:
         return [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"bad number list: {raw!r}") from exc
+
+
+def format_cell(value) -> str:
+    """One CSV cell: bools as true/false, floats with 17 significant digits
+    (parsing reproduces them bit-exactly), anything else through str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv(path: str, header, rows) -> None:
+    """UTF-8 CSV with `header`, then each row's cells through format_cell."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_cell(value) for value in row])

@@ -140,12 +140,6 @@ def kernel_upper_log(model: SpaceModel, t, r, rho_h=None):
     )
 
 
-def kernel_upper(model: SpaceModel, t, r, rho_h=None):
-    if np.any(np.asarray(t, dtype=float) <= 0.0) or np.any(np.asarray(r, dtype=float) < 0.0):
-        raise ValueError("need t > 0 and r >= 0")
-    return np.exp(kernel_upper_log(model, t, r, rho_h))
-
-
 # ---------------------------------------------------------------------------
 # on-diagonal derivative bounds via iterated integrals
 
@@ -423,13 +417,10 @@ def cartan_hadamard_rhs(params: CartanHadamardParams, i: int, t, d, epsilon: flo
 # fitted-constant grid protocols
 
 
-def grid_points(t_range, r_range, nt: int, nr: int, t_scale: str = "log",
-                r_scale: str = "linear"):
-    """Meshgrid (T, R) over the requested ranges, log or linear per axis."""
-    t_lo, t_hi = t_range
-    r_lo, r_hi = r_range
-    t = np.geomspace(t_lo, t_hi, nt) if t_scale == "log" else np.linspace(t_lo, t_hi, nt)
-    r = np.geomspace(r_lo, r_hi, nr) if r_scale == "log" else np.linspace(r_lo, r_hi, nr)
+def grid_points(t_range, r_range, nt: int, nr: int):
+    """Meshgrid (T, R) over the requested ranges: t log-spaced, r linear."""
+    t = np.geomspace(*t_range, nt)
+    r = np.linspace(*r_range, nr)
     return np.meshgrid(t, r, indexing="ij")
 
 

@@ -10,13 +10,12 @@ isometric-disk images, aborting when the configuration cannot certify.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, parse_config, parse_floats
+from .config import ConfigError, Section, parse_config, parse_floats, write_csv
 from .rootspace import AlphaTriple, SpaceModel, admissible_alpha_triple
 
 _DET_TOL = 1e-9
@@ -223,11 +222,8 @@ class OrbitSet:
         return float(np.max(counts[mask] * np.exp(-delta * ks[mask]))) if mask.any() else 1.0
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["distance", "word_length"])
-            for d, w in zip(self.distances, self.word_lengths):
-                writer.writerow([f"{float(d):.17g}", int(w)])
+        write_csv(path, ["distance", "word_length"],
+                  zip(self.distances.tolist(), self.word_lengths.tolist()))
 
 
 def _sorted_orbit(x: Point, y: Point, records: list[tuple[float, int]], r_max: float,
@@ -507,8 +503,11 @@ def quotient_regime_rhs(regime: int, model: SpaceModel, delta: float, s_or_eps: 
 # group-spec config format
 
 
-def parse_group(text: str) -> GroupSpec:
-    """Parse the group config format::
+_GROUP_KEYS = ("dim", "family", "generator")
+
+
+def group_from_section(section: Section) -> GroupSpec:
+    """Build a GroupSpec from a parsed group section::
 
         [group]
         dim = 2
@@ -516,8 +515,10 @@ def parse_group(text: str) -> GroupSpec:
         generator = 2,3,1,2          # a,b,c,d row-major (plane)
         generator = 6,0,35,0,1,0,6,0 # re,im pairs row-major (3-space)
     """
-    config = parse_config(text)
-    section = config.sections.get("group") or config.section("")
+    for key in section.entries:
+        if key not in _GROUP_KEYS:
+            raise ConfigError(f"key {key!r} is not accepted in [{section.name}]; "
+                              f"expected {', '.join(_GROUP_KEYS)}")
     dim = section.get_int("dim")
     family = section.get("family")
     if dim is None or family is None:
@@ -540,6 +541,7 @@ def parse_group(text: str) -> GroupSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def load_group(path: str) -> GroupSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_group(handle.read())
+def parse_group(text: str) -> GroupSpec:
+    """Parse group config text: its [group] section, or the top-level keys."""
+    config = parse_config(text)
+    return group_from_section(config.sections.get("group") or config.section(""))

@@ -9,7 +9,6 @@ semigroup derivative, and integrates the gradient-kernel decay.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import oracle
+from .config import write_csv
 from .rootspace import SpaceModel, s_p
 
 
@@ -72,22 +72,25 @@ class IntegralVerdict:
         return tuple(math.exp(v) if v < 700 else math.inf for v in self.log_partial_values)
 
 
+_VERDICT_MARGIN = 0.02  # |frontier log-slope| below this is inconclusive
+_N_CUTOFFS = 8  # partial-integral cutoffs r_max / 2^7, ..., r_max
+
+
 def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, float],
-                             r_max: float = 1000.0, n_cutoffs: int = 8,
-                             margin: float = 0.02) -> IntegralVerdict:
+                             r_max: float = 1000.0) -> IntegralVerdict:
     """Classify int_0^R (1+r)^a e^{b r} dr by the measured log-slope of the
     integrand at the integration frontier.
 
     Partial values are accumulated in log space at geometrically expanding
-    cutoffs.  Finite needs slope < -margin, divergent slope > +margin,
+    cutoffs.  Finite needs slope < -0.02, divergent slope > +0.02,
     otherwise inconclusive.  Rank-one models only: the chamber is a ray.
     """
     if model.rank != 1:
         raise ValueError("chamber integral reduction applies to rank-one models")
-    if r_max <= 0.0 or n_cutoffs < 2:
-        raise ValueError("need r_max > 0 and at least two cutoffs")
+    if r_max <= 0.0:
+        raise ValueError("need r_max > 0")
     a, b = float(integrand_rates[0]), float(integrand_rates[1])
-    cutoffs = r_max * 2.0 ** np.arange(-(n_cutoffs - 1), 1, dtype=float)
+    cutoffs = r_max * 2.0 ** np.arange(-(_N_CUTOFFS - 1), 1, dtype=float)
 
     def log_integrand(r: float) -> float:
         return a * math.log1p(r) + b * r
@@ -106,9 +109,9 @@ def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, fl
     frontier = cutoffs[-1]
     dr = min(1.0, frontier / 100.0)
     rate = (log_integrand(frontier) - log_integrand(frontier - dr)) / dr
-    if rate < -margin:
+    if rate < -_VERDICT_MARGIN:
         verdict = Verdict.FINITE
-    elif rate > margin:
+    elif rate > _VERDICT_MARGIN:
         verdict = Verdict.DIVERGENT
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -138,23 +141,17 @@ def heat_integrand_rate(rho_norm: float, eta_norm: float, p: float, sigma: float
     return (1.0 + epsilon - s) * rho_norm + s * eta_norm - (1.0 - epsilon) * math.sqrt(inner)
 
 
-def heat_verdict(inp: ThresholdInput, sigma: float, epsilon: float,
-                 a_exp: float | None = None, model: SpaceModel | None = None,
+def heat_verdict(inp: ThresholdInput, sigma: float, epsilon: float, model: SpaceModel,
                  r_max: float = 1000.0) -> IntegralVerdict:
     """Chamber-integral verdict for the heat maximal weight sigma at a given
-    epsilon; a sigma with no decay rate at all is classified divergent."""
-    from .rootspace import build_real_hyperbolic
-
-    if model is None:
-        model = build_real_hyperbolic(3)
-    if a_exp is None:
-        a_exp = model.A_exp
+    epsilon, with the model's polynomial exponent A; a sigma with no decay
+    rate at all is classified divergent."""
     try:
         rate = heat_integrand_rate(inp.rho_norm, inp.eta_norm, inp.p, sigma, epsilon)
     except ValueError:
         return IntegralVerdict(verdict=Verdict.DIVERGENT, effective_rate=math.inf,
                                cutoffs=(), log_partial_values=())
-    return chamber_integral_verdict(model, (a_exp, rate), r_max=r_max)
+    return chamber_integral_verdict(model, (model.A_exp, rate), r_max=r_max)
 
 
 def st_norm_rate(model: SpaceModel, eta_norm: float, p: float, epsilon: float) -> float:
@@ -170,15 +167,15 @@ def st_norm_rate(model: SpaceModel, eta_norm: float, p: float, epsilon: float) -
         + s * eta_norm
 
 
-def st_norm_certificate(model: SpaceModel, eta_norm: float, p: float,
-                        eps_grid=None) -> tuple[bool, float]:
-    """Scan for a positive epsilon with negative rate; returns (found, eps).
-    Such an epsilon exists whenever eta_norm < rho_norm."""
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-6, min(0.5, model.rho_norm ** 2 * 0.99), 60)
-    for eps in sorted(float(e) for e in eps_grid):
-        if eps <= 0.0 or eps >= model.rho_norm ** 2:
-            continue
+_ST_EPS_SCAN = (1e-6, 0.5, 60)  # geometric epsilon scan: lowest, highest, points
+
+
+def st_norm_certificate(model: SpaceModel, eta_norm: float, p: float) -> tuple[bool, float]:
+    """Scan epsilon upward for a negative rate; returns (found, eps).  The
+    scan tops out below 0.99 rho^2.  Such an epsilon exists whenever
+    eta_norm < rho_norm."""
+    lowest, highest, points = _ST_EPS_SCAN
+    for eps in np.geomspace(lowest, min(highest, model.rho_norm ** 2 * 0.99), points).tolist():
         if st_norm_rate(model, eta_norm, p, eps) < 0.0:
             return True, eps
     return False, math.nan
@@ -199,10 +196,12 @@ def _riesz_integrand(t: float, r: float) -> float:
     return math.exp(float(oracle._h3_radial_log_abs_unchecked(t, r))) / math.sqrt(t)
 
 
-def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1,
-                       t_cut: float = 1.0) -> RieszDecay:
+_RIESZ_T_CUT = 1.0  # the time integral is split here into small and large t
+
+
+def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1) -> RieszDecay:
     """Gradient-kernel time integral int_0^inf |d_r h_t| / sqrt(t) dt on the
-    3-space, split at t_cut, with certified Gaussian (small t) and
+    3-space, split at t = 1, with certified Gaussian (small t) and
     exponential (large t) tails; paired with the decay shape
     e^{-(1-eps)(<rho,H> + |rho| r)} for fitted-constant domination."""
     if space.lower() != "h3":
@@ -211,9 +210,9 @@ def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1,
         raise ValueError("need r > 0")
     t_lo = r * r / 3200.0  # Gaussian phase r^2/(4t) = 800 at the lower cut
     t_hi = 750.0
-    small, err_small = quad(_riesz_integrand, t_lo, min(t_cut, t_hi), args=(r,),
+    small, err_small = quad(_riesz_integrand, t_lo, _RIESZ_T_CUT, args=(r,),
                             epsabs=1e-300, epsrel=1e-12, limit=400)
-    large, err_large = quad(_riesz_integrand, min(t_cut, t_hi), t_hi, args=(r,),
+    large, err_large = quad(_riesz_integrand, _RIESZ_T_CUT, t_hi, args=(r,),
                             epsabs=1e-300, epsrel=1e-12, limit=400)
     if err_small > 1e-8 * max(abs(small), 1e-280) or err_large > 1e-8 * max(abs(large), 1e-280):
         raise oracle.QuadratureError(f"gradient-kernel quadrature failed at r={r}")
@@ -263,8 +262,5 @@ def write_threshold_table(path: str, p_values, eta_values, rho_norm: float = 1.0
         for eta in sorted(float(v) for v in eta_values):
             inp = ThresholdInput(p=p, rho_norm=rho_norm, eta_norm=eta)
             rows.append((p, s_p(p), eta, sigma_threshold_heat(inp), sigma_threshold_poisson(inp)))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["p", "s_p", "eta_norm", "sigma_threshold_heat", "sigma_threshold_poisson"])
-        for row in rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, ["p", "s_p", "eta_norm", "sigma_threshold_heat", "sigma_threshold_poisson"],
+              rows)

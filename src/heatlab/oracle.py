@@ -22,6 +22,7 @@ from scipy.integrate import quad
 
 LOG_4PI = math.log(4.0 * math.pi)
 _FD_PRECISION_LIMIT = 1e-5
+_FD_STEP_SCALE = 1e-3  # finite-difference step as a fraction of t
 
 
 class QuadratureError(RuntimeError):
@@ -140,6 +141,7 @@ def _log_sinh(x):
 
 
 _H2_EXP_CUT = 60.0  # Gaussian phase cut; relative tail below e^{-60}
+_H2_REL_TOL = 1e-9  # accepted relative error estimate (quad is asked for 1e-10)
 
 
 def _h2_scaled_integrand(u, r, t):
@@ -163,31 +165,32 @@ def _h2_scaled_integrand(u, r, t):
     return 2.0 * s * ratio * np.exp(-phase - log_outer)
 
 
-def h2_log(t: float, r: float, rel_tol: float = 1e-9) -> float:
+def h2_log(t: float, r: float) -> float:
     """log of the plane heat kernel via adaptive quadrature.
 
     Evaluates sqrt(2) (4 pi t)^{-3/2} e^{-t/4} int_r^inf s e^{-s^2/(4t)}
-    / sqrt(cosh s - cosh r) ds after the substitution s = r + u^2.
+    / sqrt(cosh s - cosh r) ds after the substitution s = r + u^2.  Raises
+    QuadratureError when the error estimate exceeds 1e-9 of the integral.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
     if r < 0.0:
         raise ValueError("distance must be nonnegative")
-    return _h2_log_cached(float(t), float(r), float(rel_tol))
+    return _h2_log_cached(float(t), float(r))
 
 
 @lru_cache(maxsize=262144)
-def _h2_log_cached(t: float, r: float, rel_tol: float) -> float:
+def _h2_log_cached(t: float, r: float) -> float:
     s_max = math.sqrt(r * r + 4.0 * t * _H2_EXP_CUT)
     u_max = math.sqrt(max(s_max - r, 1e-8))
     out = quad(
         _h2_scaled_integrand, 0.0, u_max, args=(r, t),
-        epsabs=0.0, epsrel=min(rel_tol, 1e-10), limit=300, full_output=True,
+        epsabs=0.0, epsrel=1e-10, limit=300, full_output=True,
     )
     value, err = float(out[0]), float(out[1])
     if not np.isfinite(value) or value <= 0.0:
         raise QuadratureError(f"plane-kernel quadrature collapsed at t={t}, r={r}")
-    if err > max(rel_tol * abs(value), 1e-300):
+    if err > max(_H2_REL_TOL * abs(value), 1e-300):
         raise QuadratureError(
             f"plane-kernel quadrature did not converge at t={t}, r={r}: "
             f"estimated error {err:.3e} vs value {value:.3e}"
@@ -201,10 +204,6 @@ def _h2_log_cached(t: float, r: float, rel_tol: float) -> float:
     )
 
 
-def h2_kernel(t: float, r: float) -> KernelEval:
-    return KernelEval(t=float(t), r=float(r), order=0, value=math.exp(h2_log(t, r)))
-
-
 # Central-difference stencils; error expansions are even in the step.
 _FD_STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
@@ -214,11 +213,10 @@ _FD_STENCILS = {
 }
 
 
-def fd_time_derivative(kernel, order: int, t: float, r: float,
-                       step_scale: float = 1e-3) -> FdDerivative:
+def fd_time_derivative(kernel, order: int, t: float, r: float) -> FdDerivative:
     """i-th central finite difference in t with two Richardson levels.
 
-    `kernel` is any evaluator f(t, r) -> float.  The step is step_scale * t;
+    `kernel` is any evaluator f(t, r) -> float.  The step is 1e-3 * t;
     the returned error estimate is the difference of the last two Richardson
     extrapolants.  Callers should trust the value only when precision_ok.
     """
@@ -230,9 +228,7 @@ def fd_time_derivative(kernel, order: int, t: float, r: float,
         value = float(kernel(t, r))
         return FdDerivative(value=value, error=0.0, rel_error=0.0,
                             subnormal_stencil=abs(value) < sys.float_info.min)
-    h = step_scale * t
-    if t <= max(order, 8.0) * h:  # widest stencil point is t - 8h
-        raise ValueError(f"step {h} too large for order {order} at t={t}")
+    h = _FD_STEP_SCALE * t  # the widest stencil point, t - 8h, stays positive
     stencil = _FD_STENCILS[order]
     # smallest |kernel value| seen: zero or subnormal values carry too few
     # significant bits for the differences to mean anything
@@ -248,7 +244,7 @@ def fd_time_derivative(kernel, order: int, t: float, r: float,
         return acc / step ** order
 
     # Richardson ladder with h as the smallest step: the base step stays
-    # step_scale * t, so subtractive roundoff never grows past the h level.
+    # 1e-3 * t, so subtractive roundoff never grows past the h level.
     d0, d1, d2 = diff(4.0 * h), diff(2.0 * h), diff(h)
     r1a = (4.0 * d1 - d0) / 3.0
     r1b = (4.0 * d2 - d1) / 3.0

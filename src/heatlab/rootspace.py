@@ -131,14 +131,6 @@ def build_real_hyperbolic(n: int) -> SpaceModel:
     )
 
 
-def h2_model() -> SpaceModel:
-    return build_real_hyperbolic(2)
-
-
-def h3_model() -> SpaceModel:
-    return build_real_hyperbolic(3)
-
-
 def build_from_roots(spec: RootSystemSpec) -> SpaceModel:
     """Assemble the model data from a positive-root listing.
 
@@ -370,8 +362,3 @@ def parse_root_system(text: str) -> RootSystemSpec:
     if not data:
         raise ConfigError("root-system config lists no roots")
     return RootSystemSpec(rank=rank, roots=tuple(data))
-
-
-def load_root_system(path: str) -> RootSystemSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_root_system(handle.read())

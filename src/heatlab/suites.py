@@ -1,60 +1,26 @@
 """Named verification suites over parameter grids.
 
 Each suite exercises one acceptance-grade property of the bound layer
-against the exact oracles and returns a report of check rows; the CLI and
-the acceptance tests share these implementations.  All suites are
-deterministic for a fixed seed.
+against the exact oracles and returns its check rows; ``@suite`` times it,
+wraps the rows in a report and registers it.  The CLI and the acceptance
+tests share these implementations.  All suites are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import envelope, lattice, lpthresholds, oracle
 from .lattice import GroupSpec
 from .lpthresholds import ThresholdInput, Verdict
+from .registry import (  # noqa: F401  (CRITERION_SUITES is re-exported)
+    CRITERION_SUITES, SUITES, CheckRow, SuiteConfig, SuiteReport, suite)
 from .rootspace import AlphaTriple, build_real_hyperbolic
 
 COTH_1 = 1.0 / math.tanh(1.0)
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    check: str
-    params: dict
-    oracle: float
-    bound: float
-    ratio: float
-    passed: bool
-
-
-@dataclass
-class SuiteConfig:
-    name: str
-    space: str = "h3"
-    epsilon: float = 0.1
-    seed: int = 0
-    orders: tuple[int, ...] = (1, 2)
-    out: str | None = None
-    group: GroupSpec | None = None
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    rows: list[CheckRow] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    def sorted_rows(self) -> list[CheckRow]:
-        return sorted(self.rows, key=lambda r: (r.check, sorted(r.params.items())))
 
 
 def _tol_row(check: str, params: dict, err: float, tol: float) -> CheckRow:
@@ -72,31 +38,30 @@ def _stability_row(check: str, params: dict, fit: envelope.TwoGridFit,
 # ---------------------------------------------------------------------------
 
 
-def suite_recurrence(cfg: SuiteConfig) -> SuiteReport:
+@suite("recurrence", 1)
+def suite_recurrence(cfg: SuiteConfig) -> list[CheckRow]:
     """Rate-recurrence limits: grid columns at step 200 against the closed
     forms, entries in [0,1], monotone nondecreasing in the step index."""
-    report = SuiteReport(suite="recurrence")
-    start = time.perf_counter()
+    rows = []
     i_max, l_max = 10, 200
     for lam in (0.25, 0.5, 0.75, 0.9):
         grid = envelope.recurrence_grid_from_lambda(lam, i_max, l_max)
         limits = envelope.gamma_limit_from_lambda(lam, np.arange(i_max + 1))
         gamma_err = float(np.max(np.abs(grid.gamma[-1] - limits)))
         beta_err = float(np.max(np.abs(grid.beta[-1] - 1.0)))
-        report.rows.append(_tol_row("gamma_vs_limit", {"lambda": lam}, gamma_err, 1e-9))
-        report.rows.append(_tol_row("beta_vs_one", {"lambda": lam}, beta_err, 1e-9))
+        rows.append(_tol_row("gamma_vs_limit", {"lambda": lam}, gamma_err, 1e-9))
+        rows.append(_tol_row("beta_vs_one", {"lambda": lam}, beta_err, 1e-9))
         range_violation = float(max(np.max(grid.gamma) - 1.0, -np.min(grid.gamma),
                                     np.max(grid.beta) - 1.0, -np.min(grid.beta), 0.0))
         mono_violation = float(max(np.max(grid.gamma[:-1] - grid.gamma[1:]),
                                    np.max(grid.beta[:-1] - grid.beta[1:]), 0.0))
-        report.rows.append(CheckRow("cells_in_unit_interval", {"lambda": lam},
-                                    range_violation, 0.0, range_violation,
-                                    range_violation <= 0.0))
-        report.rows.append(CheckRow("monotone_in_step", {"lambda": lam},
-                                    mono_violation, 0.0, mono_violation,
-                                    mono_violation <= 0.0))
-    report.wall_time = time.perf_counter() - start
-    return report
+        rows.append(CheckRow("cells_in_unit_interval", {"lambda": lam},
+                             range_violation, 0.0, range_violation,
+                             range_violation <= 0.0))
+        rows.append(CheckRow("monotone_in_step", {"lambda": lam},
+                             mono_violation, 0.0, mono_violation,
+                             mono_violation <= 0.0))
+    return rows
 
 
 def _h3_abs_dt_log(i: int):
@@ -106,11 +71,11 @@ def _h3_abs_dt_log(i: int):
     return log_oracle
 
 
-def suite_envelope(cfg: SuiteConfig) -> SuiteReport:
+@suite("envelope", 2)
+def suite_envelope(cfg: SuiteConfig) -> list[CheckRow]:
     """Sharp-envelope bracketing on the 3-space: the kernel/envelope ratio
     range must be stable under grid refinement."""
-    report = SuiteReport(suite="envelope")
-    start = time.perf_counter()
+    rows = []
     model = build_real_hyperbolic(3)
 
     def bracket(nt, nr):
@@ -120,21 +85,20 @@ def suite_envelope(cfg: SuiteConfig) -> SuiteReport:
 
     lo_c, hi_c = bracket(60, 60)
     lo_f, hi_f = bracket(240, 240)
-    report.rows.append(CheckRow("bracket_low_stable", {"grid": "60->240"},
-                                lo_f, lo_c, lo_f / lo_c, abs(lo_f / lo_c - 1.0) < 0.10))
-    report.rows.append(CheckRow("bracket_high_stable", {"grid": "60->240"},
-                                hi_f, hi_c, hi_f / hi_c, abs(hi_f / hi_c - 1.0) < 0.10))
-    report.rows.append(CheckRow("bracket_window", {"low": lo_c, "high": hi_c},
-                                lo_c, hi_c, hi_c / lo_c, 0.0 < lo_c < hi_c < math.inf))
-    report.wall_time = time.perf_counter() - start
-    return report
+    rows.append(CheckRow("bracket_low_stable", {"grid": "60->240"},
+                         lo_f, lo_c, lo_f / lo_c, abs(lo_f / lo_c - 1.0) < 0.10))
+    rows.append(CheckRow("bracket_high_stable", {"grid": "60->240"},
+                         hi_f, hi_c, hi_f / hi_c, abs(hi_f / hi_c - 1.0) < 0.10))
+    rows.append(CheckRow("bracket_window", {"low": lo_c, "high": hi_c},
+                         lo_c, hi_c, hi_c / lo_c, 0.0 < lo_c < hi_c < math.inf))
+    return rows
 
 
-def suite_theorem1(cfg: SuiteConfig) -> SuiteReport:
+@suite("theorem1", 3)
+def suite_theorem1(cfg: SuiteConfig) -> list[CheckRow]:
     """Two-grid fitted-constant domination of the symbolic time derivatives
     by the main decay shape, with a finite-difference cross-check."""
-    report = SuiteReport(suite="theorem1")
-    start = time.perf_counter()
+    rows = []
     model = build_real_hyperbolic(3)
     eps = cfg.epsilon
     coarse = envelope.grid_points((0.01, 30.0), (0.0, 20.0), 30, 30)
@@ -145,7 +109,7 @@ def suite_theorem1(cfg: SuiteConfig) -> SuiteReport:
             lambda t, r, i=i: envelope.theorem1_rhs(model, i, t, r, eps),
             coarse, fine,
         )
-        report.rows.append(_stability_row("two_grid_stability", {"i": i, "epsilon": eps}, fit))
+        rows.append(_stability_row("two_grid_stability", {"i": i, "epsilon": eps}, fit))
 
         worst = 0.0
         for t in np.geomspace(0.05, 20.0, 8):
@@ -156,15 +120,14 @@ def suite_theorem1(cfg: SuiteConfig) -> SuiteReport:
                 if not fd.precision_ok:
                     continue
                 worst = max(worst, abs(sym - fd.value) / max(abs(sym), 1e-300))
-        report.rows.append(_tol_row("fd_cross_check", {"i": i}, worst, 1e-7))
-    report.wall_time = time.perf_counter() - start
-    return report
+        rows.append(_tol_row("fd_cross_check", {"i": i}, worst, 1e-7))
+    return rows
 
 
-def suite_gradient(cfg: SuiteConfig) -> SuiteReport:
+@suite("gradient", 4)
+def suite_gradient(cfg: SuiteConfig) -> list[CheckRow]:
     """Two-grid domination of the radial gradient by the gradient shape."""
-    report = SuiteReport(suite="gradient")
-    start = time.perf_counter()
+    rows = []
     model = build_real_hyperbolic(3)
     eps = cfg.epsilon
     coarse = envelope.grid_points((0.05, 20.0), (0.1, 20.0), 30, 30)
@@ -174,16 +137,15 @@ def suite_gradient(cfg: SuiteConfig) -> SuiteReport:
         lambda t, r: envelope.gradient_rhs_log(model, t, r, eps),
         coarse, fine,
     )
-    report.rows.append(_stability_row("two_grid_stability", {"epsilon": eps}, fit))
-    report.wall_time = time.perf_counter() - start
-    return report
+    rows.append(_stability_row("two_grid_stability", {"epsilon": eps}, fit))
+    return rows
 
 
-def suite_liyau(cfg: SuiteConfig) -> SuiteReport:
+@suite("liyau", 4)
+def suite_liyau(cfg: SuiteConfig) -> list[CheckRow]:
     """Curvature gradient-inequality gap on the 3-space grid, plus the
     auxiliary (1+t)/t comparison for its right-hand side."""
-    report = SuiteReport(suite="liyau")
-    start = time.perf_counter()
+    rows = []
     model = build_real_hyperbolic(3)
     gamma = 2.0
     t_grid = np.geomspace(0.1, 10.0, 30)
@@ -192,25 +154,24 @@ def suite_liyau(cfg: SuiteConfig) -> SuiteReport:
     for t in t_grid:
         for r in r_grid:
             min_gap = min(min_gap, envelope.li_yau_gap(model, float(t), float(r), gamma))
-    report.rows.append(CheckRow("gap_nonnegative", {"gamma": gamma, "curv_sq": model.n - 1.0},
-                                min_gap, 0.0, min_gap, min_gap >= 0.0))
+    rows.append(CheckRow("gap_nonnegative", {"gamma": gamma, "curv_sq": model.n - 1.0},
+                         min_gap, 0.0, min_gap, min_gap >= 0.0))
     rhs_vals = envelope.li_yau_rhs(model.n, model.n - 1.0, t_grid, gamma)
     shape_vals = (1.0 + t_grid) / t_grid
     c_fit = float(np.max(rhs_vals / shape_vals))
     t_fine = np.geomspace(0.1, 10.0, 240)
     covered = float(np.max(envelope.li_yau_rhs(model.n, model.n - 1.0, t_fine, gamma)
                            / ((1.0 + t_fine) / t_fine)))
-    report.rows.append(CheckRow("rhs_shape_fit", {"gamma": gamma}, covered, 1.05 * c_fit,
-                                covered / c_fit, covered <= 1.05 * c_fit))
-    report.wall_time = time.perf_counter() - start
-    return report
+    rows.append(CheckRow("rhs_shape_fit", {"gamma": gamma}, covered, 1.05 * c_fit,
+                         covered / c_fit, covered <= 1.05 * c_fit))
+    return rows
 
 
-def suite_grigoryan(cfg: SuiteConfig) -> SuiteReport:
+@suite("grigoryan", 5)
+def suite_grigoryan(cfg: SuiteConfig) -> list[CheckRow]:
     """Constant-free derivative bound from the exact 3-space diagonal, plus
     the analytic lower shape for the iterated integrals."""
-    report = SuiteReport(suite="grigoryan")
-    start = time.perf_counter()
+    rows = []
     t_grid = np.geomspace(0.01, 30.0, 30)
     r_grid = np.linspace(0.0, 20.0, 30)
     for i in (1, 2):
@@ -219,71 +180,64 @@ def suite_grigoryan(cfg: SuiteConfig) -> SuiteReport:
         for t, bnd in zip(t_grid, bounds):
             lhs = np.abs(np.exp(oracle.h3_log(t, r_grid)) * oracle.h3_dt_prefactor(t, r_grid, i))
             worst_ratio = max(worst_ratio, float(np.max(lhs)) / bnd)
-        report.rows.append(CheckRow("pointwise_no_constant", {"i": i},
-                                    worst_ratio, 1.0, worst_ratio, worst_ratio <= 1.0))
+        rows.append(CheckRow("pointwise_no_constant", {"i": i},
+                             worst_ratio, 1.0, worst_ratio, worst_ratio <= 1.0))
     model = build_real_hyperbolic(3)
     for i in (1, 2):
         t_own = np.geomspace(0.01, 30.0, 60)
         fi = np.array([envelope.h3_exact_diagonal_f_iterated(i, float(t)) for t in t_own])
         shape = envelope.grigoryan_f_lower_shape(model, i, t_own)
         min_ratio = float(np.min(fi / shape))
-        report.rows.append(CheckRow("f_iter_lower_shape", {"i": i},
-                                    min_ratio, 1.0, min_ratio, min_ratio >= 1.0))
-    report.wall_time = time.perf_counter() - start
-    return report
+        rows.append(CheckRow("f_iter_lower_shape", {"i": i},
+                             min_ratio, 1.0, min_ratio, min_ratio >= 1.0))
+    return rows
 
 
-def _axis_group_h2(translation: float) -> GroupSpec:
+def _axis_group(dim: int, translation: float) -> GroupSpec:
+    """Cyclic group of the hyperbolic translation along the vertical axis."""
     half = math.exp(translation / 2.0)
     mat = np.array([[half, 0.0], [0.0, 1.0 / half]])
-    return GroupSpec(dim=2, generators=(mat,), family="cyclic")
+    return GroupSpec(dim=dim, generators=(mat,), family="cyclic")
 
 
-def _axis_group_h3(translation: float) -> GroupSpec:
-    half = math.exp(translation / 2.0)
-    mat = np.array([[half, 0.0], [0.0, 1.0 / half]], dtype=complex)
-    return GroupSpec(dim=3, generators=(mat,), family="cyclic")
-
-
-def suite_poincare(cfg: SuiteConfig) -> SuiteReport:
+@suite("poincare", 6)
+def suite_poincare(cfg: SuiteConfig) -> list[CheckRow]:
     """Series brackets around the closed form coth(1) for the length-2 axis
     group, nesting under range doubling, and the near-zero growth exponent.
 
     The scenario is fixed: the closed-form target is specific to translation
     length 2 with both basepoints on the axis."""
-    report = SuiteReport(suite="poincare")
-    start = time.perf_counter()
-    group = _axis_group_h2(2.0)
+    rows = []
+    group = _axis_group(2, 2.0)
     x = (0.0, 1.0)
     exponent_orbit = group.orbit(x, x, 60.0)
     est = lattice.critical_exponent(exponent_orbit)
-    report.rows.append(CheckRow("critical_exponent_small",
-                                {"r_max": 60.0, "points": len(exponent_orbit)},
-                                est.estimate, 0.05, est.estimate / 0.05,
-                                (not est.insufficient_data) and est.estimate < 0.05))
+    rows.append(CheckRow("critical_exponent_small",
+                         {"r_max": 60.0, "points": len(exponent_orbit)},
+                         est.estimate, 0.05, est.estimate / 0.05,
+                         (not est.insufficient_data) and est.estimate < 0.05))
     delta_used = max(est.conservative, 1e-6)
     previous: tuple[float, float] | None = None
     for r_max in (10.0, 20.0, 40.0):
         orbit = group.orbit(x, x, r_max)
         ev = lattice.poincare_series(orbit, s=1.0, delta=delta_used)
         lo, hi = ev.bracket
-        report.rows.append(CheckRow("bracket_contains_closed_form",
-                                    {"r_max": r_max, "n_terms": ev.n_terms},
-                                    COTH_1, hi, (COTH_1 - lo) / max(hi - lo, 1e-300),
-                                    lo <= COTH_1 <= hi))
+        rows.append(CheckRow("bracket_contains_closed_form",
+                             {"r_max": r_max, "n_terms": ev.n_terms},
+                             COTH_1, hi, (COTH_1 - lo) / max(hi - lo, 1e-300),
+                             lo <= COTH_1 <= hi))
         if previous is not None:
             plo, phi = previous
             nested = (lo >= plo - 1e-10) and (hi <= phi + 1e-10)
-            report.rows.append(CheckRow("brackets_nested", {"r_max": r_max},
-                                        hi - lo, phi - plo, (hi - lo) / max(phi - plo, 1e-300),
-                                        nested))
+            rows.append(CheckRow("brackets_nested", {"r_max": r_max},
+                                 hi - lo, phi - plo, (hi - lo) / max(phi - plo, 1e-300),
+                                 nested))
         previous = (lo, hi)
-    report.wall_time = time.perf_counter() - start
-    return report
+    return rows
 
 
 def _quotient_setup(cfg: SuiteConfig, translation: float = 18.0):
-    group = cfg.group or _axis_group_h3(translation)
+    group = cfg.group or _axis_group(3, translation)
     x = (0.0 + 0.0j, 1.0)
     est_orbit = group.orbit(x, x, 60.0)
     est = lattice.critical_exponent(est_orbit)
@@ -296,11 +250,11 @@ def _quotient_setup(cfg: SuiteConfig, translation: float = 18.0):
     return group, x, delta, d_hi
 
 
-def suite_quotient(cfg: SuiteConfig) -> SuiteReport:
+@suite("quotient", 7)
+def suite_quotient(cfg: SuiteConfig) -> list[CheckRow]:
     """Two-grid domination of the orbit-summed derivative by the quotient
     decay shape times the series factor, for two admissible triples."""
-    report = SuiteReport(suite="quotient")
-    start = time.perf_counter()
+    rows = []
     model = build_real_hyperbolic(3)
     group, x, delta, d_hi = _quotient_setup(cfg)
     eps = cfg.epsilon
@@ -349,19 +303,18 @@ def suite_quotient(cfg: SuiteConfig) -> SuiteReport:
         for triple in triples:
             fit = envelope.TwoGridFit(c_coarse=fit_on(i, triple, 20),
                                       c_fine=fit_on(i, triple, 40))
-            report.rows.append(_stability_row(
-                "two_grid_stability",
-                {"i": i, "a1": triple.a1, "a2": triple.a2, "a3": triple.a3, "delta": delta},
-                fit))
-    report.wall_time = time.perf_counter() - start
-    return report
+            rows.append(_stability_row(
+         "two_grid_stability",
+         {"i": i, "a1": triple.a1, "a2": triple.a2, "a3": triple.a3, "delta": delta},
+         fit))
+    return rows
 
 
-def suite_theorem2(cfg: SuiteConfig) -> SuiteReport:
+@suite("theorem2", 7)
+def suite_theorem2(cfg: SuiteConfig) -> list[CheckRow]:
     """Splitting-slack nonnegativity with its exact equality case, and
     regime-style domination of the orbit sum on the axis quotient."""
-    report = SuiteReport(suite="theorem2")
-    start = time.perf_counter()
+    rows = []
     model = build_real_hyperbolic(3)
     rng = np.random.default_rng(cfg.seed)
     worst = math.inf
@@ -374,11 +327,11 @@ def suite_theorem2(cfg: SuiteConfig) -> SuiteReport:
         t = rng.uniform(0.05, 20.0)
         d = rng.uniform(0.0, 15.0)
         worst = min(worst, float(lattice.splitting_slack(model, triple, t, d)))
-    report.rows.append(CheckRow("slack_nonnegative", {"samples": 200},
-                                worst, 0.0, worst, worst >= -1e-12))
+    rows.append(CheckRow("slack_nonnegative", {"samples": 200},
+                         worst, 0.0, worst, worst >= -1e-12))
     eq = float(lattice.splitting_slack(model, AlphaTriple(0.0, model.rho_m, 0.0), 1.7, 3.1))
-    report.rows.append(CheckRow("slack_equality_case", {"a2": model.rho_m},
-                                eq, 0.0, eq, eq == 0.0))
+    rows.append(CheckRow("slack_equality_case", {"a2": model.rho_m},
+                         eq, 0.0, eq, eq == 0.0))
 
     group, x, delta, d_hi = _quotient_setup(cfg)
     s_val = 0.5
@@ -393,24 +346,23 @@ def suite_theorem2(cfg: SuiteConfig) -> SuiteReport:
         for value, rhs_t in zip(ev.value.tolist(), rhs.tolist()):
             best = max(best, math.log(max(value, 1e-300)) - math.log(rhs_t * series.partial_sum))
     c_fit = math.exp(best)
-    report.rows.append(CheckRow("regime1_domination", {"s": s_val, "delta": delta},
-                                c_fit, math.inf, 0.0, math.isfinite(c_fit)))
-    report.wall_time = time.perf_counter() - start
-    return report
+    rows.append(CheckRow("regime1_domination", {"s": s_val, "delta": delta},
+                         c_fit, math.inf, 0.0, math.isfinite(c_fit)))
+    return rows
 
 
-def suite_thresholds(cfg: SuiteConfig) -> SuiteReport:
+@suite("thresholds", 8)
+def suite_thresholds(cfg: SuiteConfig) -> list[CheckRow]:
     """Chamber-integral verdicts on both sides of the closed-form threshold
     over a (p, eta) grid, plus the exact p=2, eta=0 value."""
-    report = SuiteReport(suite="thresholds")
-    start = time.perf_counter()
+    rows = []
     model = build_real_hyperbolic(3)
     rho = 1.0
     eps_scan = np.geomspace(1e-4, 0.1, 12)
     exact = ThresholdInput(p=2.0, rho_norm=rho, eta_norm=0.0)
     thr = lpthresholds.sigma_threshold_heat(exact)
-    report.rows.append(CheckRow("exact_value_p2", {"p": 2.0, "eta": 0.0},
-                                thr, 1.0, thr, thr == 1.0))
+    rows.append(CheckRow("exact_value_p2", {"p": 2.0, "eta": 0.0},
+                         thr, 1.0, thr, thr == 1.0))
     for p in (1.5, 2.0, 4.0):
         for eta in (0.0, 0.3, 0.7):
             inp = ThresholdInput(p=p, rho_norm=rho, eta_norm=eta)
@@ -423,22 +375,21 @@ def suite_thresholds(cfg: SuiteConfig) -> SuiteReport:
 
             finite_any = Verdict.FINITE in verdicts(0.9 * threshold)
             divergent_all = all(v == Verdict.DIVERGENT for v in verdicts(1.1 * threshold))
-            report.rows.append(CheckRow("finite_below_threshold",
-                                        {"p": p, "eta": eta, "threshold": threshold},
-                                        float(finite_any), 1.0, float(finite_any), finite_any))
-            report.rows.append(CheckRow("divergent_above_threshold",
-                                        {"p": p, "eta": eta, "threshold": threshold},
-                                        float(divergent_all), 1.0, float(divergent_all),
-                                        divergent_all))
-    report.wall_time = time.perf_counter() - start
-    return report
+            rows.append(CheckRow("finite_below_threshold",
+                                 {"p": p, "eta": eta, "threshold": threshold},
+                                 float(finite_any), 1.0, float(finite_any), finite_any))
+            rows.append(CheckRow("divergent_above_threshold",
+                                 {"p": p, "eta": eta, "threshold": threshold},
+                                 float(divergent_all), 1.0, float(divergent_all),
+                                 divergent_all))
+    return rows
 
 
-def suite_stnorm(cfg: SuiteConfig) -> SuiteReport:
+@suite("stnorm", 9)
+def suite_stnorm(cfg: SuiteConfig) -> list[CheckRow]:
     """Square relation between the two thresholds on random inputs, and the
     existence of a decay certificate whenever the spectral gap is positive."""
-    report = SuiteReport(suite="stnorm")
-    start = time.perf_counter()
+    rows = []
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for _ in range(200):
@@ -451,78 +402,46 @@ def suite_stnorm(cfg: SuiteConfig) -> SuiteReport:
         heat = lpthresholds.sigma_threshold_heat(inp)
         poisson = lpthresholds.sigma_threshold_poisson(inp)
         worst = max(worst, abs(poisson ** 2 - heat))
-    report.rows.append(_tol_row("poisson_square_relation", {"samples": 200}, worst, 1e-12))
+    rows.append(_tol_row("poisson_square_relation", {"samples": 200}, worst, 1e-12))
     model = build_real_hyperbolic(3)
     for p in (1.5, 2.0, 4.0):
         for eta in (0.0, 0.3, 0.7, 0.95):
             found, eps = lpthresholds.st_norm_certificate(model, eta, p)
-            report.rows.append(CheckRow("decay_certificate",
-                                        {"p": p, "eta": eta, "eps": eps if found else -1.0},
-                                        float(found), 1.0, float(found), found))
-    report.wall_time = time.perf_counter() - start
-    return report
+            rows.append(CheckRow("decay_certificate",
+                                 {"p": p, "eta": eta, "eps": eps if found else -1.0},
+                                 float(found), 1.0, float(found), found))
+    return rows
 
 
-def suite_riesz(cfg: SuiteConfig) -> SuiteReport:
+@suite("riesz", 10)
+def suite_riesz(cfg: SuiteConfig) -> list[CheckRow]:
     """Finiteness of the gradient-kernel time integral, its asymptotic
     log-slope, and exact recombination of the split at t = 1."""
-    report = SuiteReport(suite="riesz")
-    start = time.perf_counter()
+    rows = []
     r_grid = np.linspace(0.5, 15.0, 15)
     results = [lpthresholds.riesz_kernel_decay("h3", float(r)) for r in r_grid]
     all_finite = all(math.isfinite(res.value) and res.value > 0.0 for res in results)
     tails_small = all(res.tail_small_t + res.tail_large_t <= 1e-12 * res.value
                       for res in results)
-    report.rows.append(CheckRow("finite_on_range", {"r_min": 0.5, "r_max": 15.0},
-                                float(all_finite), 1.0, float(all_finite), all_finite))
-    report.rows.append(CheckRow("tails_certified", {"rel": 1e-12},
-                                float(tails_small), 1.0, float(tails_small), tails_small))
+    rows.append(CheckRow("finite_on_range", {"r_min": 0.5, "r_max": 15.0},
+                         float(all_finite), 1.0, float(all_finite), all_finite))
+    rows.append(CheckRow("tails_certified", {"rel": 1e-12},
+                         float(tails_small), 1.0, float(tails_small), tails_small))
     v_lo = lpthresholds.riesz_kernel_decay("h3", 14.5)
     v_hi = lpthresholds.riesz_kernel_decay("h3", 15.5)
     slope = (math.log(v_hi.value) - math.log(v_lo.value)) / 1.0
     target = -2.0
-    report.rows.append(CheckRow("asymptotic_log_slope", {"r": 15.0},
-                                slope, target, slope / target,
-                                abs(slope - target) <= 0.1 * abs(target)))
+    rows.append(CheckRow("asymptotic_log_slope", {"r": 15.0},
+                         slope, target, slope / target,
+                         abs(slope - target) <= 0.1 * abs(target)))
     from scipy.integrate import quad as _quad
     r0 = 4.0
     res = lpthresholds.riesz_kernel_decay("h3", r0)
     full, _ = _quad(lpthresholds._riesz_integrand, r0 * r0 / 3200.0, 750.0, args=(r0,),
                     epsabs=1e-300, epsrel=1e-13, limit=500)
     recomb = abs(res.value_small_t + res.value_large_t - full) / full
-    report.rows.append(_tol_row("split_recombines", {"r": r0}, recomb, 1e-10))
-    report.wall_time = time.perf_counter() - start
-    return report
-
-
-SUITES = {
-    "recurrence": suite_recurrence,
-    "envelope": suite_envelope,
-    "theorem1": suite_theorem1,
-    "gradient": suite_gradient,
-    "liyau": suite_liyau,
-    "grigoryan": suite_grigoryan,
-    "poincare": suite_poincare,
-    "quotient": suite_quotient,
-    "theorem2": suite_theorem2,
-    "thresholds": suite_thresholds,
-    "stnorm": suite_stnorm,
-    "riesz": suite_riesz,
-}
-
-# acceptance criterion number -> primary suite ("+" marks supplemental suites)
-CRITERION_SUITES = {
-    1: ("recurrence",),
-    2: ("envelope",),
-    3: ("theorem1",),
-    4: ("gradient", "liyau"),
-    5: ("grigoryan",),
-    6: ("poincare",),
-    7: ("quotient", "theorem2"),
-    8: ("thresholds",),
-    9: ("stnorm",),
-    10: ("riesz",),
-}
+    rows.append(_tol_row("split_recombines", {"r": r0}, recomb, 1e-10))
+    return rows
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:

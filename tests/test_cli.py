@@ -1,9 +1,15 @@
+import csv
 import filecmp
+import time
 
+import numpy as np
 import pytest
 
 from heatlab import cli
 from heatlab.cli import emit_csv, main, parse_report_csv
+from heatlab.config import format_cell
+from heatlab.lattice import OrbitSet
+from heatlab.lpthresholds import write_threshold_table
 from heatlab.suites import (
     CRITERION_SUITES,
     SUITES,
@@ -11,6 +17,7 @@ from heatlab.suites import (
     SuiteConfig,
     SuiteReport,
     run_suite,
+    suite,
 )
 
 
@@ -63,8 +70,86 @@ class TestEmitCsv:
         with pytest.raises(OSError):
             emit_csv(sample_report(), str(tmp_path / "missing" / "out.csv"))
 
+    def test_one_cell_format_across_writers(self, tmp_path):
+        values = [5e-324, 1e-300, np.float64(0.1), 2.0 / 3.0]  # ascending
+        expected = [format_cell(v) for v in values]
+        assert expected[2] == "0.10000000000000001"
+
+        report = SuiteReport(suite="cells", rows=[
+            CheckRow(check=f"v{k}", params={"value": v, "flag": k % 2 == 0},
+                     oracle=v, bound=1.0, ratio=v, passed=k % 2 == 1)
+            for k, v in enumerate(values)])
+        emit_csv(report, str(tmp_path / "report.csv"))
+        with open(tmp_path / "report.csv", encoding="utf-8", newline="") as handle:
+            emitted = list(csv.DictReader(handle))
+        assert [row["value"] for row in emitted] == expected
+        assert [row["oracle"] for row in emitted] == expected
+        assert [row["flag"] for row in emitted] == ["true", "false", "true", "false"]
+        assert [row["pass"] for row in emitted] == ["false", "true", "false", "true"]
+
+        orbit = OrbitSet(x=(0.0, 1.0), y=(0.0, 1.0), distances=np.array(values),
+                         word_lengths=np.arange(len(values)), r_max=1.0)
+        orbit.to_csv(str(tmp_path / "orbit.csv"))
+        with open(tmp_path / "orbit.csv", encoding="utf-8", newline="") as handle:
+            assert [row["distance"] for row in csv.DictReader(handle)] == expected
+
+        write_threshold_table(str(tmp_path / "table.csv"), p_values=(2.0,), eta_values=values)
+        with open(tmp_path / "table.csv", encoding="utf-8", newline="") as handle:
+            assert [row["eta_norm"] for row in csv.DictReader(handle)] == expected
+
+        for value, token in zip(values, expected):
+            assert float(token).hex() == float(value).hex()
+        assert (format_cell(True), format_cell(False)) == ("true", "false")
+
+
+@pytest.fixture
+def scratch_registry():
+    """Put the suite registry back as it was after a test registers toys."""
+    suites_before, criteria_before = dict(SUITES), dict(CRITERION_SUITES)
+    yield
+    SUITES.clear()
+    SUITES.update(suites_before)
+    CRITERION_SUITES.clear()
+    CRITERION_SUITES.update(criteria_before)
+
 
 class TestRegistry:
+    def test_criteria_and_primary_suites(self):
+        assert CRITERION_SUITES == {
+            1: ("recurrence",), 2: ("envelope",), 3: ("theorem1",),
+            4: ("gradient", "liyau"), 5: ("grigoryan",), 6: ("poincare",),
+            7: ("quotient", "theorem2"), 8: ("thresholds",), 9: ("stnorm",),
+            10: ("riesz",),
+        }
+        assert len(SUITES) == 12
+
+    def test_decorator_registers_timed_suite(self, scratch_registry, capsys):
+        @suite("toy", 11)
+        def toy(cfg):
+            time.sleep(0.001)
+            return [CheckRow(check="x", params={}, oracle=0.0, bound=1.0, ratio=0.0,
+                             passed=True)]
+
+        @suite("toy_extra", 4)
+        def toy_extra(cfg):
+            return []
+
+        assert SUITES["toy"] is toy and SUITES["toy_extra"] is toy_extra
+        assert CRITERION_SUITES[11] == ("toy",)
+        assert CRITERION_SUITES[4] == ("gradient", "liyau", "toy_extra")
+        report = run_suite(SuiteConfig(name="toy"))
+        assert report.suite == "toy" and report.passed and len(report.rows) == 1
+        assert report.wall_time > 0.0
+        assert main(["list-suites"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"{'toy':12s} acceptance criterion 11 (primary)" in out
+        assert f"{'toy_extra':12s} acceptance criterion 4 (supplemental)" in out
+
+    def test_duplicate_name_raises(self, scratch_registry):
+        with pytest.raises(ValueError, match="stnorm"):
+            suite("stnorm", 9)(lambda cfg: [])
+        assert CRITERION_SUITES[9] == ("stnorm",)
+
     def test_every_criterion_has_a_suite(self):
         assert sorted(CRITERION_SUITES) == list(range(1, 11))
         for names in CRITERION_SUITES.values():
@@ -112,6 +197,47 @@ class TestExitCodes:
     def test_usage_error_exits_two(self):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--i", "3"], ["--i", "-1"], ["--epsilon", "1.5"], ["--epsilon", "0"],
+        ["--seed", "-1"], ["--space", "h2"],
+    ])
+    def test_bad_flag_exits_two(self, flags, capsys):
+        assert main(["verify", "theorem1", *flags]) == 2
+        assert "suite theorem1" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, named", [
+        ("[suite theorem1]\norders = 1,x\n", "orders"),
+        ("[suite theorem1]\norders = 3\n", "orders"),
+        ("[suite theorem1]\norders =\n", "orders"),
+        ("[defaults]\nepsilon = 1.5\n", "epsilon"),
+        ("[suite stnorm]\nepsilon = nan\n", "epsilon"),
+        ("[defaults]\nseed = -2\n", "seed"),
+        ("[defaults]\nspace = h2\n", "space"),
+        ("[suite theorem1]\nepsilom = 0.3\n", "epsilom"),
+        ("[suite nosuch]\nepsilon = 0.3\n", "nosuch"),
+        ("[nosuch]\n", "nosuch"),
+        ("epsilon = 0.3\n", "outside any section"),
+        ("[group]\ndim = 2\nfamily = cyclic\ngenerator = 2,0,0,0.5\nsize = 3\n", "size"),
+    ])
+    def test_bad_config_exits_two(self, tmp_path, capsys, text, named):
+        cfg_file = tmp_path / "heatlab.cfg"
+        cfg_file.write_text(text, encoding="utf-8")
+        assert main(["verify", "stnorm", "--config", str(cfg_file)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
+    def test_report_rejects_out_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "heatlab.cfg"
+        cfg_file.write_text("[suite stnorm]\nout = stnorm.csv\n", encoding="utf-8")
+        out_dir = tmp_path / "reports"
+        assert main(["report", "--out", str(out_dir), "--config", str(cfg_file)]) == 2
+        assert "'out'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_report_rejects_bad_epsilon(self, tmp_path, capsys):
+        assert main(["report", "--out", str(tmp_path), "--epsilon", "1.5"]) == 2
+        assert "epsilon" in capsys.readouterr().err
+
     def test_out_flag_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "stnorm.csv"
         assert main(["verify", "stnorm", "--out", str(out)]) == 0
@@ -148,6 +274,20 @@ class TestConfigPlumbing:
         cfg_file.write_text("[suite fake]\nepsilon = 0.25\n", encoding="utf-8")
         assert main(["verify", "fake", "--config", str(cfg_file), "--epsilon", "0.5"]) == 0
         assert captured["epsilon"] == 0.5
+
+    def test_orders_key_and_flag(self, tmp_path, monkeypatch):
+        captured = []
+
+        def fake(cfg):
+            captured.append(cfg.orders)
+            return SuiteReport(suite="fake", rows=[])
+
+        monkeypatch.setitem(SUITES, "fake", fake)
+        cfg_file = tmp_path / "heatlab.cfg"
+        cfg_file.write_text("[suite fake]\norders = 0, 2\n", encoding="utf-8")
+        assert main(["verify", "fake", "--config", str(cfg_file)]) == 0
+        assert main(["verify", "fake", "--config", str(cfg_file), "--i", "1"]) == 0
+        assert captured == [(0, 2), (1,)]
 
     def test_group_section_parsed(self, tmp_path, monkeypatch):
         captured = {}
