@@ -6,7 +6,9 @@ Subcommands:
   list-suites    print the registry
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error.
+configuration error.  A flag under `verify`, or a key in [suite NAME], that
+the suite never reads is a configuration error; `report`, [defaults] and
+[group] apply to the suites that read them.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import sys
 
 from .config import Config, ConfigError, format_cell, load_config, write_csv
 from .lattice import group_from_section
-from .suites import CRITERION_SUITES, SUITES, SuiteConfig, SuiteReport, run_suite
+from .registry import CONFIGURABLE
+from .suites import CRITERION_SUITES, SUITE_READS, SUITES, SuiteConfig, SuiteReport, run_suite
 
 _SUITE_KEYS = ("epsilon", "seed", "orders", "out")  # keys of [defaults] and [suite NAME]
+_FLAG_FIELDS = {"--epsilon": "epsilon", "--seed": "seed", "--i": "orders"}  # verify flags
 _ORDERS = (0, 1, 2)  # time-derivative orders with closed forms
 
 
@@ -76,10 +80,24 @@ def _orders(raw: str, where: str) -> tuple[int, ...]:
     return orders
 
 
+def _reads(name: str) -> frozenset[str]:
+    """SuiteConfig fields the suite reads; a callable put into SUITES without
+    @suite declares nothing and is taken to read them all."""
+    return SUITE_READS.get(name, CONFIGURABLE)
+
+
+def _check_read(name: str, field: str, given: str) -> None:
+    if field not in _reads(name):
+        readers = sorted(n for n in SUITES if field in _reads(n))
+        raise ConfigError(f"suite {name} does not read {given}; it is read by "
+                          f"{', '.join(readers) or 'no suite'}")
+
+
 def _config_fields(config: Config, command: str) -> dict[str, dict]:
     """Checked SuiteConfig fields of each [defaults] and [suite NAME]
     section.  Any other section or key, or a bad value, raises ConfigError;
-    `report` names its own files, so it takes no out key."""
+    `report` names its own files, so it takes no out key, and a [suite NAME]
+    key that the suite never reads is rejected."""
     keys = _SUITE_KEYS if command == "verify" else tuple(k for k in _SUITE_KEYS if k != "out")
     fields = {}
     for name, section in config.sections.items():
@@ -96,6 +114,8 @@ def _config_fields(config: Config, command: str) -> dict[str, dict]:
                 hint = " (report writes NAME.csv under --out)" if key == "out" else ""
                 raise ConfigError(f"key {key!r} is not accepted in {where}{hint}; "
                                   f"expected {', '.join(keys)}")
+            if name != "defaults" and key != "out":
+                _check_read(name[6:], key, f"key {key!r} of {where}")
         values = {}
         if "epsilon" in section:
             values["epsilon"] = _epsilon(section.get_float("epsilon"), where)
@@ -110,8 +130,13 @@ def _config_fields(config: Config, command: str) -> dict[str, dict]:
 
 
 def _suite_config(name: str, args, config: Config | None) -> SuiteConfig:
-    """Defaults, then [defaults], then [suite NAME], then the flags."""
+    """Defaults, then [defaults], then [suite NAME], then the flags.  Under
+    `verify` a flag must be one the suite reads."""
     cfg = SuiteConfig(name=name)
+    if args.command == "verify":
+        for flag, field_name in _FLAG_FIELDS.items():
+            if getattr(args, flag[2:]) is not None:
+                _check_read(name, field_name, flag)
     if config is not None:
         fields = _config_fields(config, args.command)
         for key in ("defaults", f"suite {name}"):

@@ -375,6 +375,9 @@ def li_yau_gap(model: SpaceModel, t: float, r: float, gamma: float = 2.0) -> flo
     elif model.n == 2:
         h = math.exp(oracle.h2_log(t, r))
         grad_log_sq = (oracle.radial_gradient("h2", t, r) / h) ** 2
+        # the time derivative stays a Richardson difference: the plane
+        # workload in perfbench/checks.py checks the gap against that
+        # difference (see ROADMAP item 2)
         fd = oracle.fd_time_derivative(lambda tt, rr: math.exp(oracle.h2_log(tt, rr)), 1, t, r)
         dt_over_h = fd.value / h
     else:

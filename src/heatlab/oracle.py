@@ -1,10 +1,12 @@
 """Exact heat-kernel oracles on the hyperbolic plane and 3-space.
 
 The 3-space kernel and its first two time derivatives are closed forms; the
-plane kernel is a one-dimensional quadrature after a substitution that
-removes the endpoint singularity.  Finite-difference derivatives with
-Richardson extrapolation serve as an independent cross-check, and quotient
-kernels are orbit sums with certified Gaussian truncation bounds.
+plane kernel is certified fixed-node Gauss-Legendre, exact t- and
+r-derivatives: one pass over arrays, after a substitution that removes the
+endpoint singularity, with the derivatives weighting the same nodes.
+Finite-difference derivatives with Richardson extrapolation serve as an
+independent cross-check, and quotient kernels are orbit sums with certified
+Gaussian truncation bounds.
 
 All evaluators work in log space internally; linear values may underflow to
 zero in extreme regimes, the log variants never do.
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 LOG_4PI = math.log(4.0 * math.pi)
 _FD_PRECISION_LIMIT = 1e-5
@@ -26,7 +27,7 @@ _FD_STEP_SCALE = 1e-3  # finite-difference step as a fraction of t
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach its tolerance."""
+    """A quadrature failed its error certificate."""
 
 
 @dataclass(frozen=True)
@@ -133,75 +134,183 @@ def _h3_radial_log_abs_unchecked(t, r):
     return h3_log(t, r) + np.log(magnitude)
 
 
-def _log_sinh(x):
-    x = np.asarray(x, dtype=float)
-    big = x > 30.0
-    x_safe = np.where(big, 1.0, x)
-    return np.where(big, x - math.log(2.0), np.log(np.sinh(np.maximum(x_safe, 1e-300))))
-
-
 _H2_EXP_CUT = 60.0  # Gaussian phase cut; relative tail below e^{-60}
-_H2_REL_TOL = 1e-9  # accepted relative error estimate (quad is asked for 1e-10)
+_H2_REL_TOL = 1e-9  # certified relative error of the kernel integral
+# Certified error of a derivative moment, relative to the integral of the
+# weight's absolute value: the 32-node rule differs by up to 1.4e-9 of that
+# scale where the moments cancel, so the kernel's 1e-9 would be too tight.
+_H2_MOMENT_TOL = 1e-8
+_H2_BLOCK = 2048  # points per pass; bounds the (points x nodes) temporaries
+
+
+def _gl_composite(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre rule on each panel between consecutive
+    `edges` of [0, 1], and the 32-node rule that certifies it, as one node
+    set: (nodes, 64-node weights, 32-node weights), the 64-node nodes first."""
+    edges = np.asarray(edges, dtype=float)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    rules = [np.polynomial.legendre.leggauss(n) for n in (64, 32)]
+    nodes = [(lo + width * (x + 1.0) / 2.0).ravel() for x, _ in rules]
+    return (np.concatenate(nodes), *((width * w / 2.0).ravel() for _, w in rules))
+
+
+# At 0 < r the integrand has branch points at u = +-i sqrt(2r) (where
+# sinh((s + r)/2) vanishes).  When sqrt(2r) is under a tenth of u_max they
+# sit too close to the interval for one panel, which the 32-node rule then
+# refuses to certify; panels graded by 16 towards u = 0 keep each branch
+# point at least a fifteenth of a panel length away from the panel that
+# holds it, or make that panel's share negligible.
+_GL_PLAIN = _gl_composite([0.0, 1.0])
+_GL_GRADED = _gl_composite([0.0, *16.0 ** -np.arange(5.0, 0.0, -1.0), 1.0])
+_H2_GRADE_BELOW = 0.1  # graded panels where sqrt(2r) < this * u_max
 
 
 def _h2_scaled_integrand(u, r, t):
-    """Integrand after s = r + u^2, with the e^{-r^2/(4t)} bulk factored out.
+    """Integrand after s = r + u^2, with the e^{-r^2/(4t)} bulk factored out:
+    2 u s e^{-(s^2 - r^2)/(4t)} / sqrt(cosh s - cosh r).
 
-    cosh s - cosh r = 2 sinh((s+r)/2) sinh((s-r)/2) keeps the square root
-    stable at both endpoints; u / sqrt(sinh(u^2/2)) -> sqrt(2) as u -> 0.
+    With w = (s + r)/2, cosh s - cosh r = 2 sinh(w) sinh(u^2/2), and writing
+    2 sinh x = -e^x expm1(-2x) keeps the square root stable at both endpoints
+    and free of overflow: the integrand is 2 sqrt(2) u s e^{-(s^2 - r^2)/(4t)
+    - (w + u^2/2)/2} / sqrt(expm1(-u^2) expm1(-2w)).  It tends to
+    2 r / sqrt(sinh r) as u -> 0 (like 2 sqrt(2) u at r = 0); the rules never
+    evaluate it at u = 0.
     """
-    u = np.asarray(u, dtype=float)
+    uu = u * u
+    s = r + uu
+    w = r + 0.5 * uu
+    exponent = uu * w / (2.0 * t) + 0.5 * w + 0.25 * uu  # (s^2 - r^2)/(4t) = u^2 w/(2t)
+    den = np.expm1(-uu) * np.expm1(-2.0 * w)
+    return (2.0 * math.sqrt(2.0)) * u * s * np.exp(-exponent) / np.sqrt(den)
+
+
+def _h2_time_weight(order: int):
+    """Weight P_i(s, t) with d^i/dt^i of the plane integrand = P_i * integrand:
+    P_1 = s^2/(4t^2) - 3/(2t) - 1/4, P_2 = P_1^2 + 3/(2t^2) - s^2/(2t^3)."""
+    def weight(u, r, t):
+        s = r + u * u
+        p1 = s * s / (4.0 * t * t) - 1.5 / t - 0.25
+        if order == 1:
+            return p1
+        return p1 * p1 + 1.5 / (t * t) - s * s / (2.0 * t * t * t)
+    return weight
+
+
+def _h2_radial_weight(u, r, t):
+    """d/dr of the plane integrand over the integrand, at fixed u (s = r + u^2):
+    1/s - s/(2t) - (1/2) coth((s + r)/2)."""
     s = r + u * u
-    phase = u * u * (2.0 * r + u * u) / (4.0 * t)  # (s^2 - r^2)/(4t)
-    log_outer = 0.5 * (math.log(2.0) + _log_sinh((s + r) / 2.0))
-    tiny = u < 1e-4
-    u_safe = np.where(tiny, 1.0, u)
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.where(
-            tiny,
-            math.sqrt(2.0),
-            u_safe * np.exp(-0.5 * _log_sinh(u_safe * u_safe / 2.0)),
-        )
-    return 2.0 * s * ratio * np.exp(-phase - log_outer)
+    return (1.0 - s * s / (2.0 * t)) / s - 0.5 / np.tanh(r + 0.5 * u * u)
 
 
-def h2_log(t: float, r: float) -> float:
-    """log of the plane heat kernel via adaptive quadrature.
+def _h2_flat(t, r) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Domain-checked (t, r), broadcast and flattened, and the broadcast shape."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if t.shape != r.shape:
+        t, r = np.broadcast_arrays(t, r)
+    ts, rs = t.ravel(), r.ravel()
+    if (ts <= 0.0).any():
+        raise ValueError("time must be positive")
+    if (rs < 0.0).any():
+        raise ValueError("distance must be nonnegative")
+    return ts, rs, t.shape
+
+
+_H2_LOG_CONST = 0.5 * math.log(2.0) - 1.5 * LOG_4PI
+
+
+def _h2_log_prefactor(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """log of sqrt(2) (4 pi t)^{-3/2} e^{-t/4 - r^2/(4t)}, the factor outside
+    the scaled integral."""
+    return _H2_LOG_CONST - 1.5 * np.log(t) - t / 4.0 - r * r / (4.0 * t)
+
+
+def _h2_rule_sums(rule, t, r, u_max, weight):
+    """Per row of (t, r, u_max) columns: the 64-node sum, the 32-node sum and
+    the scale they are compared on, of weight * integrand over [0, 1] * u_max
+    (without the factor u_max)."""
+    x, w_fine, w_coarse = rule
+    n = w_fine.size
+    u = u_max * x
+    f = _h2_scaled_integrand(u, r, t)
+    if weight is not None:
+        f = f * weight(u, r, t)
+    fine = np.add.reduce(f[:, :n] * w_fine, axis=1)
+    coarse = np.add.reduce(f[:, n:] * w_coarse, axis=1)
+    scale = fine if weight is None else np.add.reduce(np.abs(f[:, :n]) * w_fine, axis=1)
+    return fine, coarse, scale
+
+
+def _h2_moment(t: np.ndarray, r: np.ndarray, weight=None) -> np.ndarray:
+    """Certified int_0^u_max weight * _h2_scaled_integrand du at flat (t, r).
+
+    One pass evaluates the integrand on the 64- and 32-node Gauss-Legendre
+    rules together, u_max from the phase cut (on graded panels where r is
+    small, see _GL_GRADED).  The 64-node sum is returned; QuadratureError
+    names the first (t, r) where the 32-node sum differs by more than 1e-9
+    of the value (no weight) or 1e-8 of the integral of |weight| *
+    integrand (a derivative weight), or where that scale is not a positive
+    float.
+    """
+    out = np.empty(t.shape)
+    tol = _H2_REL_TOL if weight is None else _H2_MOMENT_TOL
+    for lo in range(0, t.size, _H2_BLOCK):
+        tb, rb = t[lo:lo + _H2_BLOCK, None], r[lo:lo + _H2_BLOCK, None]
+        cut = (4.0 * _H2_EXP_CUT) * tb
+        u_max = np.sqrt(cut / (np.sqrt(rb * rb + cut) + rb))  # sqrt(s_max - r)
+        graded = (2.0 * rb < (_H2_GRADE_BELOW * u_max) ** 2)[:, 0]
+        if not graded.any():
+            fine, coarse, scale = _h2_rule_sums(_GL_PLAIN, tb, rb, u_max, weight)
+        else:
+            fine, coarse, scale = np.empty((3, tb.shape[0]))
+            for rule, rows in ((_GL_PLAIN, ~graded), (_GL_GRADED, graded)):
+                fine[rows], coarse[rows], scale[rows] = _h2_rule_sums(
+                    rule, tb[rows], rb[rows], u_max[rows], weight)
+        ok = (np.abs(fine - coarse) <= tol * scale) & (scale > 0.0) & (scale < math.inf)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise QuadratureError(
+                f"plane-kernel quadrature not certified at t={float(tb[k, 0])!r}, "
+                f"r={float(rb[k, 0])!r}: 64-node {fine[k]:.6e} vs 32-node {coarse[k]:.6e} "
+                f"(scale {scale[k]:.3e})"
+            )
+        out[lo:lo + _H2_BLOCK] = fine * u_max[:, 0]
+    return out
+
+
+def h2_log(t, r):
+    """log of the plane heat kernel by certified fixed-node quadrature.
 
     Evaluates sqrt(2) (4 pi t)^{-3/2} e^{-t/4} int_r^inf s e^{-s^2/(4t)}
-    / sqrt(cosh s - cosh r) ds after the substitution s = r + u^2.  Raises
-    QuadratureError when the error estimate exceeds 1e-9 of the integral.
+    / sqrt(cosh s - cosh r) ds after the substitution s = r + u^2, with one
+    64-node Gauss-Legendre pass certified by the 32-node rule on the same
+    pass; raises QuadratureError when they differ by more than 1e-9 of the
+    integral.  `t` and `r` broadcast: scalars give a float, arrays an array
+    whose entries are bit-identical to scalar calls.
     """
-    if t <= 0.0:
-        raise ValueError("time must be positive")
-    if r < 0.0:
-        raise ValueError("distance must be nonnegative")
-    return _h2_log_cached(float(t), float(r))
+    ts, rs, shape = _h2_flat(t, r)
+    log_h = _h2_log_prefactor(ts, rs) + np.log(_h2_moment(ts, rs))
+    return float(log_h[0]) if shape == () else log_h.reshape(shape)
 
 
-@lru_cache(maxsize=262144)
-def _h2_log_cached(t: float, r: float) -> float:
-    s_max = math.sqrt(r * r + 4.0 * t * _H2_EXP_CUT)
-    u_max = math.sqrt(max(s_max - r, 1e-8))
-    out = quad(
-        _h2_scaled_integrand, 0.0, u_max, args=(r, t),
-        epsabs=0.0, epsrel=1e-10, limit=300, full_output=True,
-    )
-    value, err = float(out[0]), float(out[1])
-    if not np.isfinite(value) or value <= 0.0:
-        raise QuadratureError(f"plane-kernel quadrature collapsed at t={t}, r={r}")
-    if err > max(_H2_REL_TOL * abs(value), 1e-300):
-        raise QuadratureError(
-            f"plane-kernel quadrature did not converge at t={t}, r={r}: "
-            f"estimated error {err:.3e} vs value {value:.3e}"
-        )
-    return (
-        0.5 * math.log(2.0)
-        - 1.5 * (LOG_4PI + math.log(t))
-        - t / 4.0
-        - r * r / (4.0 * t)
-        + math.log(value)
-    )
+def h2_dt_log_abs(t, r, order: int):
+    """(log |d^i_t h|, sign) for the plane kernel, i <= 2, vectorized.
+
+    The time derivatives weight the nodes of h2_log's pass by P_i (see
+    _h2_time_weight); each derivative moment is certified to 1e-8 of the
+    integral of |P_i| times the integrand.  Order 0 is h2_log.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"plane time derivatives stop at order 2, got {order}")
+    ts, rs, shape = _h2_flat(t, r)
+    moment = _h2_moment(ts, rs, None if order == 0 else _h2_time_weight(order))
+    with np.errstate(divide="ignore"):
+        log_abs = _h2_log_prefactor(ts, rs) + np.log(np.abs(moment))
+    sign = np.sign(moment)
+    if shape == ():
+        return float(log_abs[0]), float(sign[0])
+    return log_abs.reshape(shape), sign.reshape(shape)
 
 
 # Central-difference stencils; error expansions are even in the step.
@@ -256,69 +365,51 @@ def fd_time_derivative(kernel, order: int, t: float, r: float) -> FdDerivative:
 
 
 def radial_gradient(space: str, t: float, r: float) -> float:
-    """|d_r h_t| at geodesic distance r: exact on the 3-space, Richardson
-    central differences (step 1e-5 * max(1, r), two levels) on the plane.
+    """|d_r h_t| at geodesic distance r, exact on both spaces: closed form on
+    the 3-space; on the plane the r-derivative weights the nodes of h2_log's
+    pass (see _h2_radial_weight), certified like a time-derivative moment.
 
     For a radial kernel the gradient norm equals |d_r h_t|.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
     if r <= 0.0:
-        raise ValueError("radial gradient needs r > 0 (one-sided differences not implemented)")
+        raise ValueError("radial gradient needs r > 0")
     space = space.lower()
     if space == "h3":
         return float(np.exp(h3_radial_log_abs(t, r)))
     if space == "h2":
-        h = 1e-5 * max(1.0, r)
-
-        def diff(step: float) -> float:
-            return (math.exp(h2_log(t, r + step)) - math.exp(h2_log(t, max(r - step, 0.0)))) / (2.0 * step)
-
-        d0, d1 = diff(h), diff(h / 2.0)
-        return abs((4.0 * d1 - d0) / 3.0)
+        ts, rs, _ = _h2_flat(t, r)
+        moment = abs(float(_h2_moment(ts, rs, _h2_radial_weight)[0]))
+        if moment == 0.0:
+            return 0.0
+        return math.exp(float(_h2_log_prefactor(ts, rs)[0]) + math.log(moment))
     raise ValueError(f"unknown space {space!r}, expected 'h2' or 'h3'")
 
 
 _SPACE_DATA = {"h2": (2, 0.5), "h3": (3, 1.0)}  # (dimension, rho_norm)
+_DT_LOG_ABS = {"h2": h2_dt_log_abs, "h3": h3_dt_log_abs}
 
 
 def _space_derivative_values(space: str, ts: np.ndarray, distances: np.ndarray,
                              order: int) -> np.ndarray:
     """d^i_t h at every (t, distance) pair, shape (len(ts), len(distances))."""
-    if space == "h3":
-        log_abs, sign = h3_dt_log_abs(ts[:, None], distances, order)
-        return np.exp(log_abs) * sign
-    if space == "h2":
-        if order == 0:
-            return np.array([[math.exp(h2_log(t, float(d))) for d in distances] for t in ts])
-
-        def plane(tt, rr):
-            return math.exp(h2_log(tt, rr))
-
-        return np.array([[fd_time_derivative(plane, order, t, float(d)).value for d in distances]
-                         for t in ts])
-    raise ValueError(f"unknown space {space!r}")
+    if space not in _DT_LOG_ABS:
+        raise ValueError(f"unknown space {space!r}")
+    log_abs, sign = _DT_LOG_ABS[space](ts[:, None], distances, order)
+    return np.exp(log_abs) * sign
 
 
 @lru_cache(maxsize=64)
 def _tail_envelope_constant(space: str, order: int, epsilon: float) -> float:
     """Fitted constant c with |d^i_t h| <= c * t^{-n/2-i} e^{-(1-eps)(rho^2 t
-    + rho_m d + d^2/(4t))} on a wide internal grid.  Deterministic; cached.
-
-    The plane grid is coarser: each of its kernel values costs a quadrature,
-    and the constant only feeds a tail majorant with safety headroom."""
+    + rho_m d + d^2/(4t))} on a wide internal grid.  Deterministic; cached."""
     n, rho = _SPACE_DATA[space]
-    n_pts = 90 if space == "h3" else 36
-    t_grid = np.geomspace(1e-3, 60.0, n_pts)
-    d_grid = np.linspace(0.0, 60.0, n_pts)
+    t_grid = np.geomspace(1e-3, 60.0, 90)
+    d_grid = np.linspace(0.0, 60.0, 90)
     best = -np.inf
     for t in t_grid:
-        if space == "h3":
-            log_abs, _ = h3_dt_log_abs(t, d_grid, order)
-        else:
-            vals = np.abs(_space_derivative_values(space, np.array([t]), d_grid, order)[0])
-            with np.errstate(divide="ignore"):
-                log_abs = np.log(vals)
+        log_abs, _ = _DT_LOG_ABS[space](t, d_grid, order)
         log_env = (-(n / 2.0 + order) * math.log(t)
                    - (1.0 - epsilon) * (rho * rho * t + rho * d_grid + d_grid * d_grid / (4.0 * t)))
         best = max(best, float(np.max(log_abs - log_env)))

@@ -1,10 +1,11 @@
 """Suite registry: the report types and the @suite decorator.
 
 A suite is one function from a SuiteConfig to its check rows, decorated
-with ``@suite(name, criterion)``.  The decorator times the body, wraps the
-rows in a SuiteReport and registers the timed callable in SUITES.  The first
-suite registered for an acceptance criterion is its primary suite; later ones
-are supplemental.
+with ``@suite(name, criterion, reads)``.  The decorator times the body,
+wraps the rows in a SuiteReport and registers the timed callable in SUITES,
+and the SuiteConfig fields the body reads in SUITE_READS.  The first suite
+registered for an acceptance criterion is its primary suite; later ones are
+supplemental.
 """
 
 from __future__ import annotations
@@ -54,11 +55,21 @@ class SuiteReport:
 SUITES: dict[str, Callable[[SuiteConfig], SuiteReport]] = {}
 # acceptance criterion number -> its suites, primary first
 CRITERION_SUITES: dict[int, tuple[str, ...]] = {}
+# the SuiteConfig fields a suite can be configured by; `name` and `out`
+# belong to every suite
+CONFIGURABLE = frozenset({"epsilon", "seed", "orders", "group"})
+# suite name -> the configurable fields its body reads
+SUITE_READS: dict[str, frozenset[str]] = {}
 
 
-def suite(name: str, criterion: int):
+def suite(name: str, criterion: int, reads: tuple[str, ...] = ()):
     """Register the decorated body, SuiteConfig -> list of CheckRow, as the
-    suite `name` for acceptance `criterion`; returns the timed callable."""
+    suite `name` for acceptance `criterion`, configured by the SuiteConfig
+    fields in `reads`; returns the timed callable."""
+    unknown = set(reads) - CONFIGURABLE
+    if unknown:
+        raise ValueError(f"suite {name!r} reads unknown fields {sorted(unknown)}")
+
     def register(body: Callable[[SuiteConfig], list[CheckRow]]):
         if name in SUITES:
             raise ValueError(f"suite {name!r} is already registered")
@@ -70,6 +81,7 @@ def suite(name: str, criterion: int):
             return SuiteReport(suite=name, rows=rows, wall_time=time.perf_counter() - start)
 
         SUITES[name] = run
+        SUITE_READS[name] = frozenset(reads)
         CRITERION_SUITES[criterion] = CRITERION_SUITES.get(criterion, ()) + (name,)
         return run
     return register

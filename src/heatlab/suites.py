@@ -16,8 +16,8 @@ import numpy as np
 from . import envelope, lattice, lpthresholds, oracle
 from .lattice import GroupSpec
 from .lpthresholds import ThresholdInput, Verdict
-from .registry import (  # noqa: F401  (CRITERION_SUITES is re-exported)
-    CRITERION_SUITES, SUITES, CheckRow, SuiteConfig, SuiteReport, suite)
+from .registry import (  # noqa: F401  (CRITERION_SUITES, SUITE_READS re-exported)
+    CRITERION_SUITES, SUITE_READS, SUITES, CheckRow, SuiteConfig, SuiteReport, suite)
 from .rootspace import AlphaTriple, build_real_hyperbolic
 
 COTH_1 = 1.0 / math.tanh(1.0)
@@ -94,7 +94,7 @@ def suite_envelope(cfg: SuiteConfig) -> list[CheckRow]:
     return rows
 
 
-@suite("theorem1", 3)
+@suite("theorem1", 3, reads=("epsilon", "orders"))
 def suite_theorem1(cfg: SuiteConfig) -> list[CheckRow]:
     """Two-grid fitted-constant domination of the symbolic time derivatives
     by the main decay shape, with a finite-difference cross-check."""
@@ -124,7 +124,7 @@ def suite_theorem1(cfg: SuiteConfig) -> list[CheckRow]:
     return rows
 
 
-@suite("gradient", 4)
+@suite("gradient", 4, reads=("epsilon",))
 def suite_gradient(cfg: SuiteConfig) -> list[CheckRow]:
     """Two-grid domination of the radial gradient by the gradient shape."""
     rows = []
@@ -250,7 +250,7 @@ def _quotient_setup(cfg: SuiteConfig, translation: float = 18.0):
     return group, x, delta, d_hi
 
 
-@suite("quotient", 7)
+@suite("quotient", 7, reads=("epsilon", "group"))
 def suite_quotient(cfg: SuiteConfig) -> list[CheckRow]:
     """Two-grid domination of the orbit-summed derivative by the quotient
     decay shape times the series factor, for two admissible triples."""
@@ -310,7 +310,7 @@ def suite_quotient(cfg: SuiteConfig) -> list[CheckRow]:
     return rows
 
 
-@suite("theorem2", 7)
+@suite("theorem2", 7, reads=("seed", "group"))
 def suite_theorem2(cfg: SuiteConfig) -> list[CheckRow]:
     """Splitting-slack nonnegativity with its exact equality case, and
     regime-style domination of the orbit sum on the axis quotient."""
@@ -385,7 +385,7 @@ def suite_thresholds(cfg: SuiteConfig) -> list[CheckRow]:
     return rows
 
 
-@suite("stnorm", 9)
+@suite("stnorm", 9, reads=("seed",))
 def suite_stnorm(cfg: SuiteConfig) -> list[CheckRow]:
     """Square relation between the two thresholds on random inputs, and the
     existence of a decay certificate whenever the spectral gap is positive."""

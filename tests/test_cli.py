@@ -10,8 +10,10 @@ from heatlab.cli import emit_csv, main, parse_report_csv
 from heatlab.config import format_cell
 from heatlab.lattice import OrbitSet
 from heatlab.lpthresholds import write_threshold_table
+from heatlab.registry import CONFIGURABLE
 from heatlab.suites import (
     CRITERION_SUITES,
+    SUITE_READS,
     SUITES,
     CheckRow,
     SuiteConfig,
@@ -244,6 +246,89 @@ class TestExitCodes:
         assert out.exists()
         parsed = parse_report_csv(str(out))
         assert parsed and all(row["pass"] for row in parsed)
+
+
+FLAG_VALUES = {"epsilon": ("--epsilon", "0.3"), "seed": ("--seed", "3"), "orders": ("--i", "1")}
+NOT_READ = [(name, field) for name in sorted(SUITES) for field in FLAG_VALUES
+            if field not in SUITE_READS[name]]
+READ = [(name, field) for name in sorted(SUITES) for field in FLAG_VALUES
+        if field in SUITE_READS[name]]
+
+
+class RecordingConfig(SuiteConfig):
+    """A SuiteConfig that records which configurable fields are read."""
+
+    def __getattribute__(self, key):
+        if key in CONFIGURABLE:
+            object.__getattribute__(self, "seen").add(key)
+        return object.__getattribute__(self, key)
+
+
+class TestSuiteReads:
+    def test_declared_reads_are_the_fields_each_suite_reads(self):
+        for name in sorted(SUITES):
+            cfg = RecordingConfig(name=name)
+            cfg.seen = set()
+            run_suite(cfg)
+            assert cfg.seen == SUITE_READS[name], name
+
+    @pytest.mark.parametrize("name, field", NOT_READ)
+    def test_flag_the_suite_does_not_read_exits_two(self, name, field, capsys):
+        flag, value = FLAG_VALUES[field]
+        assert main(["verify", name, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"suite {name} does not read {flag}" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("name, field", NOT_READ)
+    def test_suite_key_the_suite_does_not_read_exits_two(self, tmp_path, capsys, name, field):
+        cfg_file = tmp_path / "heatlab.cfg"
+        cfg_file.write_text(f"[suite {name}]\n{field} = {FLAG_VALUES[field][1]}\n",
+                            encoding="utf-8")
+        assert main(["verify", name, "--config", str(cfg_file)]) == 2
+        captured = capsys.readouterr()
+        assert f"[suite {name}]" in captured.err and captured.out == ""
+
+    def test_report_rejects_suite_key_not_read(self, tmp_path, capsys):
+        cfg_file = tmp_path / "heatlab.cfg"
+        cfg_file.write_text("[suite stnorm]\nepsilon = 0.3\n", encoding="utf-8")
+        out_dir = tmp_path / "reports"
+        assert main(["report", "--out", str(out_dir), "--config", str(cfg_file)]) == 2
+        assert "does not read key 'epsilon'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name, field", READ)
+    def test_flag_the_suite_reads_is_applied(self, name, field):
+        flag, value = FLAG_VALUES[field]
+        args = cli._build_parser().parse_args(["verify", name, flag, value])
+        cfg = cli._suite_config(name, args, None)
+        expected = {"epsilon": 0.3, "seed": 3, "orders": (1,)}[field]
+        assert getattr(cfg, field) == expected
+
+    def test_report_and_defaults_apply_to_the_suites_that_read_them(self, tmp_path,
+                                                                   monkeypatch):
+        captured = {}
+
+        def fake(cfg):
+            captured[cfg.name] = (cfg.epsilon, cfg.seed)
+            return SuiteReport(suite=cfg.name, rows=[])
+
+        import heatlab.suites as suites_module
+
+        # registered names, so their declared reads are the real ones
+        fakes = {"stnorm": fake, "theorem1": fake}
+        monkeypatch.setattr(cli, "SUITES", fakes)
+        monkeypatch.setattr(suites_module, "SUITES", fakes)
+        cfg_file = tmp_path / "heatlab.cfg"
+        cfg_file.write_text("[defaults]\nseed = 9\n", encoding="utf-8")
+        assert main(["report", "--out", str(tmp_path / "a"), "--seed", "5",
+                     "--epsilon", "0.3"]) == 0
+        assert captured == {"stnorm": (0.3, 5), "theorem1": (0.3, 5)}
+        assert main(["verify", "theorem1", "--config", str(cfg_file)]) == 0
+        assert captured["theorem1"] == (0.1, 9)
+
+    def test_unknown_field_in_declaration_raises(self):
+        with pytest.raises(ValueError, match="space"):
+            suite("toy-reads", 99, reads=("space",))
 
 
 class TestConfigPlumbing:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -146,6 +147,161 @@ class TestH2Kernel:
             oracle.h2_log(1.0, -0.5)
 
 
+def plane_quad_log(t: float, r: float) -> float:
+    """log h2 by adaptive QUADPACK: the scaled integrand in v = s - r times
+    the v^{-1/2} endpoint weight (QAWS), cut where the phase reaches 80."""
+    def w(v):
+        half = v / 2.0
+        if r + half == 0.0:
+            return 0.0  # the limit at r = v = 0
+        ratio = 1.0 if half < 1e-8 else math.sqrt(half / math.sinh(half))
+        return (r + v) * math.exp(-v * (2.0 * r + v) / (4.0 * t)) * ratio / math.sqrt(
+            math.sinh(r + half))
+
+    v_max = -r + math.sqrt(r * r + 320.0 * t)
+    value, _ = quad(w, 0.0, v_max, weight="alg", wvar=(-0.5, 0.0), epsabs=0.0,
+                    epsrel=1e-13, limit=400)
+    return (0.5 * math.log(2.0) - 1.5 * math.log(4.0 * math.pi * t) - t / 4.0
+            - r * r / (4.0 * t) + math.log(value))
+
+
+def mp_plane_kernel(t, r):
+    """h2(t, r) by mpmath tanh-sinh quadrature in u (s = r + u^2), with
+    cuts at the branch-point scale sqrt(2r)/2 and at a quarter of the range."""
+    t, r = mpmath.mpf(t), mpmath.mpf(r)
+
+    def f(u):
+        s = r + u * u
+        den = 2 * mpmath.sinh((s + r) / 2) * mpmath.sinh(u * u / 2)  # cosh s - cosh r
+        return 2 * u * s * mpmath.exp(-(s * s - r * r) / (4 * t)) / mpmath.sqrt(den)
+
+    u_max = mpmath.sqrt(mpmath.sqrt(r * r + 400 * t) - r)  # phase 100 at the end
+    cuts = sorted({mpmath.mpf(0), mpmath.sqrt(2 * r) / 2, u_max / 4, u_max})
+    return (mpmath.sqrt(2) * (4 * mpmath.pi * t) ** mpmath.mpf(-1.5)
+            * mpmath.exp(-t / 4 - r * r / (4 * t)) * mpmath.quad(f, cuts))
+
+
+def plane_value(t, r):
+    return math.exp(oracle.h2_log(t, r))
+
+
+def log_tolerance(t: float, r: float) -> float:
+    # log h carries the rounding of r^2/(4t), up to 9e5 here
+    return 1e-11 + 4.0 * float(np.spacing(r * r / (4.0 * t)))
+
+
+def coarse_rule(rule, n: int = 8):
+    """`rule` with its certifying 32-node rule replaced by one n-node panel."""
+    x, w_fine, _ = rule
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    return np.concatenate([x[:w_fine.size], (xs + 1.0) / 2.0]), w_fine, ws / 2.0
+
+
+class TestH2FixedNodeRule:
+    # the corners of _tail_envelope_constant's grid, r^2/4t = 700, and small
+    # r > 0, where the rule runs on graded panels
+    REGIMES = [(1e-3, 0.0), (1e-3, 60.0), (60.0, 0.0), (60.0, 60.0),
+               (0.05, math.sqrt(700.0 * 0.2)), (1e-3, 1.0), (0.5, 1e-3), (1.0, 1e-9),
+               (30.0, 0.1)]
+
+    @pytest.mark.parametrize("t, r", REGIMES)
+    def test_log_matches_quad_and_mpmath(self, t, r):
+        value = oracle.h2_log(t, r)
+        assert value == pytest.approx(plane_quad_log(t, r), abs=log_tolerance(t, r))
+        with mpmath.workdps(20):
+            reference = float(mpmath.log(mp_plane_kernel(t, r)))
+        assert value == pytest.approx(reference, abs=log_tolerance(t, r))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("t, r", [(0.05, 1.0), (1.0, 2.0), (5.0, 6.0), (30.0, 15.0),
+                                      (0.5, 1e-3)])
+    def test_derivatives_match_mpmath_diff(self, t, r):
+        with mpmath.workdps(15):
+            dt = {order: float(mpmath.diff(lambda tt: mp_plane_kernel(tt, r), t, order))
+                  for order in (1, 2)}
+            dr = float(mpmath.diff(lambda rr: mp_plane_kernel(t, rr), r, 1))
+        for order in (1, 2):
+            log_abs, sign = oracle.h2_dt_log_abs(t, r, order)
+            assert sign * math.exp(log_abs) == pytest.approx(dt[order], rel=1e-10)
+        assert oracle.radial_gradient("h2", t, r) == pytest.approx(abs(dr), rel=1e-10)
+
+    def test_derivatives_match_richardson(self):
+        checked = 0
+        for t in np.geomspace(0.05, 20.0, 5):
+            for r in np.linspace(0.2, 10.0, 5):
+                t, r = float(t), float(r)
+                for order in (1, 2):
+                    fd = oracle.fd_time_derivative(plane_value, order, t, r)
+                    if fd.precision_ok:
+                        log_abs, sign = oracle.h2_dt_log_abs(t, r, order)
+                        assert sign * math.exp(log_abs) == pytest.approx(fd.value, rel=1e-5)
+                        checked += 1
+                h = 1e-5 * max(1.0, r)
+                d0 = (plane_value(t, r + h) - plane_value(t, r - h)) / (2.0 * h)
+                d1 = (plane_value(t, r + h / 2) - plane_value(t, r - h / 2)) / h
+                fd_r = abs((4.0 * d1 - d0) / 3.0)
+                assert oracle.radial_gradient("h2", t, r) == pytest.approx(fd_r, rel=1e-6)
+        assert checked >= 40
+
+    def test_order_zero_is_h2_log(self):
+        t, r = np.geomspace(0.01, 30.0, 6), np.linspace(0.0, 20.0, 6)
+        log_abs, sign = oracle.h2_dt_log_abs(t, r, 0)
+        assert np.array_equal(log_abs, oracle.h2_log(t, r)) and np.all(sign == 1.0)
+
+    def test_array_calls_bit_identical_to_scalar_calls(self):
+        # three blocks of the pass, a fifth of the points on graded panels
+        rng = np.random.default_rng(5)
+        n = 2 * oracle._H2_BLOCK + 37
+        t = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), n))
+        r = np.where(rng.random(n) < 0.2, rng.uniform(0.0, 0.01, n), rng.uniform(0.0, 60.0, n))
+        batch = oracle.h2_log(t, r)
+        for k in range(n):
+            one = oracle.h2_log(float(t[k]), float(r[k]))
+            assert isinstance(one, float) and same_bits(one, batch[k])
+        picks = rng.choice(n, 150, replace=False)
+        for order in (0, 1, 2):
+            log_abs, sign = oracle.h2_dt_log_abs(t, r, order)
+            for k in picks:
+                one, one_sign = oracle.h2_dt_log_abs(float(t[k]), float(r[k]), order)
+                assert isinstance(one, float) and isinstance(one_sign, float)
+                assert same_bits(one, log_abs[k]) and one_sign == sign[k]
+
+    def test_arguments_broadcast(self):
+        t, r = np.array([0.1, 1.0, 10.0]), np.array([0.0, 0.5, 2.0, 8.0])
+        grid = oracle.h2_log(t[:, None], r)
+        assert grid.shape == (3, 4)
+        assert same_bits(grid[2, 1], oracle.h2_log(10.0, 0.5))
+        log_abs, sign = oracle.h2_dt_log_abs(t[:, None], r, 2)
+        assert log_abs.shape == sign.shape == (3, 4)
+
+    @pytest.mark.parametrize("rule, t, r", [("_GL_PLAIN", 0.01, 3.0),
+                                            ("_GL_GRADED", 0.5, 1e-3)])
+    def test_disagreeing_certificate_rule_raises(self, monkeypatch, rule, t, r):
+        monkeypatch.setattr(oracle, rule, coarse_rule(getattr(oracle, rule)))
+        with pytest.raises(oracle.QuadratureError, match=f"t={t!r}, r={r!r}"):
+            oracle.h2_log(t, r)
+        with pytest.raises(oracle.QuadratureError, match=f"t={t!r}"):
+            oracle.h2_dt_log_abs(np.array([t]), r, 1)
+        with pytest.raises(oracle.QuadratureError):
+            oracle.radial_gradient("h2", t, r)
+
+    def test_one_panel_is_refused_where_the_branch_points_are_near(self, monkeypatch):
+        # at r = 1e-3 the 32-node rule on one panel disagrees by about 2e-7
+        monkeypatch.setattr(oracle, "_H2_GRADE_BELOW", 0.0)
+        with pytest.raises(oracle.QuadratureError, match="t=0.5, r=0.001"):
+            oracle.h2_log(0.5, 1e-3)
+
+    def test_domain_errors(self):
+        for call in (lambda: oracle.h2_dt_log_abs(0.0, 1.0, 1),
+                     lambda: oracle.h2_dt_log_abs(1.0, -0.5, 1),
+                     lambda: oracle.h2_dt_log_abs(1.0, 1.0, 3),
+                     lambda: oracle.h2_log(np.array([1.0, -1.0]), 1.0),
+                     lambda: oracle.h2_log(1.0, np.array([0.5, -0.5])),
+                     lambda: oracle.radial_gradient("h2", 0.0, 1.0)):
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestRadialGradient:
     def test_h3_matches_fd(self):
         t, r = 1.0, 2.0
@@ -276,6 +432,39 @@ class TestQuotientKernel:
         ev = oracle.quotient_kernel(group, "h2", 1.0, x, x, 0, 12.0, delta=0.05)
         direct = sum(math.exp(oracle.h2_log(1.0, d)) for d in group.orbit(x, x, 12.0).distances)
         assert ev.value == pytest.approx(direct, rel=1e-12)
+
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_h2_time_derivative_orbit_sums(self, order):
+        half = math.exp(2.0)
+        mat = np.array([[half, 0.0], [0.0, 1.0 / half]])
+        group = lattice.GroupSpec(dim=2, generators=(mat,), family="cyclic")
+        x, y = (0.0, 1.0), (0.3, 1.5)
+        ts = np.geomspace(0.5, 10.0, 6)
+        ev = oracle.quotient_kernel(group, "h2", ts, x, y, order, 12.0, delta=0.05)
+        distances = group.orbit(x, y, 12.0).distances
+        assert ev.terms_used == len(distances)
+        for k, t in enumerate(ts):
+            terms = []
+            for d in distances:
+                log_abs, sign = oracle.h2_dt_log_abs(float(t), float(d), order)
+                terms.append(sign * math.exp(log_abs))
+            scale = math.fsum(abs(v) for v in terms)
+            assert ev.value[k] == pytest.approx(math.fsum(terms), abs=1e-13 * scale)
+        assert np.all(np.isfinite(ev.truncation_bound)) and np.all(ev.truncation_bound > 0.0)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_h2_tail_constant_envelopes_off_grid(self, order):
+        # the fitted constant, with its 1.5 headroom, bounds |d^i_t h| off its grid
+        eps = 0.1
+        c = oracle._tail_envelope_constant("h2", order, eps)
+        rng = np.random.default_rng(order)
+        t = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 400))
+        d = rng.uniform(0.0, 60.0, 400)
+        log_abs, _ = oracle.h2_dt_log_abs(t, d, order)
+        log_env = (-(1.0 + order) * np.log(t)
+                   - (1.0 - eps) * (0.25 * t + 0.5 * d + d * d / (4.0 * t)))
+        assert np.all(log_abs - log_env <= math.log(c))
 
 
 def schottky_h3() -> lattice.GroupSpec:
