@@ -8,17 +8,18 @@ hand sides, the curvature-based gradient inequality gap, and fitted-constant
 grid protocols.
 
 Every envelope evaluates in log space; linear wrappers exponentiate at the
-end so extreme Gaussian regimes never underflow mid-computation.
+end so extreme Gaussian regimes never underflow mid-computation.  The
+iterated integrals are one certified Gauss-Legendre pass over t-arrays
+(oracle.gl_certified), after a substitution that makes their integrands
+smooth at both ends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import oracle
 from .rootspace import SpaceModel
@@ -144,25 +145,35 @@ def kernel_upper_log(model: SpaceModel, t, r, rho_h=None):
 # on-diagonal derivative bounds via iterated integrals
 
 
-def _repeated_integral(f, i: int, t: float) -> float:
-    """i-fold iterated integral of f from 0, via the single-integral form
-    int_0^t (t-s)^{i-1}/(i-1)! f(s) ds."""
+_ITERATED_RULE = oracle.gl_rule([0.0, 1.0])  # one panel in v, s = t v^2
+
+
+def _float_or_array(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _repeated_integral(f, i: int, t, site: str, args: dict):
+    """i-fold iterated integral of f from 0 at each t (a positive scalar or
+    array), via the single-integral form int_0^t (t-s)^{i-1}/(i-1)! f(s) ds.
+
+    With s = t v^2 it is 2 t^i/(i-1)! int_0^1 (1-v^2)^{i-1} v f(t v^2) dv:
+    for f(s) = s^{n/2} g(s) with g smooth, as for every profile here, the
+    integrand is v^{n+1} times a smooth function, with no endpoint
+    singularity.  One certified Gauss-Legendre pass over all t; scalars
+    give a float.
+    """
     if i < 1:
         raise ValueError("iterated integral order must be >= 1")
-    fact = math.factorial(i - 1)
-    value, err = quad(lambda s: (t - s) ** (i - 1) / fact * f(s), 0.0, t,
-                      epsabs=0.0, epsrel=1e-11, limit=300)
-    return float(value)
-
-
-@lru_cache(maxsize=65536)
-def _power_f_iter(n_half: float, m: float, i: int, t: float) -> float:
-    return _repeated_integral(lambda s: s ** n_half * (1.0 + s) ** (-m), i, t)
-
-
-@lru_cache(maxsize=65536)
-def _h3_diagonal_f_iter(i: int, t: float) -> float:
-    return _repeated_integral(lambda s: (4.0 * math.pi * s) ** 1.5 * math.exp(s), i, t)
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
+        raise ValueError("time must be positive")
+    ts = t.reshape(-1)  # a scalar is a one-row pass, so entries match scalar calls
+    v = _ITERATED_RULE[0]
+    values = (1.0 - v * v) ** (i - 1) * v * f(ts[:, None] * v * v)
+    integral = oracle.gl_certified(values, _ITERATED_RULE, oracle.GL_REL_TOL, site,
+                                   {**args, "i": i, "t": ts})
+    out = 2.0 * ts ** i / math.factorial(i - 1) * integral
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def grigoryan_f(model: SpaceModel, t):
@@ -171,10 +182,13 @@ def grigoryan_f(model: SpaceModel, t):
     return t ** (model.n / 2.0) * (1.0 + t) ** (-model.m_exp)
 
 
-def grigoryan_f_iterated(model: SpaceModel, i: int, t: float) -> float:
+def grigoryan_f_iterated(model: SpaceModel, i: int, t):
+    """The i-fold iterated integral f_i of the profile f at t (scalar or
+    array); f_0 = f."""
     if i == 0:
-        return float(grigoryan_f(model, t))
-    return _power_f_iter(model.n / 2.0, model.m_exp, i, float(t))
+        return _float_or_array(grigoryan_f(model, t))
+    return _repeated_integral(lambda s: grigoryan_f(model, s), i, t, "profile iterated integral",
+                              {"n": model.n, "m": model.m_exp})
 
 
 def grigoryan_bound(model: SpaceModel, i: int, t: float) -> float:
@@ -215,23 +229,25 @@ def h3_exact_diagonal_f(t):
     return (4.0 * math.pi * t) ** 1.5 * np.exp(t)
 
 
-def h3_exact_diagonal_f_iterated(i: int, t: float) -> float:
+def h3_exact_diagonal_f_iterated(i: int, t):
+    """The i-fold iterated integral of h3_exact_diagonal_f at t (scalar or
+    array)."""
     if i == 0:
-        return float(h3_exact_diagonal_f(t))
-    return _h3_diagonal_f_iter(i, float(t))
+        return _float_or_array(h3_exact_diagonal_f(t))
+    return _repeated_integral(h3_exact_diagonal_f, i, t, "h3 diagonal iterated integral", {})
 
 
-def grigoryan_bound_exact_h3(i: int, t: float) -> float:
+def grigoryan_bound_exact_h3(i: int, t):
     """Constant-free derivative bound on the 3-space: 1/sqrt(f f_{2i}) with
     f the reciprocal of the exact diagonal, which dominates 1/h_t(x,x)
-    with equality."""
+    with equality.  `t` is a positive scalar or array."""
     if i < 1:
         raise ValueError("derivative order must be >= 1")
-    if t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise ValueError("time must be positive")
-    f0 = float(h3_exact_diagonal_f(t))
-    f2i = h3_exact_diagonal_f_iterated(2 * i, t)
-    return 1.0 / math.sqrt(f0 * f2i)
+    return _float_or_array(1.0 / np.sqrt(h3_exact_diagonal_f(t)
+                                         * h3_exact_diagonal_f_iterated(2 * i, t)))
 
 
 # ---------------------------------------------------------------------------

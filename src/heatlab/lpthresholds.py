@@ -5,6 +5,10 @@ bounded on L^p exactly when a weighted chamber integral converges; this
 module evaluates the closed-form thresholds, classifies the integrals by
 their frontier log-slope, certifies the exponential norm decay of the
 semigroup derivative, and integrates the gradient-kernel decay.
+
+The chamber partial integrals and the gradient-kernel time integral are
+certified fixed-node Gauss-Legendre passes over arrays (oracle.gl_rule and
+oracle.gl_certified), with the node sets built once at import.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import oracle
 from .config import write_csv
@@ -74,6 +77,31 @@ class IntegralVerdict:
 
 _VERDICT_MARGIN = 0.02  # |frontier log-slope| below this is inconclusive
 _N_CUTOFFS = 8  # partial-integral cutoffs r_max / 2^7, ..., r_max
+# Panels of a piece, graded from its larger end with widths 2/|b|, 4/|b|,
+# ...; the last one takes the rest, where the integrand has fallen below
+# e^{-2 (2^9 - 1)} of that end.  One panel when the piece is under 2/|b|.
+_CHAMBER_PANELS = 10
+_CHAMBER_GRADES = 2.0 ** np.arange(1.0, _CHAMBER_PANELS) - 1.0  # inner edges, in units of 2/|b|
+
+
+def _chamber_log_pieces(a: float, b: float, cutoffs: np.ndarray) -> np.ndarray:
+    """log of int (1+r)^a e^{b r} dr over each piece [0, c_0], [c_0, c_1],
+    ... between the cutoffs, all pieces in one certified pass."""
+    lo = np.concatenate(([0.0], cutoffs[:-1]))[:, None]
+    hi = cutoffs[:, None]
+    length = hi - lo
+    log_lo, log_hi = a * np.log1p(lo) + b * lo, a * np.log1p(hi) + b * hi
+    scale = np.maximum(log_lo, log_hi)
+    reach = 0.5 * abs(b) * length  # the piece's length in units of 2/|b|
+    frac = np.hstack([np.zeros_like(lo), _CHAMBER_GRADES / np.maximum(reach, _CHAMBER_GRADES),
+                      np.ones_like(lo)])  # panel edges from the larger end, as fractions
+    edges = np.where(log_hi > log_lo, hi - length * frac[:, ::-1], lo + length * frac)
+    rule = oracle.gl_rule(edges)
+    r = rule[0]
+    pieces = oracle.gl_certified(np.exp(a * np.log1p(r) + b * r - scale), rule,
+                                 oracle.GL_REL_TOL, "chamber partial integral",
+                                 {"a": a, "b": b, "r_lo": lo[:, 0], "r_hi": hi[:, 0]})
+    return scale[:, 0] + np.log(np.maximum(pieces, 1e-300))
 
 
 def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, float],
@@ -82,8 +110,9 @@ def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, fl
     integrand at the integration frontier.
 
     Partial values are accumulated in log space at geometrically expanding
-    cutoffs.  Finite needs slope < -0.02, divergent slope > +0.02,
-    otherwise inconclusive.  Rank-one models only: the chamber is a ray.
+    cutoffs, from the pieces between them (see _chamber_log_pieces).  Finite
+    needs slope < -0.02, divergent slope > +0.02, otherwise inconclusive.
+    Rank-one models only: the chamber is a ray.
     """
     if model.rank != 1:
         raise ValueError("chamber integral reduction applies to rank-one models")
@@ -95,17 +124,7 @@ def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, fl
     def log_integrand(r: float) -> float:
         return a * math.log1p(r) + b * r
 
-    log_partials = []
-    log_total = -math.inf
-    lo = 0.0
-    for hi in cutoffs:
-        scale = max(log_integrand(lo), log_integrand(hi))
-        piece, _ = quad(lambda r: math.exp(log_integrand(r) - scale), lo, hi,
-                        epsabs=1e-14, epsrel=1e-10, limit=300)
-        log_piece = scale + math.log(max(piece, 1e-300))
-        log_total = np.logaddexp(log_total, log_piece)
-        log_partials.append(float(log_total))
-        lo = hi
+    log_partials = np.logaddexp.accumulate(_chamber_log_pieces(a, b, cutoffs))
     frontier = cutoffs[-1]
     dr = min(1.0, frontier / 100.0)
     rate = (log_integrand(frontier) - log_integrand(frontier - dr)) / dr
@@ -119,7 +138,7 @@ def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, fl
         verdict=verdict,
         effective_rate=float(rate),
         cutoffs=tuple(float(c) for c in cutoffs),
-        log_partial_values=tuple(log_partials),
+        log_partial_values=tuple(log_partials.tolist()),
     )
 
 
@@ -191,12 +210,29 @@ class RieszDecay:
     tail_large_t: float
 
 
-def _riesz_integrand(t: float, r: float) -> float:
-    # riesz_kernel_decay has checked r > 0 and integrates over t > 0 only
-    return math.exp(float(oracle._h3_radial_log_abs_unchecked(t, r))) / math.sqrt(t)
-
-
 _RIESZ_T_CUT = 1.0  # the time integral is split here into small and large t
+# Uniform panels in log t on each interval: 12 for the split pieces, and 17
+# for the unsplit check, so that none of its panel edges falls on t = 1.
+_RIESZ_RULES = {n: oracle.gl_rule(np.linspace(0.0, 1.0, n + 1)) for n in (12, 17)}
+
+
+def riesz_time_integral(r: float, t_edges, panels: int = 12) -> np.ndarray:
+    """int |d_r h_t| / sqrt(t) dt on the 3-space over each interval between
+    consecutive `t_edges` (positive, increasing), at distance r > 0.
+
+    Each interval is mapped to log t, where dt / sqrt(t) = sqrt(t) d(log t),
+    and integrated on `panels` (12 or 17) uniform panels by one certified
+    Gauss-Legendre pass: one h3_radial_log_abs call for all intervals.
+    """
+    x, w_fine, w_coarse = _RIESZ_RULES[panels]
+    t_edges = np.asarray(t_edges, dtype=float)
+    log_edges = np.log(t_edges)
+    width = np.diff(log_edges)[:, None]
+    log_t = log_edges[:-1, None] + width * x
+    values = np.exp(oracle.h3_radial_log_abs(np.exp(log_t), r) + 0.5 * log_t)
+    return oracle.gl_certified(values, (x, width * w_fine, width * w_coarse), oracle.GL_REL_TOL,
+                               "gradient-kernel time integral",
+                               {"r": r, "t_lo": t_edges[:-1], "t_hi": t_edges[1:]})
 
 
 def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1) -> RieszDecay:
@@ -210,12 +246,7 @@ def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1) -> RieszDecay
         raise ValueError("need r > 0")
     t_lo = r * r / 3200.0  # Gaussian phase r^2/(4t) = 800 at the lower cut
     t_hi = 750.0
-    small, err_small = quad(_riesz_integrand, t_lo, _RIESZ_T_CUT, args=(r,),
-                            epsabs=1e-300, epsrel=1e-12, limit=400)
-    large, err_large = quad(_riesz_integrand, _RIESZ_T_CUT, t_hi, args=(r,),
-                            epsabs=1e-300, epsrel=1e-12, limit=400)
-    if err_small > 1e-8 * max(abs(small), 1e-280) or err_large > 1e-8 * max(abs(large), 1e-280):
-        raise oracle.QuadratureError(f"gradient-kernel quadrature failed at r={r}")
+    small, large = riesz_time_integral(r, (t_lo, _RIESZ_T_CUT, t_hi)).tolist()
     # The integrand is c0 e^{-t} e^{-q/t} [A t^{-2} + (r/2) t^{-3}] with
     # q = r^2/4, c0 = (4 pi)^{-3/2} r/sinh r, A = coth r - 1/r in (0, 1).
     # Small-t tail (e^{-t} <= 1): int_0^t0 t^{-k} e^{-q/t} dt

@@ -124,12 +124,6 @@ def h3_radial_log_abs(t, r):
     t = np.asarray(t, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radial derivative needs r > 0")
-    return _h3_radial_log_abs_unchecked(t, r)
-
-
-def _h3_radial_log_abs_unchecked(t, r):
-    """h3_radial_log_abs without the domain checks, for callers that have
-    already validated t > 0 and r > 0 (scalar quadrature integrands)."""
     magnitude = 1.0 / np.tanh(r) - 1.0 / r + r / (2.0 * t)
     return h3_log(t, r) + np.log(magnitude)
 
@@ -143,15 +137,50 @@ _H2_MOMENT_TOL = 1e-8
 _H2_BLOCK = 2048  # points per pass; bounds the (points x nodes) temporaries
 
 
-def _gl_composite(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_GL_UNIT = tuple(np.polynomial.legendre.leggauss(n) for n in (64, 32))
+# Certified relative error of the smooth integrals outside the plane kernel:
+# the Riesz time integral, the chamber partials and the iterated integrals.
+GL_REL_TOL = 1e-12
+
+
+def gl_rule(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 64-node Gauss-Legendre rule on each panel between consecutive
-    `edges` of [0, 1], and the 32-node rule that certifies it, as one node
-    set: (nodes, 64-node weights, 32-node weights), the 64-node nodes first."""
+    entries of the last axis of `edges`, and the 32-node rule that certifies
+    it, as one node set: (nodes, 64-node weights, 32-node weights), the
+    64-node nodes first.  Leading axes of `edges` give one rule per row."""
     edges = np.asarray(edges, dtype=float)
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    rules = [np.polynomial.legendre.leggauss(n) for n in (64, 32)]
-    nodes = [(lo + width * (x + 1.0) / 2.0).ravel() for x, _ in rules]
-    return (np.concatenate(nodes), *((width * w / 2.0).ravel() for _, w in rules))
+    lo, width = edges[..., :-1, None], np.diff(edges, axis=-1)[..., None]
+    rows = edges.shape[:-1]
+    nodes = [(lo + width * (x + 1.0) / 2.0).reshape(*rows, -1) for x, _ in _GL_UNIT]
+    return (np.concatenate(nodes, axis=-1),
+            *((width * w / 2.0).reshape(*rows, -1) for _, w in _GL_UNIT))
+
+
+def gl_certified(values, rule, tol: float, site: str, args: dict, absolute: bool = False):
+    """The 64-node sum over the last axis of `values`, the integrand at the
+    nodes of `rule` (from gl_rule), certified by the 32-node sum.
+
+    The scale is the 64-node sum, or with `absolute` the 64-node sum of
+    |values|.  QuadratureError names `site` and, for the first row where
+    the two sums differ by more than tol * scale or the scale is not a
+    positive float, each entry of `args` (scalars, or arrays that broadcast
+    to the rows).
+    """
+    _, w_fine, w_coarse = rule
+    n = w_fine.shape[-1]
+    fine = np.add.reduce(values[..., :n] * w_fine, axis=-1)
+    coarse = np.add.reduce(values[..., n:] * w_coarse, axis=-1)
+    scale = np.add.reduce(np.abs(values[..., :n]) * w_fine, axis=-1) if absolute else fine
+    ok = (np.abs(fine - coarse) <= tol * scale) & (scale > 0.0) & (scale < math.inf)
+    if not ok.all():
+        k = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        named = ", ".join(f"{name}={np.broadcast_to(value, ok.shape)[k].item()!r}"
+                          for name, value in args.items())
+        raise QuadratureError(
+            f"{site} quadrature not certified at {named}: 64-node {fine[k]:.6e} vs "
+            f"32-node {coarse[k]:.6e} (scale {scale[k]:.3e})"
+        )
+    return fine
 
 
 # At 0 < r the integrand has branch points at u = +-i sqrt(2r) (where
@@ -160,8 +189,8 @@ def _gl_composite(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # refuses to certify; panels graded by 16 towards u = 0 keep each branch
 # point at least a fifteenth of a panel length away from the panel that
 # holds it, or make that panel's share negligible.
-_GL_PLAIN = _gl_composite([0.0, 1.0])
-_GL_GRADED = _gl_composite([0.0, *16.0 ** -np.arange(5.0, 0.0, -1.0), 1.0])
+_GL_PLAIN = gl_rule([0.0, 1.0])
+_GL_GRADED = gl_rule([0.0, *16.0 ** -np.arange(5.0, 0.0, -1.0), 1.0])
 _H2_GRADE_BELOW = 0.1  # graded panels where sqrt(2r) < this * u_max
 
 
@@ -226,20 +255,16 @@ def _h2_log_prefactor(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _H2_LOG_CONST - 1.5 * np.log(t) - t / 4.0 - r * r / (4.0 * t)
 
 
-def _h2_rule_sums(rule, t, r, u_max, weight):
-    """Per row of (t, r, u_max) columns: the 64-node sum, the 32-node sum and
-    the scale they are compared on, of weight * integrand over [0, 1] * u_max
-    (without the factor u_max)."""
-    x, w_fine, w_coarse = rule
-    n = w_fine.size
-    u = u_max * x
+def _h2_rule_pass(rule, t, r, u_max, weight, tol):
+    """Per row of (t, r, u_max) columns: the certified integral of weight *
+    integrand over [0, 1] * u_max (without the factor u_max); a derivative
+    weight is certified against the integral of |weight| * integrand."""
+    u = u_max * rule[0]
     f = _h2_scaled_integrand(u, r, t)
     if weight is not None:
         f = f * weight(u, r, t)
-    fine = np.add.reduce(f[:, :n] * w_fine, axis=1)
-    coarse = np.add.reduce(f[:, n:] * w_coarse, axis=1)
-    scale = fine if weight is None else np.add.reduce(np.abs(f[:, :n]) * w_fine, axis=1)
-    return fine, coarse, scale
+    return gl_certified(f, rule, tol, "plane-kernel", {"t": t[:, 0], "r": r[:, 0]},
+                        absolute=weight is not None)
 
 
 def _h2_moment(t: np.ndarray, r: np.ndarray, weight=None) -> np.ndarray:
@@ -261,20 +286,11 @@ def _h2_moment(t: np.ndarray, r: np.ndarray, weight=None) -> np.ndarray:
         u_max = np.sqrt(cut / (np.sqrt(rb * rb + cut) + rb))  # sqrt(s_max - r)
         graded = (2.0 * rb < (_H2_GRADE_BELOW * u_max) ** 2)[:, 0]
         if not graded.any():
-            fine, coarse, scale = _h2_rule_sums(_GL_PLAIN, tb, rb, u_max, weight)
+            fine = _h2_rule_pass(_GL_PLAIN, tb, rb, u_max, weight, tol)
         else:
-            fine, coarse, scale = np.empty((3, tb.shape[0]))
+            fine = np.empty(tb.shape[0])
             for rule, rows in ((_GL_PLAIN, ~graded), (_GL_GRADED, graded)):
-                fine[rows], coarse[rows], scale[rows] = _h2_rule_sums(
-                    rule, tb[rows], rb[rows], u_max[rows], weight)
-        ok = (np.abs(fine - coarse) <= tol * scale) & (scale > 0.0) & (scale < math.inf)
-        if not ok.all():
-            k = int(np.argmin(ok))
-            raise QuadratureError(
-                f"plane-kernel quadrature not certified at t={float(tb[k, 0])!r}, "
-                f"r={float(rb[k, 0])!r}: 64-node {fine[k]:.6e} vs 32-node {coarse[k]:.6e} "
-                f"(scale {scale[k]:.3e})"
-            )
+                fine[rows] = _h2_rule_pass(rule, tb[rows], rb[rows], u_max[rows], weight, tol)
         out[lo:lo + _H2_BLOCK] = fine * u_max[:, 0]
     return out
 

@@ -4,6 +4,10 @@ Builds the half-sum vector, its norm, its minimum over the closed chamber,
 the polynomial growth exponents of the kernel envelopes, and the conjugate
 exponent arithmetic.  Real hyperbolic space is the rank-one special case
 used by the exact oracles; general specs feed the formula layer only.
+
+The chamber minimum (rho_min, and build_from_roots through it) needs
+scipy's linprog and null_space, imported where they are used: no suite
+reaches them, so a heatlab run never imports scipy.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .config import ConfigError, parse_config, parse_floats
 
@@ -177,6 +179,8 @@ def build_from_roots(spec: RootSystemSpec) -> SpaceModel:
 
 def _chamber_has_interior(normals: np.ndarray) -> bool:
     # max t s.t. N h >= t, |h|_inf <= 1; interior iff optimum > 0
+    from scipy.optimize import linprog
+
     j, d = normals.shape
     c = np.zeros(d + 1)
     c[-1] = -1.0
@@ -189,6 +193,9 @@ def _chamber_has_interior(normals: np.ndarray) -> bool:
 def _cone_has_nonzero_vector(m: np.ndarray) -> bool:
     """True when {x != 0 : m @ x >= 0} is nonempty (m maps a subspace basis
     into the constraint rows)."""
+    from scipy.linalg import null_space
+    from scipy.optimize import linprog
+
     if m.shape[1] == 0:
         return False
     ns = null_space(m)
@@ -222,6 +229,8 @@ def rho_min(model: SpaceModel, chamber) -> float:
         return 0.0
     if d > 3:
         return sampled_rho_min(model, chamber)
+
+    from scipy.linalg import null_space
 
     best = np.inf
     indices = range(normals.shape[0])

@@ -1,10 +1,15 @@
+import ast
 import csv
 import filecmp
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import heatlab
 from heatlab import cli
 from heatlab.cli import emit_csv, main, parse_report_csv
 from heatlab.config import format_cell
@@ -403,3 +408,35 @@ class TestConfigPlumbing:
         out_dir = tmp_path / "reports"
         assert main(["report", "--out", str(out_dir)]) == 0
         assert (out_dir / "one.csv").exists() and (out_dir / "two.csv").exists()
+
+
+class TestScipyOffTheRunPath:
+    """scipy serves only rho_min/build_from_roots and the tests: neither a
+    full report nor the package import loads it."""
+
+    @staticmethod
+    def scipy_modules_at_exit(code: str) -> list[str]:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(heatlab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        probe = ("import atexit, sys\n"
+                 "atexit.register(lambda: print(sorted(m for m in sys.modules\n"
+                 "                                     if m == 'scipy' or m.startswith('scipy.'))))\n")
+        proc = subprocess.run([sys.executable, "-c", probe + code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 1), proc.stderr  # 1: rows that fail by design
+        return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+    def test_report_never_imports_scipy(self, tmp_path):
+        out = tmp_path / "report"
+        code = ("import runpy\n"
+                f"sys.argv = ['heatlab', 'report', '--out', {str(out)!r}]\n"
+                "runpy.run_module('heatlab.cli', run_name='__main__')\n")
+        assert self.scipy_modules_at_exit(code) == []
+        assert len(list(out.glob("*.csv"))) == len(SUITES)
+
+    def test_package_import_never_imports_scipy(self):
+        assert self.scipy_modules_at_exit("import heatlab\n") == []
+
+    def test_probe_sees_scipy_when_it_is_imported(self):
+        assert "scipy.optimize" in self.scipy_modules_at_exit("import scipy.optimize\n")

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from heatlab import envelope, oracle
 from heatlab.envelope import (
@@ -31,6 +33,21 @@ from heatlab.rootspace import build_real_hyperbolic
 
 H3 = build_real_hyperbolic(3)
 H2 = build_real_hyperbolic(2)
+
+
+def quad_iterated(f, i: int, t: float) -> float:
+    """int_0^t (t-s)^{i-1}/(i-1)! f(s) ds by adaptive quad, as it was computed
+    before the fixed-node pass."""
+    value, _ = quad(lambda s: (t - s) ** (i - 1) / math.factorial(i - 1) * f(s), 0.0, t,
+                    epsabs=0.0, epsrel=1e-13, limit=500)
+    return value
+
+
+def mp_iterated(f, i: int, t: float) -> float:
+    with mpmath.workdps(30):
+        t = mpmath.mpf(t)
+        return float(mpmath.quad(lambda s: (t - s) ** (i - 1) / mpmath.factorial(i - 1) * f(s),
+                                 [0, t / 4, t]))
 
 
 class TestSharpEnvelope:
@@ -111,6 +128,66 @@ class TestGrigoryan:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             envelope.grigoryan_bound(H3, 0, 1.0)
+
+    # the iterated integrals the grigoryan suite reaches (orders 1, 2 and 4
+    # over t in [0.01, 30]), for the exact 3-space diagonal and both profiles
+    ITERATED_T = np.geomspace(0.01, 30.0, 13)
+
+    @pytest.mark.parametrize("i", [1, 2, 4])
+    def test_h3_diagonal_iterated_matches_quad_and_mpmath(self, i):
+        got = envelope.h3_exact_diagonal_f_iterated(i, self.ITERATED_T)
+        for g, t in zip(got.tolist(), self.ITERATED_T.tolist()):
+            ref = quad_iterated(lambda s: (4.0 * math.pi * s) ** 1.5 * math.exp(s), i, t)
+            assert g == pytest.approx(ref, rel=1e-12)
+            mp_ref = mp_iterated(lambda s: (4 * mpmath.pi * s) ** mpmath.mpf(1.5) * mpmath.exp(s),
+                                 i, t)
+            assert g == pytest.approx(mp_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("model", [H3, H2], ids=["h3", "h2"])
+    @pytest.mark.parametrize("i", [1, 2, 4])
+    def test_profile_iterated_matches_quad_and_mpmath(self, model, i):
+        got = envelope.grigoryan_f_iterated(model, i, self.ITERATED_T)
+        n_half, m = model.n / 2.0, model.m_exp
+        for g, t in zip(got.tolist(), self.ITERATED_T.tolist()):
+            ref = quad_iterated(lambda s: s ** n_half * (1.0 + s) ** (-m), i, t)
+            assert g == pytest.approx(ref, rel=1e-12)
+            mp_ref = mp_iterated(lambda s: s ** mpmath.mpf(n_half) * (1 + s) ** mpmath.mpf(-m),
+                                 i, t)
+            assert g == pytest.approx(mp_ref, rel=1e-12)
+
+    def test_arrays_match_scalar_calls(self):
+        # the iterated integrals are one-row passes for a scalar, so entries
+        # are bit-identical; the bound also takes np.exp of t, whose array
+        # and scalar loops may differ in the last bit
+        t = np.geomspace(0.01, 30.0, 60)
+        for i in (1, 2, 4):
+            for batch, one in ((envelope.h3_exact_diagonal_f_iterated(i, t),
+                                lambda tt: envelope.h3_exact_diagonal_f_iterated(i, tt)),
+                               (envelope.grigoryan_f_iterated(H2, i, t),
+                                lambda tt: envelope.grigoryan_f_iterated(H2, i, tt))):
+                scalars = [one(float(tt)) for tt in t]
+                assert all(isinstance(v, float) for v in scalars)
+                assert np.array_equal(batch, scalars)
+            bounds = [envelope.grigoryan_bound_exact_h3(i, float(tt)) for tt in t]
+            assert all(isinstance(v, float) for v in bounds)
+            assert envelope.grigoryan_bound_exact_h3(i, t) == pytest.approx(bounds, rel=1e-15)
+
+    def test_iterated_rejects_nonpositive_time(self):
+        with pytest.raises(ValueError):
+            envelope.h3_exact_diagonal_f_iterated(2, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            envelope.grigoryan_bound_exact_h3(1, -1.0)
+
+    def test_coarse_certificate_raises_naming_the_site(self, monkeypatch, coarse_certifier):
+        monkeypatch.setattr(envelope, "_ITERATED_RULE", oracle.gl_rule([0.0, 1.0]))
+        with pytest.raises(oracle.QuadratureError,
+                           match=r"h3 diagonal iterated integral quadrature not certified at "
+                                 r"i=2, t=0\.5"):
+            envelope.h3_exact_diagonal_f_iterated(2, np.array([0.5, 30.0]))
+        with pytest.raises(oracle.QuadratureError,
+                           match=r"profile iterated integral quadrature not certified at "
+                                 r"n=2, m=-0\.5, i=4, t="):
+            envelope.grigoryan_f_iterated(H2, 4, 30.0)
 
 
 class TestDerivativeEnvelopeStep:

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from heatlab import lpthresholds, oracle
 from heatlab.lpthresholds import (
@@ -22,6 +24,69 @@ from heatlab.lpthresholds import (
 from heatlab.rootspace import build_real_hyperbolic, s_p
 
 H3 = build_real_hyperbolic(3)
+
+
+def riesz_integrand(t: float, r: float) -> float:
+    """The scalar gradient-kernel time integrand |d_r h_t| / sqrt(t), for quad."""
+    return math.exp(float(oracle.h3_radial_log_abs(t, r))) / math.sqrt(t)
+
+
+def mp_riesz_integral(r: float, lo: float, hi: float) -> float:
+    """The time integral over [lo, hi] in mpmath, on 12 panels uniform in
+    log t (tanh-sinh needs the 40 digits where the integrand is steep)."""
+    with mpmath.workdps(40):
+        r, lo, hi = mpmath.mpf(r), mpmath.mpf(lo), mpmath.mpf(hi)
+
+        def f(t):
+            kernel = ((4 * mpmath.pi * t) ** mpmath.mpf(-1.5) * r / mpmath.sinh(r)
+                      * mpmath.exp(-t - r * r / (4 * t)))
+            return kernel * (mpmath.coth(r) - 1 / r + r / (2 * t)) / mpmath.sqrt(t)
+
+        return float(mpmath.quad(f, [lo * (hi / lo) ** (mpmath.mpf(k) / 12) for k in range(13)]))
+
+
+def thresholds_suite_rates() -> list[float]:
+    """The chamber rates b that the thresholds suite's verdicts integrate."""
+    rates = []
+    for p in (1.5, 2.0, 4.0):
+        for eta in (0.0, 0.3, 0.7):
+            threshold = sigma_threshold_heat(ThresholdInput(p=p, rho_norm=1.0, eta_norm=eta))
+            for sigma in (0.9 * threshold, 1.1 * threshold):
+                for eps in np.geomspace(1e-4, 0.1, 12).tolist():
+                    try:
+                        rates.append(heat_integrand_rate(1.0, eta, p, sigma, eps))
+                    except ValueError:
+                        pass  # no decay rate: the verdict integrates nothing
+    return rates
+
+
+def quad_log_partials(a: float, b: float, r_max: float) -> list[float]:
+    """The partials as the verdict computed them with scalar quad."""
+    def log_integrand(r):
+        return a * math.log1p(r) + b * r
+
+    out, log_total, lo = [], -math.inf, 0.0
+    for hi in r_max * 2.0 ** np.arange(-7.0, 1.0):
+        scale = max(log_integrand(lo), log_integrand(hi))
+        piece, _ = quad(lambda r: math.exp(log_integrand(r) - scale), lo, hi,
+                        epsabs=0.0, epsrel=1e-13, limit=500)
+        log_total = float(np.logaddexp(log_total, scale + math.log(piece)))
+        out.append(log_total)
+        lo = hi
+    return out
+
+
+def mp_log_partials_a1(b: float, r_max: float) -> list[float]:
+    """log int_0^c (1+r) e^{b r} dr at each cutoff c, in closed form with
+    mpmath: the antiderivative is e^{b r} ((1+r)/b - 1/b^2)."""
+    with mpmath.workdps(60):
+        b = mpmath.mpf(b)
+
+        def antiderivative(r):
+            return mpmath.exp(b * r) * ((1 + r) / b - 1 / b ** 2)
+
+        return [float(mpmath.log(antiderivative(mpmath.mpf(c)) - antiderivative(0)))
+                for c in (r_max * 2.0 ** np.arange(-7.0, 1.0)).tolist()]
 
 
 class TestHeatThreshold:
@@ -126,6 +191,38 @@ class TestChamberIntegral:
         with pytest.raises(ValueError):
             heat_integrand_rate(1.0, 0.0, 2.0, 1.2, 0.05)
 
+    def test_partials_match_quad_and_mpmath_on_the_suite_rates(self):
+        # every (a, b, r_max) the thresholds suite reaches: a = A = 1,
+        # r_max = 2000; the log of a partial to 1e-12 is its value to 1e-12
+        rates = thresholds_suite_rates()
+        assert len(rates) > 150
+        for b in rates:
+            got = chamber_integral_verdict(H3, (1.0, b), r_max=2000.0).log_partial_values
+            for ref in (quad_log_partials(1.0, b, 2000.0), mp_log_partials_a1(b, 2000.0)):
+                for g, w in zip(got, ref):
+                    assert abs(g - w) <= 1e-12 + 4.0 * math.ulp(w), (b, got, ref)
+
+    @pytest.mark.parametrize("a, b, r_max", [(0.0, -1.0, 60.0), (1.0, -0.5, 100.0),
+                                             (0.5, 0.3, 200.0), (1.0, 0.001, 100.0),
+                                             (0.0, 0.0, 60.0), (1.0, -1.2, 1000.0)])
+    def test_partials_match_quad_and_mpmath(self, a, b, r_max):
+        got = chamber_integral_verdict(H3, (a, b), r_max=r_max).log_partial_values
+        with mpmath.workdps(30):
+            def f(r):
+                return (1 + r) ** a * mpmath.exp(b * r)
+
+            cuts = [0.0, *(r_max * 2.0 ** np.arange(-7.0, 1.0)).tolist()]
+            mp_ref = np.log(np.cumsum([float(mpmath.quad(f, mpmath.linspace(lo, hi, 9)))
+                                       for lo, hi in zip(cuts, cuts[1:])]))
+        for ref in (quad_log_partials(a, b, r_max), mp_ref):
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 + 4.0 * math.ulp(max(got))
+
+    def test_coarse_certificate_raises_naming_the_site(self, coarse_certifier):
+        with pytest.raises(oracle.QuadratureError,
+                           match=r"chamber partial integral quadrature not certified at "
+                                 r"a=1\.0, b=-0\.5, r_lo="):
+            chamber_integral_verdict(H3, (1.0, -0.5), r_max=2000.0)
+
 
 class TestStNorm:
     def test_zero_epsilon_rate(self):
@@ -174,13 +271,36 @@ class TestRieszDecay:
         assert abs(slope - (-2.0)) <= 0.2
 
     def test_split_recombination(self):
-        from scipy.integrate import quad
-
         r = 3.0
         res = riesz_kernel_decay("h3", r)
-        full, _ = quad(lpthresholds._riesz_integrand, r * r / 3200.0, 750.0, args=(r,),
+        full, _ = quad(riesz_integrand, r * r / 3200.0, 750.0, args=(r,),
                        epsabs=1e-300, epsrel=1e-13, limit=500)
         assert res.value_small_t + res.value_large_t == pytest.approx(full, rel=1e-10)
+
+    @pytest.mark.parametrize("r", [0.5, 4.0, 14.5, 15.0, 15.5])
+    def test_pieces_match_quad_and_mpmath(self, r):
+        res = riesz_kernel_decay("h3", r)
+        t_lo = r * r / 3200.0
+        for got, (lo, hi) in ((res.value_small_t, (t_lo, 1.0)), (res.value_large_t, (1.0, 750.0))):
+            ref_quad, _ = quad(riesz_integrand, lo, hi, args=(r,), epsabs=1e-300, epsrel=1e-13,
+                               limit=500)
+            assert got == pytest.approx(ref_quad, rel=1e-12)
+            assert got == pytest.approx(mp_riesz_integral(r, lo, hi), rel=1e-12)
+
+    def test_unsplit_pass_on_other_panels_matches_the_split_sum(self):
+        for r in (0.5, 4.0, 15.5):
+            res = riesz_kernel_decay("h3", r)
+            full = lpthresholds.riesz_time_integral(r, (r * r / 3200.0, 750.0), panels=17)
+            assert full.shape == (1,)
+            assert res.value_small_t + res.value_large_t == pytest.approx(full[0], rel=1e-13)
+
+    def test_coarse_certificate_raises_naming_the_site(self, monkeypatch, coarse_certifier):
+        monkeypatch.setitem(lpthresholds._RIESZ_RULES, 12,
+                            oracle.gl_rule(np.linspace(0.0, 1.0, 13)))
+        with pytest.raises(oracle.QuadratureError,
+                           match=r"gradient-kernel time integral quadrature not certified at "
+                                 r"r=4\.0, t_lo=0\.005, t_hi=1\.0"):
+            riesz_kernel_decay("h3", 4.0)
 
     def test_bound_shape(self):
         res = riesz_kernel_decay("h3", 2.0, epsilon=0.25)
