@@ -4,7 +4,9 @@ Upper half-space coordinates throughout: a point is (z, h) with z complex
 (real for the plane) and height h > 0; distance comes from the standard
 cosh identity.  Orbit enumeration is certified complete below its cutoff:
 cyclic groups via the translation-length bound, ping-pong groups via nested
-isometric-disk images, aborting when the configuration cannot certify.
+isometric-disk images in a depth-first search over blocks of word matrices,
+aborting with EnumerationError when the configuration or the floating-point
+range cannot certify.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .config import ConfigError, Section, parse_config, parse_floats, write_csv
 from .rootspace import AlphaTriple, SpaceModel, admissible_alpha_triple
 
 _DET_TOL = 1e-9
+# word matrices per block of the ping-pong search: larger blocks spread
+# numpy's per-call cost over more words, smaller ones keep the search diving
+_BLOCK = 256
 
 
 class EnumerationError(RuntimeError):
@@ -81,43 +86,33 @@ def isometric_circle(mat: np.ndarray) -> tuple[complex, float]:
     return -d / c, 1.0 / abs(c)
 
 
-def mobius_circle_image(mat: np.ndarray, center: complex, radius: float) -> tuple[complex, float]:
-    """Image circle under the boundary action: the center of the image is the
-    image of the point symmetric to the pole, the radius follows from any
-    boundary point."""
-    a, b = complex(mat[0, 0]), complex(mat[0, 1])
-    c, d = complex(mat[1, 0]), complex(mat[1, 1])
-
-    def act(z: complex) -> complex:
-        return (a * z + b) / (c * z + d)
-
-    if abs(c) < 1e-14:
-        scale = abs(a / d)
-        return act(center), scale * radius
-    pole = -d / c
-    offset = pole - center
-    if abs(abs(offset) - radius) < 1e-12 * max(1.0, radius):
-        raise EnumerationError("disk image degenerates to a half-plane; cannot certify pruning")
-    mirror = center + radius * radius / offset.conjugate()
-    new_center = act(mirror)
-    new_radius = abs(new_center - act(center + radius))
-    return new_center, new_radius
+def mobius_circle_image(a, b, c, d, center, radius):
+    """Image circles under z -> (az + b) / (cz + d), over broadcast arrays of
+    matrix entries and circles: the image center is the image of the point
+    symmetric to the pole, the radius follows from a boundary point.  Returns
+    (centers, radii, degenerate), degenerate where the pole is on the circle."""
+    with np.errstate(all="ignore"):
+        affine = np.abs(c) < 1e-14
+        offset = -d / np.where(affine, 1.0, c) - center
+        degenerate = ~affine & (np.abs(np.abs(offset) - radius)
+                                < 1e-12 * np.maximum(1.0, radius))
+        mirror = np.where(affine, center, center + radius * radius / np.conj(offset))
+        new_center = (a * mirror + b) / (c * mirror + d)
+        edge = center + radius
+        return new_center, np.abs(new_center - (a * edge + b) / (c * edge + d)), degenerate
 
 
-def hyperplane_distance(p, center: complex, radius: float) -> float:
-    """Distance from a point to the geodesic hyperplane over a boundary
-    circle; 0 when the point lies inside or on the dome.
+def hyperplane_distance(z, h, center, radius):
+    """Distance from points (z, h) to the geodesic hyperplanes over boundary
+    circles, over broadcast arrays; 0 for a point inside or on the dome, and
+    infinite for a radius <= 0 (an image shrunk below float resolution).
 
     sinh(dist) = (|z - c|^2 + h^2 - r^2) / (2 r h) for outside points.
     """
-    z, h = as_point(p)
-    if radius <= 0.0:
-        # dome image shrank below float resolution: treat as infinitely far
-        return math.inf
-    num = abs(z - center) ** 2 + h * h - radius * radius
-    if num <= 0.0:
-        return 0.0
-    return math.asinh(num / (2.0 * radius * h))
+    with np.errstate(all="ignore"):
+        num = np.abs(z - center) ** 2 + h * h - radius * radius
+        dist = np.arcsinh(np.maximum(num, 0.0) / (2.0 * radius * h))
+    return np.where(radius <= 0.0, np.inf, dist)
 
 
 @dataclass(frozen=True)
@@ -226,22 +221,20 @@ class OrbitSet:
                   zip(self.distances.tolist(), self.word_lengths.tolist()))
 
 
-def _sorted_orbit(x: Point, y: Point, records: list[tuple[float, int]], r_max: float,
+def _sorted_orbit(x: Point, y: Point, distances, word_lengths, r_max: float,
                   exhaustive: bool, family: str) -> OrbitSet:
-    if not records:
+    distances = np.asarray(distances, dtype=float)
+    word_lengths = np.asarray(word_lengths, dtype=int)
+    inside = distances <= r_max
+    if not inside.any():
         raise ValueError(
             f"no orbit point within r_max={r_max}; the quotient distance d(x, y) "
             "already exceeds the cutoff"
         )
-    records.sort()
-    return OrbitSet(
-        x=x, y=y,
-        distances=np.array([d for d, _ in records], dtype=float),
-        word_lengths=np.array([w for _, w in records], dtype=int),
-        r_max=float(r_max),
-        exhaustive=exhaustive,
-        family=family,
-    )
+    order = np.lexsort((word_lengths[inside], distances[inside]))
+    return OrbitSet(x=x, y=y, distances=distances[inside][order],
+                    word_lengths=word_lengths[inside][order], r_max=float(r_max),
+                    exhaustive=exhaustive, family=family)
 
 
 def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
@@ -249,18 +242,20 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     """All orbit distances d(x, gy) <= r_max, certified complete.
 
     Cyclic: d(y, g^k y) >= |k| L bounds the word range directly.  Ping-pong
-    families: depth-first search over reduced words; the subtree below a
-    prefix w with next letter b lies inside the image under w of the solid
-    dome over the isometric disk of b^{-1}, so the search prunes once that
-    dome is farther from x than r_max (plus the basepoint slack).
+    families: depth-first search over blocks of at most _BLOCK reduced words
+    of one length, held as (N, 4) arrays of matrix entries; each popped block
+    is expanded by every allowed next letter in one array pass.  The subtree
+    below a prefix w with next letter b lies inside the image under w of the
+    solid dome over the isometric disk of b^{-1}, so the search prunes once
+    that dome is farther from x than r_max (plus the basepoint slack).  A word
+    whose image point overflows raises EnumerationError in either family.
     """
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
     xp, yp = as_point(x), as_point(y)
     if group.family == "trivial":
-        d0 = distance(xp, yp)
-        records = [(d0, 0)] if d0 <= r_max else []
-        return _sorted_orbit(xp, yp, records, r_max, exhaustive=True, family="trivial")
+        return _sorted_orbit(xp, yp, [distance(xp, yp)], [0], r_max,
+                             exhaustive=True, family="trivial")
 
     if group.family == "cyclic":
         g = group.generators[0]
@@ -269,18 +264,21 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
             raise EnumerationError("generator has zero translation length; cannot bound words")
         d_xy = distance(xp, yp)
         k_max = int(math.ceil((r_max + d_xy) / length)) + 1
-        records = []
+        records = [(d_xy, 0)]
         ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=complex)
-        for mat0, sign in ((g, 1), (ginv, -1)):
+        for mat0 in (g, ginv):
             acc = np.eye(2, dtype=complex)
             for k in range(1, k_max + 1):
                 acc = acc @ mat0
-                d = distance(xp, mobius_apply(acc, yp))
-                if d <= r_max:
-                    records.append((d, k))
-        if d_xy <= r_max:
-            records.append((d_xy, 0))
-        return _sorted_orbit(xp, yp, records, r_max, exhaustive=False, family="cyclic")
+                try:
+                    d = distance(xp, mobius_apply(acc, yp))
+                except (OverflowError, ValueError):  # g^k y left the float range
+                    d = math.nan
+                if not d < math.inf:
+                    raise EnumerationError(f"orbit distance at word length {k} is not finite "
+                                           f"(g^k overflowed); cannot certify r_max={r_max}")
+                records.append((d, k))
+        return _sorted_orbit(xp, yp, *zip(*records), r_max, exhaustive=False, family="cyclic")
 
     # schottky / free: need a certified ping-pong configuration
     try:
@@ -289,57 +287,58 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
         raise EnumerationError(
             f"free-family generators admit no disjoint-disk certificate: {exc}"
         ) from exc
-    letters = group._letters()
-    n_letters = len(letters)
+    letters = np.array([g.reshape(4) for g in group._letters()])  # rows a, b, c, d
+    inverse = np.arange(len(letters)) ^ 1
+    # the words after next letter j lie over the isometric disk of j^{-1}
+    centers = np.array([circles[j][0] for j in inverse])
+    radii = np.array([circles[j][1] for j in inverse])
     # reference point outside every dome: height above the largest radius
-    ref = (0.0 + 0.0j, 1.0 + max(r for _, r in circles))
-    slack = distance(ref, yp)
+    slack = distance((0j, 1.0 + radii.max()), yp)
+    (xz, xh), (yz, yh) = xp, yp
 
-    records = []
-    d_xy = distance(xp, yp)
-    if d_xy <= r_max:
-        records.append((d_xy, 0))
-
+    dists, words = [np.array([distance(xp, yp)])], [np.zeros(1, dtype=int)]
     visited = 0
-    # stack of (matrix, last_letter, depth)
-    stack: list[tuple[np.ndarray, int, int]] = [(np.eye(2, dtype=complex), -1, 0)]
+    # blocks of (word matrices of one length, their last letters, that length)
+    stack = [(np.eye(2, dtype=complex).reshape(1, 4), np.array([-1]), 0)]
     while stack:
-        mat, last, depth = stack.pop()
-        for b in range(n_letters):
-            if last >= 0 and b == (last ^ 1):
-                continue
-            center, radius = circles[b ^ 1]
-            try:
-                img_center, img_radius = mobius_circle_image(mat, center, radius)
-            except EnumerationError:
-                raise EnumerationError(
-                    "pruning certificate degenerated; generators too close to parabolic"
-                )
-            if hyperplane_distance(xp, img_center, img_radius) - slack > r_max:
-                continue
-            child = mat @ letters[b]
-            visited += 1
-            if visited > node_budget:
-                raise EnumerationError(
-                    f"node budget {node_budget} exhausted before certifying r_max={r_max}; "
-                    "disks may be nearly tangent"
-                )
-            z, h = mobius_apply(child, yp)
-            if not 0.0 < h < math.inf:
-                raise EnumerationError(
-                    f"word matrix entries overflowed at depth {depth + 1} (image height {h}); "
-                    f"cannot certify r_max={r_max}"
-                )
-            d = distance(xp, (z, h))
-            if not d < math.inf:  # also catches nan from an overflowed image point
-                raise EnumerationError(
-                    f"orbit distance {d} at depth {depth + 1} is not finite (word matrix "
-                    f"entries overflowed); cannot certify r_max={r_max}"
-                )
-            if d <= r_max:
-                records.append((d, depth + 1))
-            stack.append((child, b, depth + 1))
-    return _sorted_orbit(xp, yp, records, r_max, exhaustive=False, family=group.family)
+        mats, last, depth = stack.pop()
+        a, b, c, d = mats.T[:, :, None]
+        img_center, img_radius, degenerate = mobius_circle_image(a, b, c, d, centers, radii)
+        allowed = inverse != last[:, None]
+        if np.any(degenerate & allowed):
+            raise EnumerationError("pruning certificate degenerated; generators too close "
+                                   "to parabolic")
+        far = hyperplane_distance(xz, xh, img_center, img_radius) - slack > r_max
+        rows, nxt = np.nonzero(allowed & ~far)
+        visited += rows.size
+        if visited > node_budget:
+            raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
+                                   f"r_max={r_max}; disks may be nearly tangent")
+        m, g = mats[rows].T, letters[nxt].T
+        child = np.stack((m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
+                          m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3]), axis=1)
+        a, b, c, d = child.T
+        with np.errstate(all="ignore"):  # overflow is caught below
+            czd = c * yz + d
+            denom = np.abs(czd) ** 2 + np.abs(c) ** 2 * yh * yh
+            z = ((a * yz + b) * np.conj(czd) + a * np.conj(c) * yh * yh) / denom
+            h = yh / denom
+            dist = np.arccosh(1.0 + (np.abs(xz - z) ** 2 + (xh - h) ** 2) / (2.0 * xh * h))
+        bad = np.flatnonzero(~((0.0 < h) & (h < math.inf) & (dist < math.inf)))  # nan too
+        if bad.size and not 0.0 < h[bad[0]] < math.inf:
+            raise EnumerationError(f"word matrix entries overflowed at depth {depth + 1} (image "
+                                   f"height {h[bad[0]]}); cannot certify r_max={r_max}")
+        if bad.size:
+            raise EnumerationError(f"orbit distance {dist[bad[0]]} at depth {depth + 1} is not "
+                                   "finite (word matrix entries overflowed); cannot certify "
+                                   f"r_max={r_max}")
+        hit = dist <= r_max
+        dists.append(dist[hit])
+        words.append(np.full(np.count_nonzero(hit), depth + 1))
+        for start in range(0, rows.size, _BLOCK):
+            stack.append((child[start:start + _BLOCK], nxt[start:start + _BLOCK], depth + 1))
+    return _sorted_orbit(xp, yp, np.concatenate(dists), np.concatenate(words), r_max,
+                         exhaustive=False, family=group.family)
 
 
 def counting_function(orbit: OrbitSet, radius: float) -> int:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +39,7 @@ def axis_group(translation: float, dim: int = 2) -> GroupSpec:
 def schottky_generator(center: float, radius: float) -> np.ndarray:
     # pairs the disks at -center and +center of the given radius
     u, r = center, radius
-    return np.array([[u / r, (u * u - r * r) / r], [1.0 / r, u / r]])
+    return np.array([[u / r, (u - r) * (u + r) / r], [1.0 / r, u / r]])
 
 
 def schottky_pair() -> GroupSpec:
@@ -47,10 +48,116 @@ def schottky_pair() -> GroupSpec:
                      family="schottky")
 
 
+def space_pair() -> GroupSpec:
+    return GroupSpec(dim=3,
+                     generators=tuple(schottky_generator(u, 1.0).astype(complex)
+                                      for u in (2.0, 6.0)),
+                     family="schottky")
+
+
+def shifted_pair() -> GroupSpec:
+    """space_pair conjugated by z -> z + 2i: translating the configuration off
+    the real axis keeps the disks rigid, so the group is Schottky with
+    complex entries."""
+    shift = np.array([[1.0, 2.0j], [0.0, 1.0]], dtype=complex)
+    shift_inv = np.array([[1.0, -2.0j], [0.0, 1.0]], dtype=complex)
+    gens = tuple(shift @ g @ shift_inv for g in space_pair().generators)
+    return GroupSpec(dim=3, generators=gens, family="schottky")
+
+
 def screw(w: complex) -> np.ndarray:
     """diag(e^{w/2}, e^{-w/2}): (z, h) -> (e^w z, e^{Re w} h)."""
     half = np.exp(w / 2.0)
     return np.array([[half, 0.0], [0.0, 1.0 / half]], dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference for enumerate_orbit's block search: a per-node depth-first
+# search over reduced words, one word matrix at a time
+
+
+def _circle_image(mat: np.ndarray, center: complex, radius: float) -> tuple[complex, float]:
+    a, b = complex(mat[0, 0]), complex(mat[0, 1])
+    c, d = complex(mat[1, 0]), complex(mat[1, 1])
+
+    def act(z: complex) -> complex:
+        return (a * z + b) / (c * z + d)
+
+    if abs(c) < 1e-14:
+        return act(center), abs(a / d) * radius
+    offset = -d / c - center
+    if abs(abs(offset) - radius) < 1e-12 * max(1.0, radius):
+        raise EnumerationError("pruning certificate degenerated; generators too close "
+                               "to parabolic")
+    new_center = act(center + radius * radius / offset.conjugate())
+    return new_center, abs(new_center - act(center + radius))
+
+
+def _hyperplane_distance(p, center: complex, radius: float) -> float:
+    z, h = p
+    if radius <= 0.0:
+        return math.inf
+    num = abs(z - center) ** 2 + h * h - radius * radius
+    return math.asinh(num / (2.0 * radius * h)) if num > 0.0 else 0.0
+
+
+def scalar_dfs_orbit(group: GroupSpec, x, y, r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distances and word lengths of the ping-pong orbit below r_max."""
+    xp, yp = lattice.as_point(x), lattice.as_point(y)
+    circles = group._letter_circles()
+    letters = group._letters()
+    slack = distance((0j, 1.0 + max(r for _, r in circles)), yp)
+    records = [(distance(xp, yp), 0)]
+    stack = [(np.eye(2, dtype=complex), -1, 0)]
+    while stack:
+        mat, last, depth = stack.pop()
+        for b in range(len(letters)):
+            if last >= 0 and b == (last ^ 1):
+                continue
+            img_center, img_radius = _circle_image(mat, *circles[b ^ 1])
+            if _hyperplane_distance(xp, img_center, img_radius) - slack > r_max:
+                continue
+            child = mat @ letters[b]
+            z, h = mobius_apply(child, yp)
+            if not 0.0 < h < math.inf:
+                raise EnumerationError(f"word matrix entries overflowed at depth {depth + 1}")
+            d = distance(xp, (z, h))
+            if not d < math.inf:
+                raise EnumerationError(f"orbit distance {d} at depth {depth + 1} is not finite")
+            records.append((d, depth + 1))
+            stack.append((child, b, depth + 1))
+    records = sorted(r for r in records if r[0] <= r_max)
+    return np.array([d for d, _ in records]), np.array([w for _, w in records])
+
+
+def mp_brute_force_orbit(group: GroupSpec, x, y, max_len: int,
+                         radius: float) -> tuple[list, list[int]]:
+    """Distances and word lengths of every reduced word of length <= max_len
+    landing within radius, in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        letters = [[mpmath.mpc(v) for v in g.reshape(4)] for g in group._letters()]
+        (zx, hx), (zy, hy) = [(mpmath.mpc(p[0]), mpmath.mpf(p[1]))
+                              for p in (lattice.as_point(x), lattice.as_point(y))]
+        cosh_max = mpmath.cosh(radius)
+        found, lengths = [], []
+        level = [((mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)), -1)]
+        for length in range(max_len + 1):
+            nxt = []
+            for (a, b, c, d), last in level:
+                czd = c * zy + d
+                denom = abs(czd) ** 2 + abs(c) ** 2 * hy * hy
+                z = ((a * zy + b) * mpmath.conj(czd) + a * mpmath.conj(c) * hy * hy) / denom
+                h = hy / denom
+                cosh_d = 1 + (abs(zx - z) ** 2 + (hx - h) ** 2) / (2 * hx * h)
+                if cosh_d <= cosh_max:
+                    found.append(mpmath.acosh(cosh_d))
+                    lengths.append(length)
+                for j, (ga, gb, gc, gd) in enumerate(letters):
+                    if length < max_len and j != last ^ 1:
+                        nxt.append(((a * ga + b * gc, a * gb + b * gd,
+                                     c * ga + d * gc, c * gb + d * gd), j))
+            level = nxt
+        return found, lengths
 
 
 class TestGeometry:
@@ -158,6 +265,31 @@ class TestEnumerateOrbit:
         with pytest.raises(EnumerationError, match="not finite"):
             enumerate_orbit(group, (0j, 5.0), (0j, 5.0), 36.6)
 
+    def test_near_tangent_disks_raise_degenerate_certificate(self):
+        # disks of radius 1e13 whose walls pass at +-2, 0.5 away from the
+        # small pair: a pole inside a small disk lies within the relative
+        # tolerance of a huge circle, so no pruning disk can be certified
+        group = GroupSpec(dim=2, family="free",
+                          generators=(schottky_generator(1e13 + 2.0, 1e13),
+                                      schottky_generator(1.0, 0.5)))
+        p = (0.0, 2.0)
+        for search in (enumerate_orbit, scalar_dfs_orbit):
+            with pytest.raises(EnumerationError, match="certificate degenerated"):
+                search(group, p, p, 5.0)
+
+    @pytest.mark.parametrize("translation, dim, r_max", [(1.5, 3, 353.0), (1.5, 3, 2000.0),
+                                                         (2.0, 2, 720.0)])
+    def test_cyclic_overflow_raises_enumeration_error(self, translation, dim, r_max):
+        # g^k y leaves the float range (an OverflowError inside distance)
+        group = axis_group(translation, dim)
+        p = (0j, 1.0)
+        with pytest.raises(EnumerationError, match=rf"word length \d+ .* r_max={r_max}"):
+            enumerate_orbit(group, p, p, r_max)
+
+    def test_cyclic_below_overflow_completes(self):
+        orbit = enumerate_orbit(axis_group(1.5, 3), (0j, 1.0), (0j, 1.0), 352.5)
+        assert len(orbit) == 471 and orbit.distances[-1] == pytest.approx(352.5)
+
     def test_trivial_group(self):
         group = GroupSpec(dim=2, generators=(), family="trivial")
         orbit = enumerate_orbit(group, (0.0, 1.0), (1.0, 2.0), 6.0)
@@ -212,22 +344,11 @@ class TestEnumerateOrbit:
         assert np.allclose(a.distances, b.distances, atol=1e-10)
 
     def test_schottky_h3_complex_conjugated(self):
-        # translating the configuration off the real axis keeps the disks
-        # rigid, so the conjugated group is Schottky with complex entries and
         # the orbit distances are conjugation-invariant
-        shift = np.array([[1.0, 2.0j], [0.0, 1.0]], dtype=complex)
-        shift_inv = np.array([[1.0, -2.0j], [0.0, 1.0]], dtype=complex)
-        gens = tuple(shift @ g.astype(complex) @ shift_inv
-                     for g in (schottky_generator(2.0, 1.0), schottky_generator(6.0, 1.0)))
-        conj = GroupSpec(dim=3, generators=gens, family="schottky")
-        base = GroupSpec(dim=3,
-                         generators=(schottky_generator(2.0, 1.0).astype(complex),
-                                     schottky_generator(6.0, 1.0).astype(complex)),
-                         family="schottky")
         p = (0j, 2.0)
         p_shifted = (2.0j, 2.0)
-        a = enumerate_orbit(base, p, p, 12.0)
-        b = enumerate_orbit(conj, p_shifted, p_shifted, 12.0)
+        a = enumerate_orbit(space_pair(), p, p, 12.0)
+        b = enumerate_orbit(shifted_pair(), p_shifted, p_shifted, 12.0)
         assert len(a) == len(b)
         assert np.allclose(a.distances, b.distances, atol=1e-9)
 
@@ -258,6 +379,51 @@ class TestEnumerateOrbit:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "distance,word_length"
         assert len(lines) == len(orbit) + 1
+
+
+PING_PONG_CASES = {
+    "plane": (schottky_pair, (0.0, 2.0), (0.3, 1.5)),
+    "space": (space_pair, (0.1 + 0.2j, 2.0), (0.3j, 2.5)),
+    "conjugated": (shifted_pair, (0.1 + 2.2j, 1.8), (2.0j, 2.0)),
+    "free": (lambda: GroupSpec(dim=2, generators=schottky_pair().generators, family="free"),
+             (0.0, 2.0), (0.0, 2.0)),
+}
+
+
+class TestBlockSearch:
+    @pytest.mark.parametrize("r_max", [10.0, 15.0, 20.0])
+    @pytest.mark.parametrize("case", sorted(PING_PONG_CASES))
+    def test_matches_scalar_dfs(self, case, r_max):
+        make, x, y = PING_PONG_CASES[case]
+        group = make()
+        orbit = enumerate_orbit(group, x, y, r_max)
+        ref_d, ref_w = scalar_dfs_orbit(group, x, y, r_max)
+        got_d, got_w = orbit.distances, orbit.word_lengths
+        if got_d.size != ref_d.size:
+            # a point within rounding of the cutoff may fall either side
+            near = np.count_nonzero(np.abs(ref_d - r_max) <= 1e-12)
+            assert abs(got_d.size - ref_d.size) <= near
+            n = min(got_d.size, ref_d.size)
+            got_d, got_w, ref_d, ref_w = got_d[:n], got_w[:n], ref_d[:n], ref_w[:n]
+        assert got_d.size > 20
+        assert np.max(np.abs(got_d - ref_d)) <= 1e-13
+        assert np.array_equal(np.sort(got_w), np.sort(ref_w))
+
+    def test_count_matches_mp_brute_force(self):
+        # every reduced word of length L lies behind L nested walls at least
+        # acosh 7 apart, so d(x, w x) >= (L - 1) acosh 7: words longer than
+        # max_len land beyond r_max + 1
+        r_max = 20.0
+        max_len = int((r_max + 1.0) // math.acosh(7.0)) + 1
+        group, x = space_pair(), (0j, 2.0)
+        found, lengths = mp_brute_force_orbit(group, x, x, max_len, r_max + 1.0)
+        ref = sorted((float(d), w) for d, w in zip(found, lengths))
+        assert min(abs(d - r_max) for d, _ in ref) > 1e-6  # no point at the cutoff
+        ref = [(d, w) for d, w in ref if d <= r_max]
+        orbit = enumerate_orbit(group, x, x, r_max)
+        assert len(orbit) == len(ref) == 631
+        assert np.array_equal(np.sort(orbit.word_lengths), np.sort([w for _, w in ref]))
+        assert np.max(np.abs(orbit.distances - [d for d, _ in ref])) <= 1e-12
 
 
 class TestCountingFunction:
