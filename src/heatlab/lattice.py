@@ -87,19 +87,20 @@ def isometric_circle(mat: np.ndarray) -> tuple[complex, float]:
 
 
 def mobius_circle_image(a, b, c, d, center, radius):
-    """Image circles under z -> (az + b) / (cz + d), over broadcast arrays of
-    matrix entries and circles: the image center is the image of the point
-    symmetric to the pole, the radius follows from a boundary point.  Returns
-    (centers, radii, degenerate), degenerate where the pole is on the circle."""
+    """Images of the circles |z - C| = R under the det-1 map z -> (az + b) / (cz + d),
+    over broadcast arrays, in closed form: with q = |cC + d|^2 - |c|^2 R^2 the image
+    center is ((aC + b) conj(cC + d) - a conj(c) R^2) / q and the radius R / |q|
+    (affine c = 0 included), with no cancelling difference of image points.  Returns
+    (centers, radii, degenerate), degenerate where the pole -d/c is on the circle."""
     with np.errstate(all="ignore"):
         affine = np.abs(c) < 1e-14
         offset = -d / np.where(affine, 1.0, c) - center
         degenerate = ~affine & (np.abs(np.abs(offset) - radius)
                                 < 1e-12 * np.maximum(1.0, radius))
-        mirror = np.where(affine, center, center + radius * radius / np.conj(offset))
-        new_center = (a * mirror + b) / (c * mirror + d)
-        edge = center + radius
-        return new_center, np.abs(new_center - (a * edge + b) / (c * edge + d)), degenerate
+        czd = c * center + d
+        q = np.abs(czd) ** 2 - np.abs(c) ** 2 * radius * radius
+        new_center = ((a * center + b) * np.conj(czd) - a * np.conj(c) * radius * radius) / q
+        return new_center, radius / np.abs(q), degenerate
 
 
 def hyperplane_distance(z, h, center, radius):
@@ -263,7 +264,8 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
         if length <= 1e-12:
             raise EnumerationError("generator has zero translation length; cannot bound words")
         d_xy = distance(xp, yp)
-        k_max = int(math.ceil((r_max + d_xy) / length)) + 1
+        # d(x, g^k y) >= k L - d(x, y): no longer word lands within r_max
+        k_max = int(math.floor((r_max + d_xy) / length * (1.0 + 1e-12)))
         records = [(d_xy, 0)]
         ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=complex)
         for mat0 in (g, ginv):
@@ -313,7 +315,8 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
         visited += rows.size
         if visited > node_budget:
             raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
-                                   f"r_max={r_max}; disks may be nearly tangent")
+                                   f"r_max={r_max}; disks may be nearly tangent, or the "
+                                   "orbit below r_max is larger than the budget")
         m, g = mats[rows].T, letters[nxt].T
         child = np.stack((m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
                           m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3]), axis=1)

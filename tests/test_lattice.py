@@ -79,18 +79,13 @@ def screw(w: complex) -> np.ndarray:
 def _circle_image(mat: np.ndarray, center: complex, radius: float) -> tuple[complex, float]:
     a, b = complex(mat[0, 0]), complex(mat[0, 1])
     c, d = complex(mat[1, 0]), complex(mat[1, 1])
-
-    def act(z: complex) -> complex:
-        return (a * z + b) / (c * z + d)
-
-    if abs(c) < 1e-14:
-        return act(center), abs(a / d) * radius
-    offset = -d / c - center
-    if abs(abs(offset) - radius) < 1e-12 * max(1.0, radius):
+    if abs(c) >= 1e-14 and abs(abs(-d / c - center) - radius) < 1e-12 * max(1.0, radius):
         raise EnumerationError("pruning certificate degenerated; generators too close "
                                "to parabolic")
-    new_center = act(center + radius * radius / offset.conjugate())
-    return new_center, abs(new_center - act(center + radius))
+    czd = c * center + d
+    q = abs(czd) ** 2 - abs(c) ** 2 * radius * radius
+    new_center = ((a * center + b) * czd.conjugate() - a * c.conjugate() * radius * radius) / q
+    return new_center, radius / abs(q)
 
 
 def _hyperplane_distance(p, center: complex, radius: float) -> float:
@@ -259,11 +254,12 @@ class TestEnumerateOrbit:
         assert list(orbit.word_lengths) == [k for _, k in expected]
 
     def test_schottky_overflow_raises_enumeration_error(self):
-        # pruning stops cutting branches here and the word matrices overflow
-        gens = tuple(schottky_generator(u, 1.0).astype(complex) for u in (2.0, 6.0))
-        group = GroupSpec(dim=3, generators=gens, family="schottky")
+        # one generator pairing the disks at +-2: its words stay few, so the
+        # node budget holds while the word matrices leave the float range
+        group = GroupSpec(dim=3, generators=(schottky_generator(2.0, 1.0).astype(complex),),
+                          family="schottky")
         with pytest.raises(EnumerationError, match="not finite"):
-            enumerate_orbit(group, (0j, 5.0), (0j, 5.0), 36.6)
+            enumerate_orbit(group, (0j, 5.0), (0j, 5.0), 720.0)
 
     def test_near_tangent_disks_raise_degenerate_certificate(self):
         # disks of radius 1e13 whose walls pass at +-2, 0.5 away from the
@@ -277,7 +273,7 @@ class TestEnumerateOrbit:
             with pytest.raises(EnumerationError, match="certificate degenerated"):
                 search(group, p, p, 5.0)
 
-    @pytest.mark.parametrize("translation, dim, r_max", [(1.5, 3, 353.0), (1.5, 3, 2000.0),
+    @pytest.mark.parametrize("translation, dim, r_max", [(1.5, 3, 356.0), (1.5, 3, 2000.0),
                                                          (2.0, 2, 720.0)])
     def test_cyclic_overflow_raises_enumeration_error(self, translation, dim, r_max):
         # g^k y leaves the float range (an OverflowError inside distance)
@@ -287,8 +283,11 @@ class TestEnumerateOrbit:
             enumerate_orbit(group, p, p, r_max)
 
     def test_cyclic_below_overflow_completes(self):
-        orbit = enumerate_orbit(axis_group(1.5, 3), (0j, 1.0), (0j, 1.0), 352.5)
-        assert len(orbit) == 471 and orbit.distances[-1] == pytest.approx(352.5)
+        # words past k = (r_max + d(x, y)) / L land beyond r_max and are not
+        # evaluated, so r_max 354 completes although g^237 y overflows
+        for r_max, count, last in ((352.5, 471, 352.5), (354.0, 473, 354.0)):
+            orbit = enumerate_orbit(axis_group(1.5, 3), (0j, 1.0), (0j, 1.0), r_max)
+            assert len(orbit) == count and orbit.distances[-1] == pytest.approx(last)
 
     def test_trivial_group(self):
         group = GroupSpec(dim=2, generators=(), family="trivial")
@@ -424,6 +423,86 @@ class TestBlockSearch:
         assert len(orbit) == len(ref) == 631
         assert np.array_equal(np.sort(orbit.word_lengths), np.sort([w for _, w in ref]))
         assert np.max(np.abs(orbit.distances - [d for d, _ in ref])) <= 1e-12
+
+    def test_circle_image_matches_mpmath(self):
+        # the pruning disks of random reduced words up to length 16, exactly
+        # as the search forms them: the word's float product applied to the
+        # isometric disk of each allowed next letter's inverse, against the
+        # same closed form in 60 digits on the exact integer product
+        group = space_pair()
+        letters = group._letters()
+        inverse = np.arange(len(letters)) ^ 1
+        circles = [group._letter_circles()[j] for j in inverse]
+        centers = np.array([c for c, _ in circles])
+        radii = np.array([r for _, r in circles])
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for length in range(17):
+            for _ in range(6):
+                word = []
+                while len(word) < length:
+                    j = int(rng.integers(len(letters)))
+                    if not word or j != word[-1] ^ 1:
+                        word.append(j)
+                mat = np.eye(2, dtype=complex)
+                for j in word:
+                    mat = mat @ letters[j]
+                a, b, c, d = mat.reshape(4)
+                img_center, img_radius, degenerate = lattice.mobius_circle_image(
+                    a, b, c, d, centers, radii)
+                assert not degenerate.any()
+                with mpmath.workdps(60):  # real letters: conj drops out
+                    ma, mb, mc, md = (mpmath.mpf(v) for v in (1, 0, 0, 1))
+                    for j in word:
+                        ga, gb, gc, gd = (mpmath.mpf(v.real) for v in letters[j].reshape(4))
+                        ma, mb, mc, md = (ma * ga + mb * gc, ma * gb + mb * gd,
+                                          mc * ga + md * gc, mc * gb + md * gd)
+                    for nxt in range(len(letters)):
+                        if word and nxt == word[-1] ^ 1:
+                            continue
+                        cc, rr = mpmath.mpf(centers[nxt].real), mpmath.mpf(radii[nxt])
+                        czd = mc * cc + md
+                        q = czd * czd - mc * mc * rr * rr
+                        ref_center = ((ma * cc + mb) * czd - ma * mc * rr * rr) / q
+                        ref_radius = rr / abs(q)
+                        got_center = mpmath.mpc(complex(img_center[nxt]))
+                        worst = max(worst,
+                                    float(abs(got_center - ref_center) / abs(ref_center)),
+                                    float(abs(img_radius[nxt] - ref_radius) / ref_radius))
+        assert worst <= 1e-12
+
+    def test_deep_orbit_matches_numpy_brute_force(self):
+        # the orbit that once overflowed (pruning lost to a cancelling radius)
+        # completes; below r = 28.9 < 11 acosh 7 it must hold exactly the
+        # reduced words of at most 11 letters, listed here level by level
+        r_max, r_cut, p = 36.6, 28.9, (0j, 5.0)
+        orbit = enumerate_orbit(space_pair(), p, p, r_max)
+        assert np.all(np.diff(orbit.distances) >= 0.0) and orbit.distances[-1] <= r_max
+        max_len = int(r_cut // math.acosh(7.0)) + 1
+        gens = [np.array([2.0, 3.0, 1.0, 2.0]), np.array([6.0, 35.0, 1.0, 6.0])]
+        letters = np.array([m for g in gens for m in (g, g[[3, 1, 2, 0]] * [1, -1, -1, 1])])
+        mats, last = np.array([[1.0, 0.0, 0.0, 1.0]]), np.array([-1])
+        dists, lengths = [], []
+        for length in range(max_len + 1):
+            a, b, c, d = mats.T  # real entries: y = (0, 5) maps to (z, h) in closed form
+            denom = d * d + c * c * 25.0
+            z, h = (b * d + a * c * 25.0) / denom, 5.0 / denom
+            dists.append(np.arccosh(1.0 + (z * z + (5.0 - h) ** 2) / (10.0 * h)))
+            lengths.append(np.full(len(mats), length))
+            if length == max_len:
+                break
+            rows, nxt = np.nonzero(np.arange(len(letters)) != (last[:, None] ^ 1))
+            m, g = mats[rows].T, letters[nxt].T
+            mats = np.stack((m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
+                             m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3]), axis=1)
+            last = nxt
+        dists, lengths = np.concatenate(dists), np.concatenate(lengths)
+        assert np.min(np.abs(dists - r_cut)) > 1e-9  # no point at the cut
+        ref_d, ref_w = np.sort(dists[dists <= r_cut]), lengths[dists <= r_cut]
+        got = orbit.distances <= r_cut
+        assert np.count_nonzero(got) == ref_d.size > 10_000
+        assert np.array_equal(np.sort(orbit.word_lengths[got]), np.sort(ref_w))
+        assert np.max(np.abs(orbit.distances[got] - ref_d)) <= 1e-12
 
 
 class TestCountingFunction:
