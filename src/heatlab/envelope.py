@@ -7,11 +7,10 @@ two-index rate recurrence with its closed-form limit, the main decay right-
 hand sides, the curvature-based gradient inequality gap, and fitted-constant
 grid protocols.
 
-Every envelope evaluates in log space; linear wrappers exponentiate at the
-end so extreme Gaussian regimes never underflow mid-computation.  The
-iterated integrals are one certified Gauss-Legendre pass over t-arrays
-(oracle.gl_certified), after a substitution that makes their integrands
-smooth at both ends.
+Every envelope evaluates in log space, so extreme Gaussian regimes never
+underflow mid-computation.  The iterated integrals are one certified
+Gauss-Legendre pass over t-arrays (oracle.gl_certified), after a
+substitution that makes their integrands smooth at both ends.
 """
 
 from __future__ import annotations
@@ -114,16 +113,6 @@ def sharp_envelope_log(model: SpaceModel, t, r):
         - model.rho_dot(r)
         - r * r / (4.0 * t)
     )
-
-
-def sharp_envelope(model: SpaceModel, t, r, c_lower: float = 1.0, c_upper: float = 1.0):
-    """(lower, upper) evaluation of the sharp envelope; with the default
-    constants both entries equal the shape value and callers bracket with
-    fitted constants."""
-    if np.any(np.asarray(t, dtype=float) <= 0.0) or np.any(np.asarray(r, dtype=float) < 0.0):
-        raise ValueError("need t > 0 and r >= 0")
-    shape = np.exp(sharp_envelope_log(model, t, r))
-    return c_lower * shape, c_upper * shape
 
 
 def kernel_upper_log(model: SpaceModel, t, r, rho_h=None):
@@ -320,13 +309,8 @@ def recurrence_grid_from_lambda(lam: float, i_max: int, l_max: int) -> BoundGrid
     return recurrence_grid(epsilon_from_lambda(lam), i_max, l_max)
 
 
-def gamma_limit(epsilon: float, i: int):
-    """Closed-form limit of the Gaussian-rate column: (1 - sqrt(1 - lam))^i."""
-    lam = lambda_from_epsilon(epsilon)
-    return gamma_limit_from_lambda(lam, i)
-
-
 def gamma_limit_from_lambda(lam: float, i) -> float:
+    """Closed-form limit of the Gaussian-rate column: (1 - sqrt(1 - lam))^i."""
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     return (1.0 - math.sqrt(1.0 - lam)) ** np.asarray(i)
@@ -352,6 +336,8 @@ def theorem1_rhs(model: SpaceModel, i: int, t, r, epsilon: float, rho_h=None):
 
 
 def gradient_rhs_log(model: SpaceModel, t, r, epsilon: float, rho_h=None):
+    """Log of the gradient bound shape
+    t^{-(n+1)/2} exp(-(1-eps)(|rho|^2 t + <rho,H> + r^2/(4t))), c = 1."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if rho_h is None:
@@ -360,11 +346,6 @@ def gradient_rhs_log(model: SpaceModel, t, r, epsilon: float, rho_h=None):
         -(model.n + 1.0) / 2.0 * np.log(t)
         - (1.0 - epsilon) * (model.rho_norm ** 2 * t + rho_h + r * r / (4.0 * t))
     )
-
-
-def gradient_rhs(model: SpaceModel, t, r, epsilon: float, rho_h=None):
-    """Gradient bound shape t^{-(n+1)/2} exp(-(1-eps)(...)), linear value."""
-    return np.exp(gradient_rhs_log(model, t, r, epsilon, rho_h))
 
 
 def li_yau_rhs(n: int, curvature_sq: float, t, gamma: float):
@@ -401,35 +382,6 @@ def li_yau_gap(model: SpaceModel, t: float, r: float, gamma: float = 2.0) -> flo
     lhs = grad_log_sq - gamma * dt_over_h
     rhs = float(li_yau_rhs(model.n, model.n - 1.0, t, gamma))
     return rhs - lhs
-
-
-@dataclass(frozen=True)
-class CartanHadamardParams:
-    c: float
-    A: float
-    B: float
-    C: float
-    alpha: float
-
-    def __post_init__(self):
-        if min(self.c, self.A, self.B, self.C, self.alpha) <= 0.0:
-            raise ValueError("all rates must be positive")
-
-
-def cartan_hadamard_rhs(params: CartanHadamardParams, i: int, t, d, epsilon: float):
-    """Derivative bound shape on a Cartan-Hadamard manifold whose kernel obeys
-    c / min(1, t^alpha) * exp(-At - Bd - C d^2/t):
-    returns c / min(1, t^(alpha+i)) * exp(-(1-eps)(At + Bd + C d^2/t))."""
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
-    t = np.asarray(t, dtype=float)
-    d = np.asarray(d, dtype=float)
-    log_val = (
-        math.log(params.c)
-        - np.minimum(0.0, (params.alpha + i) * np.log(t))
-        - (1.0 - epsilon) * (params.A * t + params.B * d + params.C * d * d / t)
-    )
-    return np.exp(log_val)
 
 
 # ---------------------------------------------------------------------------

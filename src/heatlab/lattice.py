@@ -433,6 +433,11 @@ def poincare_series(orbit: OrbitSet, s: float, delta: float) -> PoincareEval:
 
 def theorem2_rhs_log(model: SpaceModel, delta: float, triple: AlphaTriple, i: int,
                      t, d_m, epsilon: float):
+    """Log of the quotient derivative bound shape
+    t^{-(n/2)-i} exp(-(1-eps)[(1-a1)|rho|^2 t + (a2-delta) d + (1-a3) d^2/(4t)]).
+
+    The series factor at exponent eps + delta is supplied by the caller.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if not admissible_alpha_triple(triple, delta, model):
@@ -448,16 +453,6 @@ def theorem2_rhs_log(model: SpaceModel, delta: float, triple: AlphaTriple, i: in
             + (1.0 - triple.a3) * d_m * d_m / (4.0 * t)
         )
     )
-
-
-def theorem2_rhs(model: SpaceModel, delta: float, triple: AlphaTriple, i: int,
-                 t, d_m, epsilon: float):
-    """Quotient derivative bound shape
-    t^{-(n/2)-i} exp(-(1-eps)[(1-a1)|rho|^2 t + (a2-delta) d + (1-a3) d^2/(4t)]).
-
-    The series factor at exponent eps + delta is supplied by the caller.
-    """
-    return np.exp(theorem2_rhs_log(model, delta, triple, i, t, d_m, epsilon))
 
 
 def splitting_slack(model: SpaceModel, triple: AlphaTriple, t, d_m):

@@ -3,12 +3,13 @@
 The maximal and square-function operators built on the heat semigroup are
 bounded on L^p exactly when a weighted chamber integral converges; this
 module evaluates the closed-form thresholds, classifies the integrals by
-their frontier log-slope, certifies the exponential norm decay of the
+the log-slope of their integrand at the frontier (a closed-form difference
+quotient, with no quadrature), certifies the exponential norm decay of the
 semigroup derivative, and integrates the gradient-kernel decay.
 
-The chamber partial integrals and the gradient-kernel time integral are
-certified fixed-node Gauss-Legendre passes over arrays (oracle.gl_rule and
-oracle.gl_certified), with the node sets built once at import.
+The gradient-kernel time integral is a certified fixed-node Gauss-Legendre
+pass over arrays (oracle.gl_rule and oracle.gl_certified), with the node
+sets built once at import.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from . import oracle
-from .config import write_csv
 from .rootspace import SpaceModel, s_p
 
 
@@ -67,79 +67,51 @@ def sigma_threshold_poisson(inp: ThresholdInput) -> float:
 class IntegralVerdict:
     verdict: Verdict
     effective_rate: float
-    cutoffs: tuple[float, ...]
-    log_partial_values: tuple[float, ...]
-
-    @property
-    def partial_values(self) -> tuple[float, ...]:
-        return tuple(math.exp(v) if v < 700 else math.inf for v in self.log_partial_values)
 
 
 _VERDICT_MARGIN = 0.02  # |frontier log-slope| below this is inconclusive
-_N_CUTOFFS = 8  # partial-integral cutoffs r_max / 2^7, ..., r_max
-# Panels of a piece, graded from its larger end with widths 2/|b|, 4/|b|,
-# ...; the last one takes the rest, where the integrand has fallen below
-# e^{-2 (2^9 - 1)} of that end.  One panel when the piece is under 2/|b|.
-_CHAMBER_PANELS = 10
-_CHAMBER_GRADES = 2.0 ** np.arange(1.0, _CHAMBER_PANELS) - 1.0  # inner edges, in units of 2/|b|
-
-
-def _chamber_log_pieces(a: float, b: float, cutoffs: np.ndarray) -> np.ndarray:
-    """log of int (1+r)^a e^{b r} dr over each piece [0, c_0], [c_0, c_1],
-    ... between the cutoffs, all pieces in one certified pass."""
-    lo = np.concatenate(([0.0], cutoffs[:-1]))[:, None]
-    hi = cutoffs[:, None]
-    length = hi - lo
-    log_lo, log_hi = a * np.log1p(lo) + b * lo, a * np.log1p(hi) + b * hi
-    scale = np.maximum(log_lo, log_hi)
-    reach = 0.5 * abs(b) * length  # the piece's length in units of 2/|b|
-    frac = np.hstack([np.zeros_like(lo), _CHAMBER_GRADES / np.maximum(reach, _CHAMBER_GRADES),
-                      np.ones_like(lo)])  # panel edges from the larger end, as fractions
-    edges = np.where(log_hi > log_lo, hi - length * frac[:, ::-1], lo + length * frac)
-    rule = oracle.gl_rule(edges)
-    r = rule[0]
-    pieces = oracle.gl_certified(np.exp(a * np.log1p(r) + b * r - scale), rule,
-                                 oracle.GL_REL_TOL, "chamber partial integral",
-                                 {"a": a, "b": b, "r_lo": lo[:, 0], "r_hi": hi[:, 0]})
-    return scale[:, 0] + np.log(np.maximum(pieces, 1e-300))
 
 
 def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, float],
                              r_max: float = 1000.0) -> IntegralVerdict:
     """Classify int_0^R (1+r)^a e^{b r} dr by the measured log-slope of the
-    integrand at the integration frontier.
+    integrand at the integration frontier R = r_max.
 
-    Partial values are accumulated in log space at geometrically expanding
-    cutoffs, from the pieces between them (see _chamber_log_pieces).  Finite
-    needs slope < -0.02, divergent slope > +0.02, otherwise inconclusive.
-    Rank-one models only: the chamber is a ray.
+    The slope is the difference quotient (f(R) - f(R - dr))/dr of
+    f = a log1p(r) + b r, with dr = min(1, R/100); no integral is evaluated.
+    Finite needs slope < -0.02, divergent slope > +0.02, otherwise
+    inconclusive.  Rank-one models only: the chamber is a ray.
     """
     if model.rank != 1:
         raise ValueError("chamber integral reduction applies to rank-one models")
-    if r_max <= 0.0:
-        raise ValueError("need r_max > 0")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"need a finite r_max > 0, got {r_max}")
     a, b = float(integrand_rates[0]), float(integrand_rates[1])
-    cutoffs = r_max * 2.0 ** np.arange(-(_N_CUTOFFS - 1), 1, dtype=float)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integrand rates must be finite, got ({a}, {b})")
 
     def log_integrand(r: float) -> float:
         return a * math.log1p(r) + b * r
 
-    log_partials = np.logaddexp.accumulate(_chamber_log_pieces(a, b, cutoffs))
-    frontier = cutoffs[-1]
-    dr = min(1.0, frontier / 100.0)
-    rate = (log_integrand(frontier) - log_integrand(frontier - dr)) / dr
+    dr = min(1.0, r_max / 100.0)
+    rate = (log_integrand(r_max) - log_integrand(r_max - dr)) / dr
     if rate < -_VERDICT_MARGIN:
         verdict = Verdict.FINITE
     elif rate > _VERDICT_MARGIN:
         verdict = Verdict.DIVERGENT
     else:
         verdict = Verdict.INCONCLUSIVE
-    return IntegralVerdict(
-        verdict=verdict,
-        effective_rate=float(rate),
-        cutoffs=tuple(float(c) for c in cutoffs),
-        log_partial_values=tuple(log_partials.tolist()),
-    )
+    return IntegralVerdict(verdict=verdict, effective_rate=float(rate))
+
+
+def _decay_radicand(rho_norm: float, sigma: float, epsilon: float) -> float:
+    """rho^2 - sigma/(1 - eps), the square of the weighted decay rate; negative
+    when sigma exceeds (1 - eps) rho^2 and no decay remains."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    return rho_norm ** 2 - sigma / (1.0 - epsilon)
 
 
 def heat_integrand_rate(rho_norm: float, eta_norm: float, p: float, sigma: float,
@@ -148,28 +120,25 @@ def heat_integrand_rate(rho_norm: float, eta_norm: float, p: float, sigma: float
     maximal operator: (1 + eps - s(p)) rho + s(p) eta
     - (1 - eps) sqrt(rho^2 - sigma/(1 - eps)).
 
-    Raises when sigma >= (1 - eps) rho^2: the in-time supremum of the
+    Raises when sigma > (1 - eps) rho^2: the in-time supremum of the
     weighted kernel already diverges there, so no Gaussian decay remains.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    s = s_p(p)
-    inner = rho_norm ** 2 - sigma / (1.0 - epsilon)
+    inner = _decay_radicand(rho_norm, sigma, epsilon)
     if inner < 0.0:
         raise ValueError(f"sigma={sigma} exceeds (1-eps) rho^2; no decay rate exists")
+    s = s_p(p)
     return (1.0 + epsilon - s) * rho_norm + s * eta_norm - (1.0 - epsilon) * math.sqrt(inner)
 
 
 def heat_verdict(inp: ThresholdInput, sigma: float, epsilon: float, model: SpaceModel,
                  r_max: float = 1000.0) -> IntegralVerdict:
     """Chamber-integral verdict for the heat maximal weight sigma at a given
-    epsilon, with the model's polynomial exponent A; a sigma with no decay
-    rate at all is classified divergent."""
-    try:
-        rate = heat_integrand_rate(inp.rho_norm, inp.eta_norm, inp.p, sigma, epsilon)
-    except ValueError:
-        return IntegralVerdict(verdict=Verdict.DIVERGENT, effective_rate=math.inf,
-                               cutoffs=(), log_partial_values=())
+    epsilon in (0, 1), with the model's polynomial exponent A; a sigma with
+    no decay rate at all (sigma > (1 - eps) rho^2) is classified divergent.
+    An epsilon outside (0, 1) or a non-finite sigma raises ValueError."""
+    if _decay_radicand(inp.rho_norm, sigma, epsilon) < 0.0:
+        return IntegralVerdict(verdict=Verdict.DIVERGENT, effective_rate=math.inf)
+    rate = heat_integrand_rate(inp.rho_norm, inp.eta_norm, inp.p, sigma, epsilon)
     return chamber_integral_verdict(model, (model.A_exp, rate), r_max=r_max)
 
 
@@ -283,15 +252,3 @@ def maximal_kernel_bound(model: SpaceModel, sigma: float, epsilon: float, r,
     r = np.asarray(r, dtype=float)
     rho_h = model.rho_dot(r)
     return np.exp(-(1.0 - eff) * (rho_h + r * math.sqrt(inner)))
-
-
-def write_threshold_table(path: str, p_values, eta_values, rho_norm: float = 1.0) -> None:
-    """CSV table with columns (p, s_p, eta_norm, sigma_threshold_heat,
-    sigma_threshold_poisson), rows sorted by (p, eta)."""
-    rows = []
-    for p in sorted(float(v) for v in p_values):
-        for eta in sorted(float(v) for v in eta_values):
-            inp = ThresholdInput(p=p, rho_norm=rho_norm, eta_norm=eta)
-            rows.append((p, s_p(p), eta, sigma_threshold_heat(inp), sigma_threshold_poisson(inp)))
-    write_csv(path, ["p", "s_p", "eta_norm", "sigma_threshold_heat", "sigma_threshold_poisson"],
-              rows)

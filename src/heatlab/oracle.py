@@ -31,14 +31,6 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class KernelEval:
-    t: float
-    r: float
-    order: int
-    value: float
-
-
-@dataclass(frozen=True)
 class FdDerivative:
     value: float
     error: float
@@ -101,13 +93,6 @@ def _check_domain(t, r):
         raise ValueError("distance must be nonnegative")
 
 
-def h3_kernel(t, r, order: int = 0) -> KernelEval:
-    """The 3-space kernel or its i-th time derivative (i <= 2), closed form."""
-    _check_domain(t, r)
-    value = float(np.exp(h3_log(t, r)) * h3_dt_prefactor(t, r, order))
-    return KernelEval(t=float(t), r=float(r), order=order, value=value)
-
-
 def h3_dt_log_abs(t, r, order: int):
     """(log |d^i_t h|, sign) for the 3-space kernel, vectorized."""
     _check_domain(t, r)
@@ -139,21 +124,21 @@ _H2_BLOCK = 2048  # points per pass; bounds the (points x nodes) temporaries
 
 _GL_UNIT = tuple(np.polynomial.legendre.leggauss(n) for n in (64, 32))
 # Certified relative error of the smooth integrals outside the plane kernel:
-# the Riesz time integral, the chamber partials and the iterated integrals.
+# the Riesz time integral and the iterated integrals.
 GL_REL_TOL = 1e-12
 
 
 def gl_rule(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 64-node Gauss-Legendre rule on each panel between consecutive
-    entries of the last axis of `edges`, and the 32-node rule that certifies
-    it, as one node set: (nodes, 64-node weights, 32-node weights), the
-    64-node nodes first.  Leading axes of `edges` give one rule per row."""
+    entries of the 1-D `edges`, and the 32-node rule that certifies it, as
+    one node set: (nodes, 64-node weights, 32-node weights), the 64-node
+    nodes first."""
     edges = np.asarray(edges, dtype=float)
-    lo, width = edges[..., :-1, None], np.diff(edges, axis=-1)[..., None]
-    rows = edges.shape[:-1]
-    nodes = [(lo + width * (x + 1.0) / 2.0).reshape(*rows, -1) for x, _ in _GL_UNIT]
-    return (np.concatenate(nodes, axis=-1),
-            *((width * w / 2.0).reshape(*rows, -1) for _, w in _GL_UNIT))
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("gl_rule takes a 1-D array of at least two panel edges")
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    nodes = [(lo + width * (x + 1.0) / 2.0).ravel() for x, _ in _GL_UNIT]
+    return np.concatenate(nodes), *((width * w / 2.0).ravel() for _, w in _GL_UNIT)
 
 
 def gl_certified(values, rule, tol: float, site: str, args: dict, absolute: bool = False):

@@ -14,7 +14,6 @@ from heatlab import cli
 from heatlab.cli import emit_csv, main, parse_report_csv
 from heatlab.config import format_cell
 from heatlab.lattice import OrbitSet
-from heatlab.lpthresholds import write_threshold_table
 from heatlab.registry import CONFIGURABLE
 from heatlab.suites import (
     CRITERION_SUITES,
@@ -99,10 +98,6 @@ class TestEmitCsv:
         orbit.to_csv(str(tmp_path / "orbit.csv"))
         with open(tmp_path / "orbit.csv", encoding="utf-8", newline="") as handle:
             assert [row["distance"] for row in csv.DictReader(handle)] == expected
-
-        write_threshold_table(str(tmp_path / "table.csv"), p_values=(2.0,), eta_values=values)
-        with open(tmp_path / "table.csv", encoding="utf-8", newline="") as handle:
-            assert [row["eta_norm"] for row in csv.DictReader(handle)] == expected
 
         for value, token in zip(values, expected):
             assert float(token).hex() == float(value).hex()

@@ -8,15 +8,12 @@ from scipy.integrate import quad
 
 from heatlab import envelope, oracle
 from heatlab.envelope import (
-    CartanHadamardParams,
     EnvelopeBound,
     ShapeMismatchError,
-    cartan_hadamard_rhs,
     derivative_envelope_step,
     fit_constant,
-    gamma_limit,
     gamma_limit_from_lambda,
-    gradient_rhs,
+    gradient_rhs_log,
     grid_points,
     kernel_upper_log,
     lambda_from_epsilon,
@@ -24,7 +21,6 @@ from heatlab.envelope import (
     li_yau_rhs,
     recurrence_grid,
     recurrence_grid_from_lambda,
-    sharp_envelope,
     sharp_envelope_log,
     theorem1_rhs,
     two_grid_fit,
@@ -53,13 +49,13 @@ def mp_iterated(f, i: int, t: float) -> float:
 class TestSharpEnvelope:
     def test_h3_middle_factor_trivial(self):
         # exponent (m_a + m_2a/2) - 1 = 0, so no (1+t+r) dependence
-        lo1, _ = sharp_envelope(H3, 2.0, 1.5)
+        lo1 = math.exp(float(sharp_envelope_log(H3, 2.0, 1.5)))
         expected = 2.0 ** -1.5 * (1 + 1.5) * math.exp(-2.0 - 1.5 - 1.5 ** 2 / 8.0)
         assert lo1 == pytest.approx(expected, rel=1e-13)
 
     def test_origin_value(self):
-        lo, hi = sharp_envelope(H3, 1.0, 0.0)
-        assert lo == hi == pytest.approx(math.exp(-1.0), rel=1e-13)
+        value = math.exp(float(sharp_envelope_log(H3, 1.0, 0.0)))
+        assert value == pytest.approx(math.exp(-1.0), rel=1e-13)
 
     def test_kernel_ratio_window(self):
         T, R = grid_points((0.01, 30.0), (0.0, 20.0), 60, 60)
@@ -77,7 +73,7 @@ class TestSharpEnvelope:
         model = build_from_roots(RootSystemSpec(
             rank=2, roots=(RootDatum((1.0, 0.0), 1), RootDatum((0.0, 1.0), 1))))
         with pytest.raises(ValueError):
-            sharp_envelope(model, 1.0, 1.0)
+            sharp_envelope_log(model, 1.0, 1.0)
 
 
 class TestKernelUpper:
@@ -283,7 +279,7 @@ class TestRecurrenceGrid:
 
 class TestGammaLimit:
     def test_power_zero(self):
-        assert gamma_limit(0.37, 0) == 1.0
+        assert gamma_limit_from_lambda(lambda_from_epsilon(0.37), 0) == 1.0
 
     def test_lambda_three_quarters(self):
         for i in range(6):
@@ -291,7 +287,8 @@ class TestGammaLimit:
 
     def test_epsilon_to_zero(self):
         for i in (1, 3, 7):
-            assert gamma_limit(1e-12, i) == pytest.approx(1.0, abs=1e-4)
+            assert gamma_limit_from_lambda(lambda_from_epsilon(1e-12), i) == pytest.approx(
+                1.0, abs=1e-4)
 
 
 class TestRhsShapes:
@@ -302,13 +299,14 @@ class TestRhsShapes:
     def test_gradient_ratio_exact(self):
         for t in (0.3, 1.0, 7.0):
             log_ratio = float(theorem1_rhs(H3, 1, t, 2.0, 0.1)) \
-                - math.log(gradient_rhs(H3, t, 2.0, 0.1))
+                - float(gradient_rhs_log(H3, t, 2.0, 0.1))
             assert log_ratio == pytest.approx(-0.5 * math.log(t), abs=1e-12)
 
     def test_gradient_origin(self):
         t = 2.0
         expected = t ** (-(H3.n + 1) / 2.0) * math.exp(-(1 - 0.1) * H3.rho_norm ** 2 * t)
-        assert gradient_rhs(H3, t, 0.0, 0.1) == pytest.approx(expected, rel=1e-13)
+        assert math.exp(float(gradient_rhs_log(H3, t, 0.0, 0.1))) == pytest.approx(expected,
+                                                                        rel=1e-13)
 
     def test_order_zero_absorbs_polynomial_upper(self):
         # the eps-shape at order 0 dominates the polynomial-Gaussian upper
@@ -360,35 +358,6 @@ class TestLiYau:
     def test_rejects_gamma_at_most_one(self):
         with pytest.raises(ValueError):
             li_yau_gap(H3, 1.0, 1.0, 1.0)
-
-
-class TestCartanHadamard:
-    PARAMS = CartanHadamardParams(c=1.0, A=1.0, B=1.0, C=0.25, alpha=1.5)
-
-    def test_order_zero_shape(self):
-        # c / min(1, t^alpha) e^{-(At + Bd + C d^2/t)} at t=0.5, d=1
-        val = cartan_hadamard_rhs(self.PARAMS, 0, 0.5, 1.0, 0.0)
-        expected = 0.5 ** -1.5 * math.exp(-(0.5 + 1.0 + 0.25 / 0.5))
-        assert float(val) == pytest.approx(expected, rel=1e-13)
-
-    def test_large_time_floor(self):
-        val = cartan_hadamard_rhs(self.PARAMS, 2, 3.0, 0.0, 0.0)
-        assert float(val) == pytest.approx(math.exp(-3.0), rel=1e-13)
-
-    def test_dominates_h3_time_derivative(self):
-        def log_bound(t, r):
-            with np.errstate(divide="ignore"):
-                return np.log(cartan_hadamard_rhs(self.PARAMS, 1, t, r, 0.1))
-
-        def log_oracle(t, r):
-            log_abs, _ = oracle.h3_dt_log_abs(t, r, 1)
-            return log_abs
-
-        fit = two_grid_fit(log_oracle, log_bound,
-                           grid_points((0.05, 20.0), (0.0, 15.0), 25, 25),
-                           grid_points((0.05, 20.0), (0.0, 15.0), 100, 100))
-        assert math.isfinite(fit.c_coarse)
-        assert fit.stable_within(1.06)
 
 
 class TestFitConstant:

@@ -20,7 +20,7 @@ from heatlab.lattice import (
     poincare_series,
     quotient_regime_rhs,
     splitting_slack,
-    theorem2_rhs,
+    theorem2_rhs_log,
     translation_length,
 )
 from heatlab.rootspace import AlphaTriple, build_real_hyperbolic
@@ -620,13 +620,13 @@ class TestTheorem2Rhs:
         # a1 = a3 = 0, a2 = rho_m: full time and Gaussian decay survive
         t, d = 2.0, 3.0
         triple = AlphaTriple(0.0, H3.rho_m, 0.0)
-        val = float(theorem2_rhs(H3, 0.0, triple, 0, t, d, 0.1))
+        val = math.exp(float(theorem2_rhs_log(H3, 0.0, triple, 0, t, d, 0.1)))
         expected = t ** -1.5 * math.exp(-0.9 * (t + H3.rho_m * d + d * d / (4 * t)))
         assert val == pytest.approx(expected, rel=1e-13)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
-            theorem2_rhs(H3, 0.0, AlphaTriple(0.1, 1.5, 0.1), 0, 1.0, 1.0, 0.1)
+            theorem2_rhs_log(H3, 0.0, AlphaTriple(0.1, 1.5, 0.1), 0, 1.0, 1.0, 0.1)
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),

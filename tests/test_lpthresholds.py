@@ -19,7 +19,6 @@ from heatlab.lpthresholds import (
     sigma_threshold_poisson,
     st_norm_certificate,
     st_norm_rate,
-    write_threshold_table,
 )
 from heatlab.rootspace import build_real_hyperbolic, s_p
 
@@ -45,48 +44,49 @@ def mp_riesz_integral(r: float, lo: float, hi: float) -> float:
         return float(mpmath.quad(f, [lo * (hi / lo) ** (mpmath.mpf(k) / 12) for k in range(13)]))
 
 
-def thresholds_suite_rates() -> list[float]:
-    """The chamber rates b that the thresholds suite's verdicts integrate."""
-    rates = []
+def thresholds_suite_inputs() -> list[tuple[ThresholdInput, float, float]]:
+    """The (input, sigma, epsilon) of every verdict the thresholds suite asks
+    for: 9 (p, eta) cells, sigma at 0.9 and 1.1 of the threshold, 12 epsilons."""
+    inputs = []
     for p in (1.5, 2.0, 4.0):
         for eta in (0.0, 0.3, 0.7):
-            threshold = sigma_threshold_heat(ThresholdInput(p=p, rho_norm=1.0, eta_norm=eta))
+            inp = ThresholdInput(p=p, rho_norm=1.0, eta_norm=eta)
+            threshold = sigma_threshold_heat(inp)
             for sigma in (0.9 * threshold, 1.1 * threshold):
                 for eps in np.geomspace(1e-4, 0.1, 12).tolist():
-                    try:
-                        rates.append(heat_integrand_rate(1.0, eta, p, sigma, eps))
-                    except ValueError:
-                        pass  # no decay rate: the verdict integrates nothing
-    return rates
+                    inputs.append((inp, sigma, eps))
+    return inputs
 
 
-def quad_log_partials(a: float, b: float, r_max: float) -> list[float]:
-    """The partials as the verdict computed them with scalar quad."""
-    def log_integrand(r):
-        return a * math.log1p(r) + b * r
+def mp_frontier_rate(a: float, b, r_max: float):
+    """(f(R) - f(R - dr))/dr for f = a log1p(r) + b r at 40 digits, with the
+    verdict's step dr = min(1, R/100)."""
+    with mpmath.workdps(40):
+        a, b, big = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(r_max)
+        dr = min(mpmath.mpf(1), big / 100)
 
-    out, log_total, lo = [], -math.inf, 0.0
-    for hi in r_max * 2.0 ** np.arange(-7.0, 1.0):
-        scale = max(log_integrand(lo), log_integrand(hi))
-        piece, _ = quad(lambda r: math.exp(log_integrand(r) - scale), lo, hi,
-                        epsabs=0.0, epsrel=1e-13, limit=500)
-        log_total = float(np.logaddexp(log_total, scale + math.log(piece)))
-        out.append(log_total)
-        lo = hi
-    return out
+        def f(r):
+            return a * mpmath.log1p(r) + b * r
+
+        return (f(big) - f(big - dr)) / dr
 
 
-def mp_log_partials_a1(b: float, r_max: float) -> list[float]:
-    """log int_0^c (1+r) e^{b r} dr at each cutoff c, in closed form with
-    mpmath: the antiderivative is e^{b r} ((1+r)/b - 1/b^2)."""
-    with mpmath.workdps(60):
-        b = mpmath.mpf(b)
-
-        def antiderivative(r):
-            return mpmath.exp(b * r) * ((1 + r) / b - 1 / b ** 2)
-
-        return [float(mpmath.log(antiderivative(mpmath.mpf(c)) - antiderivative(0)))
-                for c in (r_max * 2.0 ** np.arange(-7.0, 1.0)).tolist()]
+def mp_heat_verdict(inp: ThresholdInput, sigma: float, eps: float, r_max: float):
+    """The heat verdict from the rate and the frontier difference quotient,
+    both at 40 digits; also the reference rate (None without decay)."""
+    with mpmath.workdps(40):
+        rho, eta, sigma, eps = (mpmath.mpf(v) for v in (inp.rho_norm, inp.eta_norm, sigma, eps))
+        inner = rho ** 2 - sigma / (1 - eps)
+        if inner < 0:
+            return Verdict.DIVERGENT, None
+        s = mpmath.mpf(s_p(inp.p))  # 2 min(1/p, 1 - 1/p): exact for these p
+        b = (1 + eps - s) * rho + s * eta - (1 - eps) * mpmath.sqrt(inner)
+        rate = mp_frontier_rate(1.0, b, r_max)
+        if rate < -mpmath.mpf("0.02"):
+            return Verdict.FINITE, rate
+        if rate > mpmath.mpf("0.02"):
+            return Verdict.DIVERGENT, rate
+        return Verdict.INCONCLUSIVE, rate
 
 
 class TestHeatThreshold:
@@ -149,7 +149,7 @@ class TestChamberIntegral:
     def test_pure_exponential_finite(self):
         out = chamber_integral_verdict(H3, (0.0, -1.0), r_max=60.0)
         assert out.verdict == Verdict.FINITE
-        assert out.partial_values[-1] == pytest.approx(1.0, rel=1e-8)
+        assert out.effective_rate == pytest.approx(-1.0, abs=1e-12)
 
     def test_growing_integrand_divergent(self):
         out = chamber_integral_verdict(H3, (0.0, 0.5), r_max=200.0)
@@ -159,10 +159,6 @@ class TestChamberIntegral:
     def test_flat_rate_inconclusive(self):
         out = chamber_integral_verdict(H3, (0.0, 0.001), r_max=100.0)
         assert out.verdict == Verdict.INCONCLUSIVE
-
-    def test_partials_increasing(self):
-        out = chamber_integral_verdict(H3, (1.0, -0.5), r_max=100.0)
-        assert list(out.log_partial_values) == sorted(out.log_partial_values)
 
     def test_below_threshold_reference_case(self):
         inp = ThresholdInput(p=2.0, rho_norm=1.0, eta_norm=0.0)
@@ -191,37 +187,64 @@ class TestChamberIntegral:
         with pytest.raises(ValueError):
             heat_integrand_rate(1.0, 0.0, 2.0, 1.2, 0.05)
 
-    def test_partials_match_quad_and_mpmath_on_the_suite_rates(self):
-        # every (a, b, r_max) the thresholds suite reaches: a = A = 1,
-        # r_max = 2000; the log of a partial to 1e-12 is its value to 1e-12
-        rates = thresholds_suite_rates()
-        assert len(rates) > 150
-        for b in rates:
-            got = chamber_integral_verdict(H3, (1.0, b), r_max=2000.0).log_partial_values
-            for ref in (quad_log_partials(1.0, b, 2000.0), mp_log_partials_a1(b, 2000.0)):
-                for g, w in zip(got, ref):
-                    assert abs(g - w) <= 1e-12 + 4.0 * math.ulp(w), (b, got, ref)
-
     @pytest.mark.parametrize("a, b, r_max", [(0.0, -1.0, 60.0), (1.0, -0.5, 100.0),
                                              (0.5, 0.3, 200.0), (1.0, 0.001, 100.0),
-                                             (0.0, 0.0, 60.0), (1.0, -1.2, 1000.0)])
-    def test_partials_match_quad_and_mpmath(self, a, b, r_max):
-        got = chamber_integral_verdict(H3, (a, b), r_max=r_max).log_partial_values
-        with mpmath.workdps(30):
-            def f(r):
-                return (1 + r) ** a * mpmath.exp(b * r)
+                                             (0.0, 0.0, 60.0), (1.0, -1.2, 1000.0),
+                                             (1.0, -0.01, 0.5)])
+    def test_frontier_rate_matches_mpmath(self, a, b, r_max):
+        rate = chamber_integral_verdict(H3, (a, b), r_max=r_max).effective_rate
+        assert rate == pytest.approx(float(mp_frontier_rate(a, b, r_max)), rel=1e-12, abs=1e-13)
 
-            cuts = [0.0, *(r_max * 2.0 ** np.arange(-7.0, 1.0)).tolist()]
-            mp_ref = np.log(np.cumsum([float(mpmath.quad(f, mpmath.linspace(lo, hi, 9)))
-                                       for lo, hi in zip(cuts, cuts[1:])]))
-        for ref in (quad_log_partials(a, b, r_max), mp_ref):
-            assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 + 4.0 * math.ulp(max(got))
+    def test_suite_verdicts_need_no_quadrature_and_match_mpmath(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a threshold verdict ran a quadrature")
 
-    def test_coarse_certificate_raises_naming_the_site(self, coarse_certifier):
-        with pytest.raises(oracle.QuadratureError,
-                           match=r"chamber partial integral quadrature not certified at "
-                                 r"a=1\.0, b=-0\.5, r_lo="):
-            chamber_integral_verdict(H3, (1.0, -0.5), r_max=2000.0)
+        monkeypatch.setattr(oracle, "gl_certified", no_quadrature)
+        monkeypatch.setattr(oracle, "gl_rule", no_quadrature)
+        inputs = thresholds_suite_inputs()
+        assert len(inputs) == 216
+        seen = set()
+        for inp, sigma, eps in inputs:
+            got = heat_verdict(inp, sigma, eps, model=H3, r_max=2000.0)
+            want, rate = mp_heat_verdict(inp, sigma, eps, 2000.0)
+            assert got.verdict == want, (inp, sigma, eps, got, rate)
+            # at p = 2, eta = 0, eps = 0.1, sigma = 0.9 = (1 - eps) rho^2 the
+            # radicand is 0 in floats and -3e-17 at 40 digits: both divergent
+            if rate is not None and got.effective_rate < math.inf:
+                # no reference rate sits within float error of the margin
+                assert abs(abs(rate) - mpmath.mpf("0.02")) > 1e-9
+                assert got.effective_rate == pytest.approx(float(rate), rel=1e-10, abs=1e-12)
+            seen.add(want)
+        assert seen == set(Verdict)
+
+    def test_no_decay_rate_reads_divergent(self):
+        inp = ThresholdInput(p=2.0, rho_norm=1.0, eta_norm=0.0)
+        out = heat_verdict(inp, 1.2, 0.05, model=H3)
+        assert out.verdict == Verdict.DIVERGENT and out.effective_rate == math.inf
+
+    @pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_bad_epsilon_raises(self, eps):
+        inp = ThresholdInput(p=2.0, rho_norm=1.0, eta_norm=0.0)
+        for sigma in (0.5, 1.2):  # with and without a decay rate at eps in (0, 1)
+            with pytest.raises(ValueError, match="epsilon"):
+                heat_verdict(inp, sigma, eps, model=H3)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_raises(self, sigma):
+        inp = ThresholdInput(p=2.0, rho_norm=1.0, eta_norm=0.0)
+        with pytest.raises(ValueError, match="sigma"):
+            heat_verdict(inp, sigma, 0.05, model=H3)
+        with pytest.raises(ValueError, match="sigma"):
+            heat_integrand_rate(1.0, 0.0, 2.0, sigma, 0.05)
+
+    @pytest.mark.parametrize("rates, r_max", [((0.0, math.nan), 100.0), ((math.inf, -1.0), 100.0),
+                                              ((0.0, -1.0), 0.0), ((0.0, -1.0), math.nan),
+                                              ((0.0, -1.0), math.inf)],
+                             ids=["nan_rate", "inf_power", "zero_frontier", "nan_frontier",
+                                  "inf_frontier"])
+    def test_rejects_non_finite_rates_and_frontiers(self, rates, r_max):
+        with pytest.raises(ValueError):
+            chamber_integral_verdict(H3, rates, r_max=r_max)
 
 
 class TestStNorm:
@@ -350,14 +373,3 @@ class TestMaximalKernelBound:
     def test_rejects_sigma_beyond_sqrt(self):
         with pytest.raises(ValueError):
             maximal_kernel_bound(H3, 0.95, 0.2, 1.0)
-
-
-class TestThresholdTable:
-    def test_csv_columns_and_values(self, tmp_path):
-        path = tmp_path / "table.csv"
-        write_threshold_table(str(path), p_values=(2.0, 4.0), eta_values=(0.0, 0.3))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "p,s_p,eta_norm,sigma_threshold_heat,sigma_threshold_poisson"
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert float(first[0]) == 2.0 and float(first[3]) == 1.0

@@ -17,13 +17,13 @@ def h3_value(t, r, order=0):
 class TestH3Kernel:
     def test_diagonal_value(self):
         expected = (4.0 * math.pi) ** -1.5 * math.exp(-1.0)
-        assert oracle.h3_kernel(1.0, 0.0).value == pytest.approx(expected, rel=1e-15)
+        assert h3_value(1.0, 0.0) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(8.26e-3, rel=1e-2)
 
     def test_small_r_prefactor_limit(self):
         # r/sinh r -> 1: the kernel at tiny r matches the r=0 value
-        v0 = oracle.h3_kernel(1.0, 0.0).value
-        v1 = oracle.h3_kernel(1.0, 1e-9).value
+        v0 = h3_value(1.0, 0.0)
+        v1 = h3_value(1.0, 1e-9)
         assert v1 == pytest.approx(v0, rel=1e-12)
 
     def test_first_derivative_matches_fd(self):
@@ -56,11 +56,11 @@ class TestH3Kernel:
 
     def test_domain_rejections(self):
         with pytest.raises(ValueError):
-            oracle.h3_kernel(-1.0, 1.0)
+            oracle.h3_dt_log_abs(-1.0, 1.0, 0)
         with pytest.raises(ValueError):
-            oracle.h3_kernel(1.0, -1.0)
+            oracle.h3_dt_log_abs(1.0, -1.0, 0)
         with pytest.raises(ValueError):
-            oracle.h3_kernel(1.0, 1.0, order=3)
+            oracle.h3_dt_log_abs(1.0, 1.0, 3)
 
     def test_total_mass(self):
         # integral of h_t over the space: 4 pi sinh^2(r) volume element
@@ -300,6 +300,14 @@ class TestH2FixedNodeRule:
                      lambda: oracle.radial_gradient("h2", 0.0, 1.0)):
             with pytest.raises(ValueError):
                 call()
+
+
+class TestGlRule:
+    @pytest.mark.parametrize("edges", [[[0.0, 1.0], [1.0, 2.0]], [1.0], 2.0],
+                             ids=["two_rows", "one_edge", "scalar"])
+    def test_refuses_anything_but_one_row_of_edges(self, edges):
+        with pytest.raises(ValueError, match="1-D"):
+            oracle.gl_rule(edges)
 
 
 class TestRadialGradient:
