@@ -9,8 +9,6 @@ from .rootspace import (  # noqa: F401
     RootSystemSpec,
     SpaceModel,
     admissible_alpha_triple,
-    build_from_roots,
     build_real_hyperbolic,
-    rho_min,
     s_p,
 )

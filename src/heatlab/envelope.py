@@ -1,11 +1,9 @@
 """Log-space envelope algebra for the kernel-derivative bounds.
 
-Covers the sharp two-sided envelope and its polynomial-Gaussian relaxation,
-on-diagonal derivative bounds built from iterated integrals, the mean-value
-propagation step that trades two derivative orders for one, the resulting
-two-index rate recurrence with its closed-form limit, the main decay right-
-hand sides, the curvature-based gradient inequality gap, and fitted-constant
-grid protocols.
+Covers the sharp two-sided envelope, on-diagonal derivative bounds built
+from iterated integrals, the two-index rate recurrence with its closed-form
+limit, the main decay right-hand sides, the curvature-based gradient
+inequality gap, and fitted-constant grid protocols.
 
 Every envelope evaluates in log space, so extreme Gaussian regimes never
 underflow mid-computation.  The iterated integrals are one certified
@@ -23,48 +21,14 @@ import numpy as np
 from . import oracle
 from .rootspace import SpaceModel
 
+
 class ShapeMismatchError(RuntimeError):
     """Oracle exceeds the bound by more than e^700: wrong envelope shape."""
 
 
 @dataclass(frozen=True)
-class EnvelopeBound:
-    """Parameters of c * t^-alpha (1+t)^beta (1+|H|)^gamma
-    * exp(-D t - B <rho,H> - C |H|^2/(4t))."""
-
-    alpha: float
-    beta: float
-    gamma_exp: float
-    D: float
-    B: float
-    C: float
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("constant slot must be positive")
-
-    def log_eval(self, t, rho_h, h_norm):
-        t = np.asarray(t, dtype=float)
-        rho_h = np.asarray(rho_h, dtype=float)
-        h_norm = np.asarray(h_norm, dtype=float)
-        return (
-            math.log(self.c)
-            - self.alpha * np.log(t)
-            + self.beta * np.log1p(t)
-            + self.gamma_exp * np.log1p(h_norm)
-            - self.D * t
-            - self.B * rho_h
-            - self.C * h_norm * h_norm / (4.0 * t)
-        )
-
-    def eval(self, t, rho_h, h_norm):
-        return np.exp(self.log_eval(t, rho_h, h_norm))
-
-
-@dataclass(frozen=True)
 class BoundGrid:
-    """Doubly-indexed rate grids: rows are propagation steps, columns are
+    """Doubly-indexed rate grids: rows are recurrence steps, columns are
     derivative orders; entries are the linear and Gaussian decay weights."""
 
     epsilon: float
@@ -115,21 +79,6 @@ def sharp_envelope_log(model: SpaceModel, t, r):
     )
 
 
-def kernel_upper_log(model: SpaceModel, t, r, rho_h=None):
-    """Log of c=1 polynomial-Gaussian upper bound
-    t^{-n/2} (1+t)^m (1+r)^A exp(-(|rho|^2 t + <rho,H> + r^2/(4t)))."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if rho_h is None:
-        rho_h = model.rho_dot(r)
-    return (
-        -model.n / 2.0 * np.log(t)
-        + model.m_exp * np.log1p(t)
-        + model.A_exp * np.log1p(r)
-        - (model.rho_norm ** 2 * t + rho_h + r * r / (4.0 * t))
-    )
-
-
 # ---------------------------------------------------------------------------
 # on-diagonal derivative bounds via iterated integrals
 
@@ -165,51 +114,12 @@ def _repeated_integral(f, i: int, t, site: str, args: dict):
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def grigoryan_f(model: SpaceModel, t):
-    """The reciprocal on-diagonal profile f(t) = t^{n/2} (1+t)^{-m}."""
-    t = np.asarray(t, dtype=float)
-    return t ** (model.n / 2.0) * (1.0 + t) ** (-model.m_exp)
-
-
-def grigoryan_f_iterated(model: SpaceModel, i: int, t):
-    """The i-fold iterated integral f_i of the profile f at t (scalar or
-    array); f_0 = f."""
-    if i == 0:
-        return _float_or_array(grigoryan_f(model, t))
-    return _repeated_integral(lambda s: grigoryan_f(model, s), i, t, "profile iterated integral",
-                              {"n": model.n, "m": model.m_exp})
-
-
-def grigoryan_bound(model: SpaceModel, i: int, t: float) -> float:
-    """Derivative bound 1/sqrt(f(t) f_{2i}(t)) with the model profile f.
-
-    The profile must be increasing, i.e. n/2 > m, which holds for every
-    model built here.  Bounds the i-th time derivative up to a constant.
-    """
-    if i < 1:
-        raise ValueError("derivative order must be >= 1 (order 0 is the kernel bound itself)")
-    if t <= 0.0:
-        raise ValueError("time must be positive")
-    f0 = float(grigoryan_f(model, t))
-    f2i = grigoryan_f_iterated(model, 2 * i, t)
-    return 1.0 / math.sqrt(f0 * f2i)
-
-
 def grigoryan_f_lower_shape(model: SpaceModel, i: int, t):
-    """Shape t^{(n/2)+i} (1+t)^{-m} of the analytic lower bound for f_i;
-    valid up to the multiplicative constant from grigoryan_f_lower_constant."""
+    """Shape t^{(n/2)+i} (1+t)^{-m} of the analytic lower bound for the
+    i-fold iterated integral f_i of an on-diagonal profile, up to a
+    multiplicative constant."""
     t = np.asarray(t, dtype=float)
     return t ** (model.n / 2.0 + i) * (1.0 + t) ** (-model.m_exp)
-
-
-def grigoryan_f_lower_constant(model: SpaceModel, i: int) -> float:
-    """Proven constant k_i with f_i >= k_i * t^{(n/2)+i} (1+t)^{-m}: each
-    integration step of s^a (1+s)^b costs a factor 1/(a + max(0,b) + 1)."""
-    b = -model.m_exp
-    out = 1.0
-    for j in range(1, i + 1):
-        out /= model.n / 2.0 + j + max(0.0, b)
-    return out
 
 
 def h3_exact_diagonal_f(t):
@@ -240,36 +150,7 @@ def grigoryan_bound_exact_h3(i: int, t):
 
 
 # ---------------------------------------------------------------------------
-# derivative-envelope propagation and its rate recurrence
-
-
-def derivative_envelope_step(env_lo: EnvelopeBound, env_hi: EnvelopeBound,
-                             epsilon: float) -> EnvelopeBound:
-    """Given envelopes for a function (rates D, B, C) and its second
-    derivative (rates D*, B*, C*, same polynomial part at alpha + 2), return
-    the first-derivative envelope: alpha + 1, same beta/gamma, rates
-    ((D+D*)/2, (B+B*)/2, (C* + C lam)/2) with lam = (1-eps)/(1+eps).
-
-    Requires alpha > beta >= 0 and D >= D*, B >= B*, C >= C*.
-    """
-    lam = lambda_from_epsilon(epsilon)
-    if not env_lo.alpha > env_lo.beta >= 0.0:
-        raise ValueError("need alpha > beta >= 0 for the function envelope")
-    if env_lo.D < env_hi.D or env_lo.B < env_hi.B or env_lo.C < env_hi.C:
-        raise ValueError("need D >= D*, B >= B*, C >= C* between the two envelopes")
-    if abs(env_hi.alpha - env_lo.alpha - 2.0) > 1e-12 or env_hi.beta != env_lo.beta \
-            or env_hi.gamma_exp != env_lo.gamma_exp:
-        raise ValueError("second-derivative envelope must share beta/gamma at alpha + 2")
-    c_out = max(env_lo.c, env_hi.c) * (1.0 / epsilon + epsilon)
-    return EnvelopeBound(
-        alpha=env_lo.alpha + 1.0,
-        beta=env_lo.beta,
-        gamma_exp=env_lo.gamma_exp,
-        D=(env_lo.D + env_hi.D) / 2.0,
-        B=(env_lo.B + env_hi.B) / 2.0,
-        C=(env_hi.C + env_lo.C * lam) / 2.0,
-        c=c_out,
-    )
+# the rate recurrence
 
 
 def recurrence_grid(epsilon: float, i_max: int, l_max: int) -> BoundGrid:

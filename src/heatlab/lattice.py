@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, Section, parse_config, parse_floats, write_csv
+from .config import ConfigError, Section, parse_config, parse_floats
 from .rootspace import AlphaTriple, SpaceModel, admissible_alpha_triple
 
 _DET_TOL = 1e-9
@@ -216,10 +216,6 @@ class OrbitSet:
         counts = np.searchsorted(self.distances, ks, side="right")
         mask = counts > 0
         return float(np.max(counts[mask] * np.exp(-delta * ks[mask]))) if mask.any() else 1.0
-
-    def to_csv(self, path: str) -> None:
-        write_csv(path, ["distance", "word_length"],
-                  zip(self.distances.tolist(), self.word_lengths.tolist()))
 
 
 def _sorted_orbit(x: Point, y: Point, distances, word_lengths, r_max: float,
@@ -466,34 +462,20 @@ def splitting_slack(model: SpaceModel, triple: AlphaTriple, t, d_m):
             + triple.a3 * d_m * d_m / (4.0 * t))
 
 
-def quotient_regime_rhs(regime: int, model: SpaceModel, delta: float, s_or_eps: float,
-                        t, d_m):
-    """Quotient kernel bound shapes in the two classical regimes.
-
-    Regime 1 (delta < rho_m, series exponent s in (delta, rho_m)):
+def quotient_regime_rhs(model: SpaceModel, delta: float, s: float, t, d_m):
+    """Quotient kernel bound shape in the first classical regime (delta <
+    rho_m, series exponent s in (delta, rho_m)):
         t^{-n/2} (1+t)^m exp(-|rho|^2 t - d^2/(4t)).
-    Regime 2 (rho_m <= delta <= rho_m + |rho|, margin eps > 0):
-        t^{-n/2} exp(-(|rho|^2 - (delta - rho_m + eps)^2) t).
     The series factor is supplied by the caller.
     """
+    if not 0.0 <= delta < model.rho_m:
+        raise ValueError(f"regime 1 needs delta in [0, rho_m), got {delta}")
+    if not delta < s < model.rho_m:
+        raise ValueError(f"regime 1 needs s in (delta, rho_m), got {s}")
     t = np.asarray(t, dtype=float)
     d_m = np.asarray(d_m, dtype=float)
-    rho_sq = model.rho_norm ** 2
-    if regime == 1:
-        if not 0.0 <= delta < model.rho_m:
-            raise ValueError(f"regime 1 needs delta in [0, rho_m), got {delta}")
-        if not delta < s_or_eps < model.rho_m:
-            raise ValueError(f"regime 1 needs s in (delta, rho_m), got {s_or_eps}")
-        return np.exp(-model.n / 2.0 * np.log(t) + model.m_exp * np.log1p(t)
-                      - rho_sq * t - d_m * d_m / (4.0 * t))
-    if regime == 2:
-        if not model.rho_m <= delta <= model.rho_m + model.rho_norm:
-            raise ValueError(f"regime 2 needs delta in [rho_m, rho_m + |rho|], got {delta}")
-        if not s_or_eps > 0.0:
-            raise ValueError("regime 2 needs a positive margin")
-        rate = rho_sq - (delta - model.rho_m + s_or_eps) ** 2
-        return np.exp(-model.n / 2.0 * np.log(t) - rate * t)
-    raise ValueError(f"regime must be 1 or 2, got {regime}")
+    return np.exp(-model.n / 2.0 * np.log(t) + model.m_exp * np.log1p(t)
+                  - model.rho_norm ** 2 * t - d_m * d_m / (4.0 * t))
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def st_norm_rate(model: SpaceModel, eta_norm: float, p: float, epsilon: float) -
     (1 - s(p) + eps) rho - (1 - eps) sqrt(rho^2 - eps) + s(p) eta.
     A negative rate certifies norm decay e^{-eps t}."""
     rho = model.rho_norm
-    if epsilon < 0.0 or epsilon >= rho * rho:
+    if not 0.0 <= epsilon < rho * rho:
         raise ValueError(f"epsilon must lie in [0, rho^2), got {epsilon}")
     s = s_p(p)
     return (1.0 - s + epsilon) * rho - (1.0 - epsilon) * math.sqrt(rho * rho - epsilon) \
@@ -234,21 +234,3 @@ def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1) -> RieszDecay
     return RieszDecay(value=value, bound=bound, value_small_t=small,
                       value_large_t=large, tail_small_t=tail_small,
                       tail_large_t=tail_large)
-
-
-def maximal_kernel_bound(model: SpaceModel, sigma: float, epsilon: float, r,
-                         branch: str = "infty"):
-    """Pointwise bound for the weighted in-time suprema of the kernel
-    derivative: e^{-(1-eps) <rho,H>} e^{-(1-eps) r sqrt(rho^2 - sigma/(1-eps))}.
-    The zero_infty branch (small times, large distance) carries 2 eps."""
-    if branch not in ("infty", "zero_infty"):
-        raise ValueError(f"branch must be 'infty' or 'zero_infty', got {branch}")
-    eff = epsilon if branch == "infty" else 2.0 * epsilon
-    if not 0.0 < eff < 1.0:
-        raise ValueError("effective epsilon must lie in (0, 1)")
-    inner = model.rho_norm ** 2 - sigma / (1.0 - eff)
-    if inner < 0.0:
-        raise ValueError(f"sigma={sigma} too large: sqrt undefined at this branch")
-    r = np.asarray(r, dtype=float)
-    rho_h = model.rho_dot(r)
-    return np.exp(-(1.0 - eff) * (rho_h + r * math.sqrt(inner)))

@@ -318,8 +318,6 @@ def h2_dt_log_abs(t, r, order: int):
 _FD_STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
 
 
@@ -330,15 +328,15 @@ def fd_time_derivative(kernel, order: int, t: float, r: float) -> FdDerivative:
     the returned error estimate is the difference of the last two Richardson
     extrapolants.  Callers should trust the value only when precision_ok.
     """
-    if order < 0 or order > 4:
-        raise ValueError(f"finite differences support orders 0..4, got {order}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"finite differences support orders 0..2, got {order}")
     if t <= 0.0:
         raise ValueError("time must be positive")
     if order == 0:
         value = float(kernel(t, r))
         return FdDerivative(value=value, error=0.0, rel_error=0.0,
                             subnormal_stencil=abs(value) < sys.float_info.min)
-    h = _FD_STEP_SCALE * t  # the widest stencil point, t - 8h, stays positive
+    h = _FD_STEP_SCALE * t  # the widest stencil point, t - 4h, stays positive
     stencil = _FD_STENCILS[order]
     # smallest |kernel value| seen: zero or subnormal values carry too few
     # significant bits for the differences to mean anything
@@ -460,11 +458,9 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     used = distances[distances <= r_cut + 1e-12]
     values = np.sum(_space_derivative_values(space, ts, used, order), axis=1)
 
-    if getattr(orbit, "exhaustive", False) and used.size == distances.size:
+    if orbit.exhaustive and used.size == distances.size:
         tails = np.zeros_like(values)
     else:
-        if delta is None:
-            delta = getattr(orbit, "delta_hint", None)
         if delta is None:
             raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
         scale = _tail_envelope_constant(space, order, epsilon) * orbit.counting_constant(delta)

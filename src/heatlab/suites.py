@@ -342,7 +342,7 @@ def suite_theorem2(cfg: SuiteConfig) -> list[CheckRow]:
         orbit = group.orbit(x, y, 80.0)
         ev = oracle.quotient_kernel(orbit, "h3", t_grid, x, y, 0, 80.0, delta=delta)
         series = lattice.poincare_series(orbit, s=s_val, delta=delta)
-        rhs = lattice.quotient_regime_rhs(1, model, delta, s_val, t_grid, orbit.d_min)
+        rhs = lattice.quotient_regime_rhs(model, delta, s_val, t_grid, orbit.d_min)
         for value, rhs_t in zip(ev.value.tolist(), rhs.tolist()):
             best = max(best, math.log(max(value, 1e-300)) - math.log(rhs_t * series.partial_sum))
     c_fit = math.exp(best)

@@ -1,12 +1,16 @@
-"""Every public module-level function and class in src/heatlab has a caller.
+"""Every module-level function and class in src/heatlab is reached by a run.
 
-The scan parses src/heatlab/*.py and perfbench/*.py.  A public (no leading
-underscore), module-level function or class counts as used when its name
-appears in either tree outside its own definition: as a name, an attribute,
-or a string constant (perfbench/tracing.py names traced functions by
-string).  Import statements do not count, so a re-export in __init__.py is
-not a use.  A definition with a decorator other than `dataclass` is exempt:
-the decorator (for example `@suite`) registers it.  Tests are not callers.
+The scan parses src/heatlab/*.py and perfbench/*.py and walks references
+from the roots: the module-level statements of src/heatlab (cli's
+`__main__` guard included, def and class statements contributing only their
+decorators), the bodies of `@suite` definitions, and every reference in
+perfbench/*.py.  A definition, private ones included, is reached when a
+reached body or a root names it: as a name, an attribute, or a string
+constant (perfbench/tracing.py names traced functions by string); its own
+body then joins the walk, a class with all its methods.  Import statements
+do not count, so a re-export in __init__.py is not a use, and a name used
+only inside another unreached definition is unreached too.  An allowlisted
+name is exempt, but the walk does not pass through it.  Tests are not roots.
 """
 
 import ast
@@ -18,45 +22,30 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "heatlab").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
-# Public names with no caller in src/heatlab or perfbench, each kept on purpose.
+# Definitions no run reaches, each kept on purpose.
 ALLOWED_UNCALLED = {
-    "kernel_upper_log": "rank-general polynomial-Gaussian upper bound; awaits the "
-                        "rank-two suites",
-    "grigoryan_bound": "model-profile derivative bound; awaits the rank-two suites",
-    "grigoryan_f_lower_constant": "proven constant of the iterated-profile lower shape, "
-                                  "which tests check grigoryan_f_iterated against",
-    "derivative_envelope_step": "mean-value propagation step behind the rate "
-                                "recurrence; awaits a suite",
-    "maximal_kernel_bound": "rank-general weighted supremum bound; awaits the "
-                            "rank-two suites",
-    "build_from_roots": "builds the rank-general models; awaits the rank-two suites",
-    "parse_root_system": "reads rank-general root data; awaits the rank-two suites",
     "parse_group": "reads a [group] section from text; test-facing",
     "parse_report_csv": "reads a report CSV back; test-facing",
 }
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-def _exempt(node) -> bool:
+
+def _is_suite(node) -> bool:
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        if not (isinstance(target, ast.Name) and target.id == "dataclass"):
+        if isinstance(target, ast.Name) and target.id == "suite":
             return True
     return False
 
 
-def public_definitions(tree: ast.Module) -> list:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and not _exempt(node)]
-
-
-def referenced_names(tree: ast.AST, skip=None) -> set[str]:
+def referenced_names(tree: ast.AST) -> set[str]:
     """Names, attributes and identifier-like string constants in `tree`,
-    outside the subtree `skip` and outside import statements."""
+    outside import statements."""
     out, stack = set(), [tree]
     while stack:
         node = stack.pop()
-        if node is skip or isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.Name):
             out.add(node.id)
@@ -69,18 +58,37 @@ def referenced_names(tree: ast.AST, skip=None) -> set[str]:
     return out
 
 
-def uncalled(sources: dict[str, ast.Module], callers: dict[str, ast.Module]) -> set[str]:
-    """Public definitions of `sources` that no tree of `callers` references
-    outside the definition itself; both map a file name to its tree."""
-    outside = {name: referenced_names(tree) for name, tree in callers.items()}
-    found = set()
-    for name, tree in sources.items():
-        for node in public_definitions(tree):
-            used = any(node.name in (referenced_names(tree, skip=node) if other == name else refs)
-                       for other, refs in outside.items())
-            if not used:
-                found.add(node.name)
-    return found
+def unreached(sources: dict[str, ast.Module], callers: dict[str, ast.Module],
+              allowed=frozenset()) -> set[str]:
+    """Module-level definitions of `sources` that no root reaches; both map a
+    file name to its tree, and trees of `callers` not in `sources` are
+    roots whole.  Names in `allowed` may be reached, but the walk does not
+    enter their bodies."""
+    definitions: dict[str, list] = {}
+    frontier = []
+    for tree in sources.values():
+        for stmt in tree.body:
+            if not isinstance(stmt, _DEFINITIONS):
+                frontier.extend(referenced_names(stmt))
+                continue
+            definitions.setdefault(stmt.name, []).append(stmt)
+            if _is_suite(stmt):
+                frontier.append(stmt.name)
+            for deco in stmt.decorator_list:
+                frontier.extend(referenced_names(deco))
+    for name, tree in callers.items():
+        if name not in sources:
+            frontier.extend(referenced_names(tree))
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        if name not in allowed:
+            for node in definitions.get(name, ()):
+                frontier.extend(referenced_names(node))
+    return set(definitions) - reached
 
 
 @pytest.fixture(scope="module")
@@ -88,30 +96,56 @@ def trees():
     return {str(path): ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
 
 
-def test_every_public_definition_has_a_caller(trees):
+def scan(trees) -> tuple[dict, set[str]]:
     sources = {str(path): trees[str(path)] for path in SOURCES}
-    assert sum(len(public_definitions(tree)) for tree in sources.values()) > 50
-    missing = uncalled(sources, trees) - set(ALLOWED_UNCALLED)
-    assert not missing, (f"public names with no caller in src/heatlab or perfbench: "
-                         f"{sorted(missing)}; give each a caller, delete it with its "
-                         f"tests, or allow it with a reason")
+    return sources, unreached(sources, trees, frozenset(ALLOWED_UNCALLED))
 
 
-def test_allowlist_names_only_uncalled_definitions(trees):
-    sources = {str(path): trees[str(path)] for path in SOURCES}
-    stale = set(ALLOWED_UNCALLED) - uncalled(sources, trees)
-    assert not stale, f"allowed names that are now called or gone: {sorted(stale)}"
+def test_every_definition_is_reached(trees):
+    sources, found = scan(trees)
+    assert sum(isinstance(stmt, _DEFINITIONS)
+               for tree in sources.values() for stmt in tree.body) > 50
+    missing = found - set(ALLOWED_UNCALLED)
+    assert not missing, (f"definitions no run reaches: {sorted(missing)}; reach each from "
+                         f"a suite, the CLI or perfbench, delete it with its tests, or "
+                         f"allow it with a reason")
+
+
+def test_allowlist_names_only_unreached_definitions(trees):
+    _, found = scan(trees)
+    stale = set(ALLOWED_UNCALLED) - found
+    assert not stale, f"allowed names that are now reached or gone: {sorted(stale)}"
 
 
 def test_scan_flags_a_definition_only_its_own_body_or_an_import_uses():
     module = ast.parse("def orphan(n):\n    return orphan(n - 1)\n\n"
                        "def used():\n    return 1\n\n"
                        "@register\ndef registered():\n    return 2\n\n"
-                       "class _Private:\n    pass\n")
+                       "class _Private:\n    pass\n\n"
+                       "VALUE = _Private\n")
     caller = ast.parse("from .mod import orphan\nvalue = mod.used()\n")
     tracing = ast.parse("TRACED = ((\"mod\", \"traced\"),)\n")
     traced = ast.parse("def traced():\n    return 3\n")
-    found = uncalled({"mod.py": module, "traced.py": traced},
-                     {"mod.py": module, "caller.py": caller, "tracing.py": tracing,
-                      "traced.py": traced})
-    assert found == {"orphan"}
+    found = unreached({"mod.py": module, "traced.py": traced},
+                      {"mod.py": module, "caller.py": caller, "tracing.py": tracing,
+                       "traced.py": traced})
+    assert found == {"orphan", "registered"}
+
+
+def test_scan_flags_a_helper_reached_only_from_an_orphan():
+    module = ast.parse("def orphan():\n    return _helper()\n\n"
+                       "def _helper():\n    return _deeper()\n\n"
+                       "def _deeper():\n    return 1\n")
+    assert unreached({"mod.py": module}, {"mod.py": module}) == {"orphan", "_helper", "_deeper"}
+
+
+def test_scan_walks_suites_and_the_main_guard_but_not_allowed_names():
+    module = ast.parse("@suite('one', 1, reads=())\ndef suite_one(cfg):\n    return _rows()\n\n"
+                       "def _rows():\n    return []\n\n"
+                       "def main():\n    return _run()\n\n"
+                       "def _run():\n    return 0\n\n"
+                       "def allowed():\n    return _only_allowed()\n\n"
+                       "def _only_allowed():\n    return 1\n\n"
+                       "if __name__ == '__main__':\n    main()\n")
+    found = unreached({"mod.py": module}, {"mod.py": module}, frozenset({"allowed"}))
+    assert found == {"allowed", "_only_allowed"}

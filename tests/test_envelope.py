@@ -3,19 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from heatlab import envelope, oracle
 from heatlab.envelope import (
-    EnvelopeBound,
     ShapeMismatchError,
-    derivative_envelope_step,
     fit_constant,
     gamma_limit_from_lambda,
     gradient_rhs_log,
     grid_points,
-    kernel_upper_log,
     lambda_from_epsilon,
     li_yau_gap,
     li_yau_rhs,
@@ -67,49 +63,12 @@ class TestSharpEnvelope:
         assert lo == pytest.approx((4.0 * math.pi) ** -1.5, rel=1e-10)
         assert hi == pytest.approx(0.0427588, rel=1e-4)
 
-    def test_rejects_higher_rank(self):
-        from heatlab.rootspace import RootDatum, RootSystemSpec, build_from_roots
-
-        model = build_from_roots(RootSystemSpec(
-            rank=2, roots=(RootDatum((1.0, 0.0), 1), RootDatum((0.0, 1.0), 1))))
+    def test_rejects_higher_rank(self, rank_two_model):
         with pytest.raises(ValueError):
-            sharp_envelope_log(model, 1.0, 1.0)
-
-
-class TestKernelUpper:
-    def test_dominates_sharp_envelope_h3(self):
-        T, R = grid_points((0.01, 30.0), (0.0, 20.0), 40, 40)
-        assert np.all(kernel_upper_log(H3, T, R) >= sharp_envelope_log(H3, T, R) - 1e-12)
-
-    def test_long_time_log_slope(self):
-        t = 1.0e6
-        dt = 1.0
-        slope = float(kernel_upper_log(H3, t + dt, 0.0) - kernel_upper_log(H3, t, 0.0)) / dt
-        assert slope == pytest.approx(-H3.rho_norm ** 2, abs=1e-5)
-
-    def test_h2_decreasing_beyond_turnover(self):
-        ts = np.linspace(H2.n / (2 * H2.rho_norm ** 2) + 0.1, 50.0, 50)
-        vals = kernel_upper_log(H2, ts, 0.0)
-        assert np.all(np.diff(vals) < 0.0)
+            sharp_envelope_log(rank_two_model, 1.0, 1.0)
 
 
 class TestGrigoryan:
-    def test_profile_monotone_increasing(self):
-        ts = np.geomspace(0.01, 50.0, 60)
-        vals = envelope.grigoryan_f(H3, ts)
-        assert np.all(np.diff(vals) > 0.0)
-        vals2 = envelope.grigoryan_f(H2, ts)
-        assert np.all(np.diff(vals2) > 0.0)
-
-    def test_iterated_lower_bound_with_constant(self):
-        for model in (H3, H2):
-            for i in (1, 2, 3, 4):
-                k = envelope.grigoryan_f_lower_constant(model, i)
-                for t in np.geomspace(0.01, 30.0, 25):
-                    fi = envelope.grigoryan_f_iterated(model, i, float(t))
-                    shape = float(envelope.grigoryan_f_lower_shape(model, i, t))
-                    assert fi >= k * shape * (1.0 - 1e-9)
-
     def test_exact_diagonal_dominates_derivative(self):
         # model-matched constant: reciprocal-diagonal profile is exact on the
         # 3-space, making the bound constant-free
@@ -123,10 +82,10 @@ class TestGrigoryan:
 
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
-            envelope.grigoryan_bound(H3, 0, 1.0)
+            envelope.grigoryan_bound_exact_h3(0, 1.0)
 
     # the iterated integrals the grigoryan suite reaches (orders 1, 2 and 4
-    # over t in [0.01, 30]), for the exact 3-space diagonal and both profiles
+    # over t in [0.01, 30])
     ITERATED_T = np.geomspace(0.01, 30.0, 13)
 
     @pytest.mark.parametrize("i", [1, 2, 4])
@@ -139,31 +98,15 @@ class TestGrigoryan:
                                  i, t)
             assert g == pytest.approx(mp_ref, rel=1e-12)
 
-    @pytest.mark.parametrize("model", [H3, H2], ids=["h3", "h2"])
-    @pytest.mark.parametrize("i", [1, 2, 4])
-    def test_profile_iterated_matches_quad_and_mpmath(self, model, i):
-        got = envelope.grigoryan_f_iterated(model, i, self.ITERATED_T)
-        n_half, m = model.n / 2.0, model.m_exp
-        for g, t in zip(got.tolist(), self.ITERATED_T.tolist()):
-            ref = quad_iterated(lambda s: s ** n_half * (1.0 + s) ** (-m), i, t)
-            assert g == pytest.approx(ref, rel=1e-12)
-            mp_ref = mp_iterated(lambda s: s ** mpmath.mpf(n_half) * (1 + s) ** mpmath.mpf(-m),
-                                 i, t)
-            assert g == pytest.approx(mp_ref, rel=1e-12)
-
     def test_arrays_match_scalar_calls(self):
         # the iterated integrals are one-row passes for a scalar, so entries
         # are bit-identical; the bound also takes np.exp of t, whose array
         # and scalar loops may differ in the last bit
         t = np.geomspace(0.01, 30.0, 60)
         for i in (1, 2, 4):
-            for batch, one in ((envelope.h3_exact_diagonal_f_iterated(i, t),
-                                lambda tt: envelope.h3_exact_diagonal_f_iterated(i, tt)),
-                               (envelope.grigoryan_f_iterated(H2, i, t),
-                                lambda tt: envelope.grigoryan_f_iterated(H2, i, tt))):
-                scalars = [one(float(tt)) for tt in t]
-                assert all(isinstance(v, float) for v in scalars)
-                assert np.array_equal(batch, scalars)
+            scalars = [envelope.h3_exact_diagonal_f_iterated(i, float(tt)) for tt in t]
+            assert all(isinstance(v, float) for v in scalars)
+            assert np.array_equal(envelope.h3_exact_diagonal_f_iterated(i, t), scalars)
             bounds = [envelope.grigoryan_bound_exact_h3(i, float(tt)) for tt in t]
             assert all(isinstance(v, float) for v in bounds)
             assert envelope.grigoryan_bound_exact_h3(i, t) == pytest.approx(bounds, rel=1e-15)
@@ -180,67 +123,6 @@ class TestGrigoryan:
                            match=r"h3 diagonal iterated integral quadrature not certified at "
                                  r"i=2, t=0\.5"):
             envelope.h3_exact_diagonal_f_iterated(2, np.array([0.5, 30.0]))
-        with pytest.raises(oracle.QuadratureError,
-                           match=r"profile iterated integral quadrature not certified at "
-                                 r"n=2, m=-0\.5, i=4, t="):
-            envelope.grigoryan_f_iterated(H2, 4, 30.0)
-
-
-class TestDerivativeEnvelopeStep:
-    def test_equal_rates(self):
-        lo = EnvelopeBound(alpha=2.0, beta=0.5, gamma_exp=1.0, D=1.0, B=1.0, C=0.8)
-        hi = EnvelopeBound(alpha=4.0, beta=0.5, gamma_exp=1.0, D=1.0, B=1.0, C=0.8)
-        out = derivative_envelope_step(lo, hi, 0.2)
-        lam = lambda_from_epsilon(0.2)
-        assert out.C == pytest.approx(0.8 * (1 + lam) / 2.0, rel=1e-14)
-        assert out.alpha == 3.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(0.01, 0.9), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
-           st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-           st.floats(0.0, 1.0))
-    def test_rate_identity(self, eps, d, b, c, fd, fb, fc):
-        d_star, b_star, c_star = d * fd, b * fb, c * fc
-        lo = EnvelopeBound(alpha=2.5, beta=1.0, gamma_exp=1.0, D=d, B=b, C=c)
-        hi = EnvelopeBound(alpha=4.5, beta=1.0, gamma_exp=1.0, D=d_star, B=b_star, C=c_star)
-        out = derivative_envelope_step(lo, hi, eps)
-        lam = lambda_from_epsilon(eps)
-        assert out.D == pytest.approx((d + d_star) / 2.0, abs=1e-14)
-        assert out.B == pytest.approx((b + b_star) / 2.0, abs=1e-14)
-        assert out.C == pytest.approx((c_star + c * lam) / 2.0, abs=1e-14)
-
-    def test_epsilon_to_zero_means(self):
-        lo = EnvelopeBound(alpha=2.0, beta=0.0, gamma_exp=0.0, D=1.0, B=0.6, C=0.9)
-        hi = EnvelopeBound(alpha=4.0, beta=0.0, gamma_exp=0.0, D=0.4, B=0.2, C=0.3)
-        out = derivative_envelope_step(lo, hi, 1e-9)
-        assert out.C == pytest.approx((0.3 + 0.9) / 2.0, rel=1e-8)
-
-    def test_matches_recurrence_entries(self):
-        eps = 0.2
-        grid = recurrence_grid(eps, i_max=6, l_max=8)
-        rho_sq = H3.rho_norm ** 2
-        ell, i = 5, 3
-        lo = EnvelopeBound(alpha=H3.n / 2.0 + i - 1, beta=max(H3.m_exp, 0.0), gamma_exp=H3.A_exp,
-                           D=grid.beta[ell - 1, i - 1] * rho_sq,
-                           B=grid.beta[ell - 1, i - 1],
-                           C=grid.gamma[ell - 1, i - 1])
-        hi = EnvelopeBound(alpha=H3.n / 2.0 + i + 1, beta=max(H3.m_exp, 0.0), gamma_exp=H3.A_exp,
-                           D=grid.beta[ell - 1, i + 1] * rho_sq,
-                           B=grid.beta[ell - 1, i + 1],
-                           C=grid.gamma[ell - 1, i + 1])
-        out = derivative_envelope_step(lo, hi, eps)
-        assert out.B == pytest.approx(grid.beta[ell, i], abs=1e-14)
-        assert out.C == pytest.approx(grid.gamma[ell, i], abs=1e-14)
-
-    def test_rejects_violated_preconditions(self):
-        lo = EnvelopeBound(alpha=1.0, beta=2.0, gamma_exp=0.0, D=1.0, B=1.0, C=1.0)
-        hi = EnvelopeBound(alpha=3.0, beta=2.0, gamma_exp=0.0, D=1.0, B=1.0, C=1.0)
-        with pytest.raises(ValueError):
-            derivative_envelope_step(lo, hi, 0.1)
-        lo2 = EnvelopeBound(alpha=2.0, beta=0.0, gamma_exp=0.0, D=0.1, B=1.0, C=1.0)
-        hi2 = EnvelopeBound(alpha=4.0, beta=0.0, gamma_exp=0.0, D=0.5, B=1.0, C=1.0)
-        with pytest.raises(ValueError):
-            derivative_envelope_step(lo2, hi2, 0.1)
 
 
 class TestRecurrenceGrid:
@@ -307,18 +189,6 @@ class TestRhsShapes:
         expected = t ** (-(H3.n + 1) / 2.0) * math.exp(-(1 - 0.1) * H3.rho_norm ** 2 * t)
         assert math.exp(float(gradient_rhs_log(H3, t, 0.0, 0.1))) == pytest.approx(expected,
                                                                         rel=1e-13)
-
-    def test_order_zero_absorbs_polynomial_upper(self):
-        # the eps-shape at order 0 dominates the polynomial-Gaussian upper
-        # bound with a finite fitted constant: e^{eps(...)} absorbs the
-        # (1+t)^m (1+r)^A factors
-        grid = grid_points((0.01, 30.0), (0.0, 20.0), 50, 50)
-        c = fit_constant(
-            lambda t, r: kernel_upper_log(H3, t, r),
-            lambda t, r: theorem1_rhs(H3, 0, t, r, 0.1),
-            grid,
-        )
-        assert math.isfinite(c) and c >= 1.0
 
     def test_gradient_dominates_radial_gradient(self):
         coarse = grid_points((0.05, 20.0), (0.1, 20.0), 30, 30)

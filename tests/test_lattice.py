@@ -371,14 +371,6 @@ class TestEnumerateOrbit:
         with pytest.raises(EnumerationError):
             enumerate_orbit(group, (0.0, 2.0), (0.0, 2.0), 60.0, node_budget=50)
 
-    def test_csv_export(self, tmp_path):
-        orbit = enumerate_orbit(axis_group(2.0), (0.0, 1.0), (0.0, 1.0), 6.0)
-        path = tmp_path / "orbit.csv"
-        orbit.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "distance,word_length"
-        assert len(lines) == len(orbit) + 1
-
 
 PING_PONG_CASES = {
     "plane": (schottky_pair, (0.0, 2.0), (0.3, 1.5)),
@@ -647,24 +639,16 @@ class TestTheorem2Rhs:
 class TestQuotientRegimes:
     def test_regime1_origin(self):
         t = 2.0
-        val = float(quotient_regime_rhs(1, H3, 0.02, 0.5, t, 0.0))
+        val = float(quotient_regime_rhs(H3, 0.02, 0.5, t, 0.0))
         assert val == pytest.approx(t ** -1.5 * math.exp(-t), rel=1e-13)
-
-    def test_regime2_vanishing_exponent(self):
-        # when delta - rho_m + eps = rho_norm the time rate vanishes
-        delta = H3.rho_m + 0.5
-        eps = H3.rho_norm - 0.5
-        t = 3.0
-        val = float(quotient_regime_rhs(2, H3, delta, eps, t, 1.0))
-        assert val == pytest.approx(t ** -1.5, rel=1e-13)
 
     def test_regime_range_rejections(self):
         with pytest.raises(ValueError):
-            quotient_regime_rhs(1, H3, 1.5, 0.5, 1.0, 1.0)  # delta >= rho_m
+            quotient_regime_rhs(H3, 1.5, 0.5, 1.0, 1.0)  # delta >= rho_m
         with pytest.raises(ValueError):
-            quotient_regime_rhs(2, H3, 0.1, 0.5, 1.0, 1.0)  # delta < rho_m
+            quotient_regime_rhs(H3, 0.1, 0.05, 1.0, 1.0)  # s <= delta
         with pytest.raises(ValueError):
-            quotient_regime_rhs(3, H3, 0.1, 0.5, 1.0, 1.0)
+            quotient_regime_rhs(H3, 0.1, 1.0, 1.0, 1.0)  # s >= rho_m
 
     def test_regime1_dominates_quotient_kernel(self):
         from heatlab import oracle
@@ -678,7 +662,7 @@ class TestQuotientRegimes:
                 orbit = enumerate_orbit(group, x, y, 70.0)
                 ev = oracle.quotient_kernel(orbit, "h3", float(t), None, None, 0, 70.0, delta=0.04)
                 series = poincare_series(orbit, s=0.5, delta=0.04)
-                rhs = float(quotient_regime_rhs(1, H3, 0.04, 0.5, t, d))
+                rhs = float(quotient_regime_rhs(H3, 0.04, 0.5, t, d))
                 best = max(best, math.log(ev.value) - math.log(rhs * series.partial_sum))
         assert math.isfinite(best)
         assert math.exp(best) < 10.0

@@ -13,7 +13,6 @@ from heatlab.lpthresholds import (
     chamber_integral_verdict,
     heat_integrand_rate,
     heat_verdict,
-    maximal_kernel_bound,
     riesz_kernel_decay,
     sigma_threshold_heat,
     sigma_threshold_poisson,
@@ -175,13 +174,9 @@ class TestChamberIntegral:
             out = heat_verdict(inp, sigma, float(eps), model=H3, r_max=2000.0)
             assert out.verdict == Verdict.DIVERGENT
 
-    def test_rank_restriction(self):
-        from heatlab.rootspace import RootDatum, RootSystemSpec, build_from_roots
-
-        model = build_from_roots(RootSystemSpec(
-            rank=2, roots=(RootDatum((1.0, 0.0), 1), RootDatum((0.0, 1.0), 1))))
+    def test_rank_restriction(self, rank_two_model):
         with pytest.raises(ValueError):
-            chamber_integral_verdict(model, (0.0, -1.0))
+            chamber_integral_verdict(rank_two_model, (0.0, -1.0))
 
     def test_rate_undefined_when_sigma_too_large(self):
         with pytest.raises(ValueError):
@@ -274,6 +269,8 @@ class TestStNorm:
     def test_rejects_epsilon_at_rho_squared(self):
         with pytest.raises(ValueError):
             st_norm_rate(H3, 0.0, 2.0, 1.0)
+        with pytest.raises(ValueError):
+            st_norm_rate(H3, 0.0, 2.0, math.nan)
 
 
 class TestRieszDecay:
@@ -332,44 +329,3 @@ class TestRieszDecay:
     def test_rejects_other_spaces(self):
         with pytest.raises(ValueError):
             riesz_kernel_decay("h2", 1.0)
-
-
-class TestMaximalKernelBound:
-    def test_sigma_zero_epsilon_zero_limit(self):
-        vals = maximal_kernel_bound(H3, 0.0, 1e-12, 2.0)
-        assert float(vals) == pytest.approx(math.exp(-(2.0 + 2.0)), rel=1e-9)
-
-    def test_monotone_increasing_in_sigma(self):
-        sigmas = np.linspace(0.0, 0.7, 15)
-        vals = [float(maximal_kernel_bound(H3, float(s), 0.2, 3.0)) for s in sigmas]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_dominates_weighted_supremum(self):
-        # numeric sup over t >= 1 of e^{sigma t} t |dh/dt| against the bound
-        sigma, eps = 0.5, 0.2
-        t_grid = np.geomspace(1.0, 60.0, 300)
-
-        def weighted_sup(r: float) -> float:
-            log_abs, _ = oracle.h3_dt_log_abs(t_grid, np.full_like(t_grid, r), 1)
-            return float(np.max(sigma * t_grid + np.log(t_grid) + log_abs))
-
-        rs = np.linspace(0.5, 10.0, 12)
-        fits = [weighted_sup(float(r)) - math.log(float(maximal_kernel_bound(H3, sigma, eps, r)))
-                for r in rs]
-        c_fit = max(fits)
-        assert math.isfinite(c_fit)
-        rs_fine = np.linspace(0.5, 10.0, 48)
-        fits_fine = [weighted_sup(float(r)) - math.log(float(maximal_kernel_bound(H3, sigma, eps, r)))
-                     for r in rs_fine]
-        assert math.exp(max(fits_fine)) <= 1.05 * math.exp(c_fit)
-
-    def test_zero_infty_branch_uses_double_epsilon(self):
-        r = 2.0
-        a = float(maximal_kernel_bound(H3, 0.0, 0.1, r, branch="infty"))
-        b = float(maximal_kernel_bound(H3, 0.0, 0.1, r, branch="zero_infty"))
-        assert a == pytest.approx(math.exp(-0.9 * 2 * r), rel=1e-12)
-        assert b == pytest.approx(math.exp(-0.8 * 2 * r), rel=1e-12)
-
-    def test_rejects_sigma_beyond_sqrt(self):
-        with pytest.raises(ValueError):
-            maximal_kernel_bound(H3, 0.95, 0.2, 1.0)

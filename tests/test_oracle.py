@@ -126,17 +126,14 @@ class TestH2Kernel:
         assert value == pytest.approx(target, rel=1e-6)
 
     def test_below_polynomial_gaussian_upper(self):
-        # fitted-constant comparison against the standard upper envelope
-        from heatlab import envelope
-        from heatlab.rootspace import build_real_hyperbolic
-
-        model = build_real_hyperbolic(2)
+        # fitted-constant comparison against the standard plane upper envelope
+        # t^{-1} (1+t)^{-1/2} (1+r)^{1/2} exp(-t/4 - r/2 - r^2/(4t))
         best = -math.inf
         for t in np.geomspace(0.05, 10.0, 12):
             for r in np.linspace(0.0, 12.0, 12):
-                log_ratio = oracle.h2_log(t, float(r)) - float(
-                    envelope.kernel_upper_log(model, t, r))
-                best = max(best, log_ratio)
+                log_upper = (-math.log(t) - 0.5 * math.log1p(t) + 0.5 * math.log1p(r)
+                             - (t / 4.0 + r / 2.0 + r * r / (4.0 * t)))
+                best = max(best, oracle.h2_log(t, float(r)) - log_upper)
         assert math.isfinite(best)
         assert best < 2.0  # constant stays modest on the sweep
 
@@ -343,18 +340,9 @@ class TestFdTimeDerivative:
         assert fd.value == 9.0 and fd.error == 0.0
 
     def test_exponential_orders(self):
-        # subtractive roundoff grows with the order; orders 3 and 4 must
-        # either stay accurate or flag the precision loss
-        for order in (1, 2, 3, 4):
+        for order in (1, 2):
             fd = oracle.fd_time_derivative(lambda t, r: math.exp(-t), order, 1.0, 0.0)
-            expected = (-1.0) ** order * math.exp(-1.0)
-            if order <= 2:
-                assert fd.value == pytest.approx(expected, abs=1e-9)
-            elif fd.precision_ok:
-                assert fd.value == pytest.approx(expected, rel=1e-4)
-            else:
-                assert fd.rel_error > 1e-5
-                assert fd.value == pytest.approx(expected, rel=1e-2)
+            assert fd.value == pytest.approx((-1.0) ** order * math.exp(-1.0), abs=1e-9)
 
     def test_order_two_known_function(self):
         fd = oracle.fd_time_derivative(lambda t, r: math.exp(-t), 2, 1.0, 0.0)
@@ -366,8 +354,8 @@ class TestFdTimeDerivative:
         assert fd.precision_ok
 
     def test_rejects_high_order(self):
-        with pytest.raises(ValueError):
-            oracle.fd_time_derivative(lambda t, r: t, 5, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"orders 0\.\.2, got 3"):
+            oracle.fd_time_derivative(lambda t, r: t, 3, 1.0, 0.0)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_subnormal_stencil_not_precise(self, order):

@@ -1,23 +1,13 @@
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatlab.config import ConfigError
 from heatlab.rootspace import (
     AlphaTriple,
-    ChamberError,
     RootDatum,
     RootSystemSpec,
-    SpaceModel,
     admissible_alpha_triple,
-    build_from_roots,
     build_real_hyperbolic,
-    parse_root_system,
-    rho_min,
     s_p,
-    sampled_rho_min,
 )
 
 
@@ -46,30 +36,7 @@ class TestRealHyperbolic:
             build_real_hyperbolic(bad)
 
 
-class TestBuildFromRoots:
-    def test_single_root_multiplicity_two(self):
-        spec = RootSystemSpec(rank=1, roots=(RootDatum((1.0,), 2),))
-        m = build_from_roots(spec)
-        assert m.rho == (1.0,)
-        assert m.n == 3
-
-    def test_two_orthogonal_roots(self):
-        spec = RootSystemSpec(
-            rank=2, roots=(RootDatum((1.0, 0.0), 1), RootDatum((0.0, 1.0), 1))
-        )
-        m = build_from_roots(spec)
-        assert m.rho == (0.5, 0.5)
-        assert m.n == 4
-
-    def test_double_root_contributes(self):
-        spec = RootSystemSpec(rank=1, roots=(RootDatum((1.0,), 2, mult_double=1),))
-        m = build_from_roots(spec)
-        # rho = (2*1 + 1*2)/2 = 2; n = 1 + 3
-        assert m.rho == (2.0,)
-        assert m.n == 4
-        assert m.m_exp == (2 + 1) / 2 - 1
-        assert m.A_exp == (2 + 1) / 2
-
+class TestRootData:
     def test_rejects_zero_multiplicity(self):
         with pytest.raises(ValueError):
             RootDatum((1.0,), 0)
@@ -77,61 +44,6 @@ class TestBuildFromRoots:
     def test_rejects_proportional_roots(self):
         with pytest.raises(ValueError):
             RootSystemSpec(rank=1, roots=(RootDatum((1.0,), 1), RootDatum((2.0,), 1)))
-
-
-class TestRhoMin:
-    def test_rank_one_is_norm(self):
-        m = build_real_hyperbolic(5)
-        assert rho_min(m, [(1.0,)]) == pytest.approx(m.rho_norm, abs=1e-12)
-
-    def test_first_quadrant(self):
-        m = SpaceModel(n=4, rho=(3.0, 1.0), rho_norm=math.hypot(3, 1), rho_m=0.0,
-                       m_exp=0.0, A_exp=1.0)
-        value = rho_min(m, [(1.0, 0.0), (0.0, 1.0)])
-        assert value == pytest.approx(1.0, abs=1e-12)
-        sampled = sampled_rho_min(m, [(1.0, 0.0), (0.0, 1.0)])
-        assert abs(value - sampled) < 1e-6
-
-    def test_zero_vector(self):
-        m = SpaceModel(n=4, rho=(0.0, 0.0), rho_norm=0.0, rho_m=0.0, m_exp=0.0, A_exp=1.0)
-        assert rho_min(m, [(1.0, 0.0), (0.0, 1.0)]) == 0.0
-
-    def test_empty_interior_rejected(self):
-        m = SpaceModel(n=4, rho=(1.0, 0.0), rho_norm=1.0, rho_m=0.0, m_exp=0.0, A_exp=1.0)
-        with pytest.raises(ChamberError):
-            rho_min(m, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_random_rank2_matches_sampling(self, seed):
-        rng = np.random.default_rng(seed)
-        angles = np.sort(rng.uniform(0.0, np.pi * 0.9, size=2))
-        normals = [(math.cos(a), math.sin(a)) for a in angles]
-        # rho inside the dual cone: nonnegative combination of the normals
-        w = rng.uniform(0.1, 2.0, size=2)
-        rho = w[0] * np.asarray(normals[0]) + w[1] * np.asarray(normals[1])
-        m = SpaceModel(n=4, rho=tuple(rho), rho_norm=float(np.linalg.norm(rho)),
-                       rho_m=0.0, m_exp=0.0, A_exp=1.0)
-        exact = rho_min(m, normals)
-        assert exact <= m.rho_norm + 1e-12
-        assert abs(exact - sampled_rho_min(m, normals)) < 1e-6
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_random_rank3_matches_sampling(self, seed):
-        rng = np.random.default_rng(seed)
-        normals = np.eye(3) + 0.2 * rng.uniform(-1.0, 1.0, size=(3, 3))
-        w = rng.uniform(0.1, 1.5, size=3)
-        rho = normals.T @ w
-        m = SpaceModel(n=6, rho=tuple(rho), rho_norm=float(np.linalg.norm(rho)),
-                       rho_m=0.0, m_exp=0.0, A_exp=1.0)
-        try:
-            exact = rho_min(m, [tuple(v) for v in normals])
-        except ChamberError:
-            return
-        assert exact <= m.rho_norm + 1e-12
-        sampled = sampled_rho_min(m, [tuple(v) for v in normals], n_samples=400_000)
-        assert abs(exact - sampled) < 1e-6
 
 
 class TestConjugateWeight:
@@ -189,25 +101,3 @@ class TestAlphaTriple:
         m = build_real_hyperbolic(n)
         delta = delta_frac * m.rho_m
         assert admissible_alpha_triple(AlphaTriple(0.0, m.rho_m, 0.0), delta, m)
-
-
-class TestRootConfig:
-    def test_parse_two_roots(self):
-        spec = parse_root_system("rank = 2\nroot = 1,0;1;0\nroot = 0,1;1\n")
-        assert spec.rank == 2
-        assert len(spec.roots) == 2
-        assert spec.roots[0].mult == 1
-
-    def test_parse_rejects_missing_rank(self):
-        with pytest.raises(ConfigError):
-            parse_root_system("root = 1;1;0\n")
-
-    def test_parse_rejects_bad_entry(self):
-        with pytest.raises(ConfigError):
-            parse_root_system("rank = 1\nroot = 1\n")
-
-    def test_round_trip_build(self):
-        spec = parse_root_system("rank = 1\nroot = 1;2;0\n")
-        m = build_from_roots(spec)
-        assert m.n == 3
-        assert m.rho_norm == 1.0
