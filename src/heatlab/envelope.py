@@ -49,30 +49,22 @@ def epsilon_from_lambda(lam: float) -> float:
     return (1.0 - lam) / (1.0 + lam)
 
 
-def _require_rank_one(model: SpaceModel):
-    if model.roots is None or len(model.roots.roots) != 1:
-        raise ValueError("this envelope requires a rank-one model with a single listed root")
-
-
 def sharp_envelope_log(model: SpaceModel, t, r):
     """Log of the sharp envelope shape, constant slot 1.
 
-    t^{-n/2} (1 + <a,H>) (1 + t + <a,H>)^{(m_a + m_2a)/2 - 1}
-    * exp(-|rho|^2 t - <rho,H> - r^2/(4t)) for the single root a.
-    The middle exponent matches the per-root contribution to the polynomial
-    time exponent, so the 3-space factor is identically 1 and the plane
-    factor is (1 + t + r)^{-1/2}, as in the closed-form estimates.
+    t^{-n/2} (1 + <a,H>) (1 + t + <a,H>)^{m_a/2 - 1}
+    * exp(-|rho|^2 t - <rho,H> - r^2/(4t)) for the unit root a, of
+    multiplicity m_a = n - 1, so <a,H> = r and the middle exponent is m.
+    It matches the per-root contribution to the polynomial time exponent, so
+    the 3-space factor is identically 1 and the plane factor is
+    (1 + t + r)^{-1/2}, as in the closed-form estimates.
     """
-    _require_rank_one(model)
-    datum = model.roots.roots[0]
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    alpha_h = datum.norm * r
-    middle_exp = (datum.mult + datum.mult_double) / 2.0 - 1.0
     return (
         -model.n / 2.0 * np.log(t)
-        + np.log1p(alpha_h)
-        + middle_exp * np.log(1.0 + t + alpha_h)
+        + np.log1p(r)
+        + model.m_exp * np.log(1.0 + t + r)
         - model.rho_norm ** 2 * t
         - model.rho_dot(r)
         - r * r / (4.0 * t)
@@ -242,24 +234,23 @@ def li_yau_rhs(n: int, curvature_sq: float, t, gamma: float):
 def li_yau_gap(model: SpaceModel, t: float, r: float, gamma: float = 2.0) -> float:
     """RHS minus LHS of the curvature gradient inequality
     |grad h|^2/h^2 - g (1/h) dh/dt <= n R^2 g^2/(sqrt2 (g-1)) + n g^2/(2t)
-    with R^2 = n - 1, evaluated with the exact oracles.  Nonnegative gap
-    means the inequality holds at (t, r).
+    with R^2 = n - 1, evaluated with the exact oracles: the 3-space closed
+    forms, or the plane model's kernel and r-derivative.  Nonnegative gap
+    means the inequality holds at (t, r > 0).
     """
-    if t <= 0.0 or r <= 0.0:
-        raise ValueError("need t > 0 and r > 0")
+    oracle.check_domain(t, r, radial=True)
     if model.n == 3:
         grad_log_sq = (1.0 / r - 1.0 / math.tanh(r) - r / (2.0 * t)) ** 2
         dt_over_h = float(oracle.h3_dt_prefactor(t, r, 1))
-    elif model.n == 2:
-        h = math.exp(oracle.h2_log(t, r))
-        grad_log_sq = (oracle.radial_gradient("h2", t, r) / h) ** 2
+    else:
+        h = math.exp(model.log_kernel(t, r))
+        grad_log_sq = (math.exp(model.radial_log_abs(t, r)) / h) ** 2
         # the time derivative stays a Richardson difference: the plane
         # workload in perfbench/checks.py checks the gap against that
-        # difference (see ROADMAP item 2)
-        fd = oracle.fd_time_derivative(lambda tt, rr: math.exp(oracle.h2_log(tt, rr)), 1, t, r)
+        # difference (see ROADMAP item 4)
+        fd = oracle.fd_time_derivative(lambda tt, rr: math.exp(model.log_kernel(tt, rr)),
+                                       1, t, r)
         dt_over_h = fd.value / h
-    else:
-        raise ValueError("gap evaluation is wired to the plane and 3-space oracles")
     lhs = grad_log_sq - gamma * dt_over_h
     rhs = float(li_yau_rhs(model.n, model.n - 1.0, t, gamma))
     return rhs - lhs

@@ -247,8 +247,8 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     that dome is farther from x than r_max (plus the basepoint slack).  A word
     whose image point overflows raises EnumerationError in either family.
     """
-    if r_max <= 0.0:
-        raise ValueError("r_max must be positive")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     xp, yp = as_point(x), as_point(y)
     if group.family == "trivial":
         return _sorted_orbit(xp, yp, [distance(xp, yp)], [0], r_max,
@@ -342,6 +342,8 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
 
 def counting_function(orbit: OrbitSet, radius: float) -> int:
     """Number of orbit points within the given radius."""
+    if math.isnan(radius):
+        raise ValueError("radius must be a number, got nan")
     if radius > orbit.r_max * (1.0 + 1e-12) and not orbit.exhaustive:
         raise ValueError(f"radius {radius} exceeds the certified range {orbit.r_max}")
     return int(np.searchsorted(orbit.distances, radius, side="right"))

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import oracle
-from .rootspace import SpaceModel, s_p
+from .rootspace import SpaceModel, named_model, s_p
 
 
 class Verdict(str, Enum):
@@ -72,7 +72,7 @@ class IntegralVerdict:
 _VERDICT_MARGIN = 0.02  # |frontier log-slope| below this is inconclusive
 
 
-def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, float],
+def chamber_integral_verdict(integrand_rates: tuple[float, float],
                              r_max: float = 1000.0) -> IntegralVerdict:
     """Classify int_0^R (1+r)^a e^{b r} dr by the measured log-slope of the
     integrand at the integration frontier R = r_max.
@@ -80,10 +80,9 @@ def chamber_integral_verdict(model: SpaceModel, integrand_rates: tuple[float, fl
     The slope is the difference quotient (f(R) - f(R - dr))/dr of
     f = a log1p(r) + b r, with dr = min(1, R/100); no integral is evaluated.
     Finite needs slope < -0.02, divergent slope > +0.02, otherwise
-    inconclusive.  Rank-one models only: the chamber is a ray.
+    inconclusive.  The chamber of a real hyperbolic space is a ray, so the
+    integral is one-dimensional.
     """
-    if model.rank != 1:
-        raise ValueError("chamber integral reduction applies to rank-one models")
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"need a finite r_max > 0, got {r_max}")
     a, b = float(integrand_rates[0]), float(integrand_rates[1])
@@ -139,7 +138,7 @@ def heat_verdict(inp: ThresholdInput, sigma: float, epsilon: float, model: Space
     if _decay_radicand(inp.rho_norm, sigma, epsilon) < 0.0:
         return IntegralVerdict(verdict=Verdict.DIVERGENT, effective_rate=math.inf)
     rate = heat_integrand_rate(inp.rho_norm, inp.eta_norm, inp.p, sigma, epsilon)
-    return chamber_integral_verdict(model, (model.A_exp, rate), r_max=r_max)
+    return chamber_integral_verdict((model.A_exp, rate), r_max=r_max)
 
 
 def st_norm_rate(model: SpaceModel, eta_norm: float, p: float, epsilon: float) -> float:
@@ -206,11 +205,12 @@ def riesz_time_integral(r: float, t_edges, panels: int = 12) -> np.ndarray:
 
 def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1) -> RieszDecay:
     """Gradient-kernel time integral int_0^inf |d_r h_t| / sqrt(t) dt on the
-    3-space, split at t = 1, with certified Gaussian (small t) and
-    exponential (large t) tails; paired with the decay shape
-    e^{-(1-eps)(<rho,H> + |rho| r)} for fitted-constant domination."""
-    if space.lower() != "h3":
-        raise ValueError("gradient-kernel integral is wired to the 3-space oracle")
+    space named `space`, split at t = 1, with certified Gaussian (small t)
+    and exponential (large t) tails; paired with the decay shape
+    e^{-(1-eps)(<rho,H> + |rho| r)} for fitted-constant domination.  Its
+    tails are 3-space closed forms, so only "h3" is accepted."""
+    if named_model(space).n != 3:
+        raise ValueError(f"the gradient-kernel integral has only its 3-space form, got {space!r}")
     if r <= 0.0:
         raise ValueError("need r > 0")
     t_lo = r * r / 3200.0  # Gaussian phase r^2/(4t) = 800 at the lower cut

@@ -1,12 +1,15 @@
 """Exact heat-kernel oracles on the hyperbolic plane and 3-space.
 
-The 3-space kernel and its first two time derivatives are closed forms; the
-plane kernel is certified fixed-node Gauss-Legendre, exact t- and
-r-derivatives: one pass over arrays, after a substitution that removes the
-endpoint singularity, with the derivatives weighting the same nodes.
-Finite-difference derivatives with Richardson extrapolation serve as an
-independent cross-check, and quotient kernels are orbit sums with certified
-Gaussian truncation bounds.
+The 3-space kernel, its first two time derivatives and its r-derivative are
+closed forms; the plane kernel is certified fixed-node Gauss-Legendre, and
+so are its exact t- and r-derivatives: one pass over arrays, after a
+substitution that removes the endpoint singularity, with the derivatives
+weighting the same nodes.  `rootspace.SpaceModel` carries these as its
+oracle, and every function here that works on either space reads it from the
+model; the public names "h2" and "h3" resolve to a model through
+`rootspace.named_model`.  Finite-difference derivatives with Richardson
+extrapolation serve as an independent cross-check, and quotient kernels are
+orbit sums with certified Gaussian truncation bounds.
 
 All evaluators work in log space internally; linear values may underflow to
 zero in extreme regimes, the log variants never do.
@@ -20,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from . import rootspace
 
 LOG_4PI = math.log(4.0 * math.pi)
 _FD_PRECISION_LIMIT = 1e-5
@@ -86,16 +91,28 @@ def h3_dt_prefactor(t, r, order: int):
     raise ValueError(f"closed-form time derivatives stop at order 2, got {order}")
 
 
-def _check_domain(t, r):
-    if np.any(np.asarray(t, dtype=float) <= 0.0):
-        raise ValueError("time must be positive")
-    if np.any(np.asarray(r, dtype=float) < 0.0):
-        raise ValueError("distance must be nonnegative")
+def check_domain(t, r, radial: bool = False) -> None:
+    """Raise ValueError unless every t is a positive finite time and every r
+    a finite distance, >= 0, or > 0 for a `radial` derivative.  NaN fails
+    both tests."""
+    if isinstance(t, float) and isinstance(r, float):
+        # the same tests without numpy's per-call cost, for scalar callers
+        t_ok = 0.0 < t < math.inf
+        r_ok = (0.0 < r if radial else 0.0 <= r) and r < math.inf
+    else:
+        t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+        t_ok = ((t > 0.0) & (t < math.inf)).all()
+        r_ok = (((r > 0.0) if radial else (r >= 0.0)) & (r < math.inf)).all()
+    if not t_ok:
+        raise ValueError("time must be positive and finite")
+    if not r_ok:
+        raise ValueError("radial derivative needs a finite r > 0" if radial
+                         else "distance must be finite and nonnegative")
 
 
 def h3_dt_log_abs(t, r, order: int):
     """(log |d^i_t h|, sign) for the 3-space kernel, vectorized."""
-    _check_domain(t, r)
+    check_domain(t, r)
     pref = h3_dt_prefactor(t, r, order)
     with np.errstate(divide="ignore"):
         log_abs = h3_log(t, r) + np.log(np.abs(pref))
@@ -103,12 +120,10 @@ def h3_dt_log_abs(t, r, order: int):
 
 
 def h3_radial_log_abs(t, r):
-    """log |d_r h| on the 3-space; the derivative is negative for r > 0."""
-    _check_domain(t, r)
+    """log |d_r h| on the 3-space, r > 0; the derivative is negative there."""
+    check_domain(t, r, radial=True)
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radial derivative needs r > 0")
     magnitude = 1.0 / np.tanh(r) - 1.0 / r + r / (2.0 * t)
     return h3_log(t, r) + np.log(magnitude)
 
@@ -217,18 +232,14 @@ def _h2_radial_weight(u, r, t):
     return (1.0 - s * s / (2.0 * t)) / s - 0.5 / np.tanh(r + 0.5 * u * u)
 
 
-def _h2_flat(t, r) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _h2_flat(t, r, radial: bool = False) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Domain-checked (t, r), broadcast and flattened, and the broadcast shape."""
+    check_domain(t, r, radial)
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if t.shape != r.shape:
         t, r = np.broadcast_arrays(t, r)
-    ts, rs = t.ravel(), r.ravel()
-    if (ts <= 0.0).any():
-        raise ValueError("time must be positive")
-    if (rs < 0.0).any():
-        raise ValueError("distance must be nonnegative")
-    return ts, rs, t.shape
+    return t.ravel(), r.ravel(), t.shape
 
 
 _H2_LOG_CONST = 0.5 * math.log(2.0) - 1.5 * LOG_4PI
@@ -304,8 +315,22 @@ def h2_dt_log_abs(t, r, order: int):
     """
     if order not in (0, 1, 2):
         raise ValueError(f"plane time derivatives stop at order 2, got {order}")
-    ts, rs, shape = _h2_flat(t, r)
-    moment = _h2_moment(ts, rs, None if order == 0 else _h2_time_weight(order))
+    return _h2_log_abs(t, r, None if order == 0 else _h2_time_weight(order))
+
+
+def h2_radial_log_abs(t, r):
+    """log |d_r h| on the plane, r > 0, vectorized: the r-derivative weights
+    the nodes of h2_log's pass (see _h2_radial_weight), certified like a
+    time-derivative moment."""
+    return _h2_log_abs(t, r, _h2_radial_weight, radial=True)[0]
+
+
+def _h2_log_abs(t, r, weight, radial: bool = False):
+    """(log |moment|, sign of the moment) of `weight` times the plane
+    integrand, the prefactor included, at broadcast (t, r); floats for
+    scalars."""
+    ts, rs, shape = _h2_flat(t, r, radial)
+    moment = _h2_moment(ts, rs, weight)
     with np.errstate(divide="ignore"):
         log_abs = _h2_log_prefactor(ts, rs) + np.log(np.abs(moment))
     sign = np.sign(moment)
@@ -330,8 +355,7 @@ def fd_time_derivative(kernel, order: int, t: float, r: float) -> FdDerivative:
     """
     if order not in (0, 1, 2):
         raise ValueError(f"finite differences support orders 0..2, got {order}")
-    if t <= 0.0:
-        raise ValueError("time must be positive")
+    check_domain(t, r)
     if order == 0:
         value = float(kernel(t, r))
         return FdDerivative(value=value, error=0.0, rel_error=0.0,
@@ -364,51 +388,32 @@ def fd_time_derivative(kernel, order: int, t: float, r: float) -> FdDerivative:
 
 
 def radial_gradient(space: str, t: float, r: float) -> float:
-    """|d_r h_t| at geodesic distance r, exact on both spaces: closed form on
-    the 3-space; on the plane the r-derivative weights the nodes of h2_log's
-    pass (see _h2_radial_weight), certified like a time-derivative moment.
+    """|d_r h_t| at geodesic distance r > 0 on the space named "h2" or "h3",
+    from its model's exact r-derivative.
 
     For a radial kernel the gradient norm equals |d_r h_t|.
     """
-    if t <= 0.0:
-        raise ValueError("time must be positive")
-    if r <= 0.0:
-        raise ValueError("radial gradient needs r > 0")
-    space = space.lower()
-    if space == "h3":
-        return float(np.exp(h3_radial_log_abs(t, r)))
-    if space == "h2":
-        ts, rs, _ = _h2_flat(t, r)
-        moment = abs(float(_h2_moment(ts, rs, _h2_radial_weight)[0]))
-        if moment == 0.0:
-            return 0.0
-        return math.exp(float(_h2_log_prefactor(ts, rs)[0]) + math.log(moment))
-    raise ValueError(f"unknown space {space!r}, expected 'h2' or 'h3'")
+    return math.exp(rootspace.named_model(space).radial_log_abs(t, r))
 
 
-_SPACE_DATA = {"h2": (2, 0.5), "h3": (3, 1.0)}  # (dimension, rho_norm)
-_DT_LOG_ABS = {"h2": h2_dt_log_abs, "h3": h3_dt_log_abs}
-
-
-def _space_derivative_values(space: str, ts: np.ndarray, distances: np.ndarray,
-                             order: int) -> np.ndarray:
+def _space_derivative_values(model: rootspace.SpaceModel, ts: np.ndarray,
+                             distances: np.ndarray, order: int) -> np.ndarray:
     """d^i_t h at every (t, distance) pair, shape (len(ts), len(distances))."""
-    if space not in _DT_LOG_ABS:
-        raise ValueError(f"unknown space {space!r}")
-    log_abs, sign = _DT_LOG_ABS[space](ts[:, None], distances, order)
+    log_abs, sign = model.dt_log_abs(ts[:, None], distances, order)
     return np.exp(log_abs) * sign
 
 
 @lru_cache(maxsize=64)
-def _tail_envelope_constant(space: str, order: int, epsilon: float) -> float:
+def _tail_envelope_constant(model: rootspace.SpaceModel, order: int, epsilon: float) -> float:
     """Fitted constant c with |d^i_t h| <= c * t^{-n/2-i} e^{-(1-eps)(rho^2 t
-    + rho_m d + d^2/(4t))} on a wide internal grid.  Deterministic; cached."""
-    n, rho = _SPACE_DATA[space]
+    + rho_m d + d^2/(4t))} on a wide internal grid of the model's space.
+    Deterministic; cached."""
+    n, rho = model.n, model.rho_norm
     t_grid = np.geomspace(1e-3, 60.0, 90)
     d_grid = np.linspace(0.0, 60.0, 90)
     best = -np.inf
     for t in t_grid:
-        log_abs, _ = _DT_LOG_ABS[space](t, d_grid, order)
+        log_abs, _ = model.dt_log_abs(t, d_grid, order)
         log_env = (-(n / 2.0 + order) * math.log(t)
                    - (1.0 - epsilon) * (rho * rho * t + rho * d_grid + d_grid * d_grid / (4.0 * t)))
         best = max(best, float(np.max(log_abs - log_env)))
@@ -422,7 +427,8 @@ _TAIL_STOP = 1e-18  # stop once a shell adds at most this share of the running t
 
 def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
                     delta: float | None = None, epsilon: float = 0.2) -> QuotientKernelEval:
-    """Orbit sum of kernel time derivatives over points with d(x, gy) <= r_cut.
+    """Orbit sum of kernel time derivatives over points with d(x, gy) <= r_cut,
+    on the space named "h2" or "h3".
 
     `group` is either an object with an ``orbit(x, y, r_max)`` method or an
     already-enumerated `OrbitSet`.  `t` is a positive time or a 1-D array of
@@ -432,16 +438,17 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     exponential counting bound c * e^{delta R}, summed over unit shells
     beyond r_cut until a shell adds at most 1e-18 of the running tail.
     """
-    space = space.lower()
-    if space not in _SPACE_DATA:
-        raise ValueError(f"unknown space {space!r}")
+    model = rootspace.named_model(space)
     ts = np.asarray(t, dtype=float)
     scalar = ts.ndim == 0
     ts = ts.reshape(1) if scalar else ts
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t must be a positive time or a nonempty 1-D array of them")
-    if np.any(ts <= 0.0):
-        raise ValueError("time must be positive")
+    if not ((ts > 0.0) & (ts < math.inf)).all():
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+    for name, value in (("r_cut", r_cut), ("delta", delta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("tail envelope needs epsilon in (0, 1); the Gaussian decay rate "
                          "(1 - epsilon)/(4t) must stay positive for the tail to converge")
@@ -456,15 +463,15 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
 
     distances = np.asarray(orbit.distances, dtype=float)
     used = distances[distances <= r_cut + 1e-12]
-    values = np.sum(_space_derivative_values(space, ts, used, order), axis=1)
+    values = np.sum(_space_derivative_values(model, ts, used, order), axis=1)
 
     if orbit.exhaustive and used.size == distances.size:
         tails = np.zeros_like(values)
     else:
         if delta is None:
             raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
-        scale = _tail_envelope_constant(space, order, epsilon) * orbit.counting_constant(delta)
-        tails = _truncation_tails(space, order, epsilon, delta, scale, math.floor(r_cut),
+        scale = _tail_envelope_constant(model, order, epsilon) * orbit.counting_constant(delta)
+        tails = _truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut),
                                   ts, np.abs(values))
     if scalar:
         return QuotientKernelEval(value=float(values[0]), terms_used=int(used.size),
@@ -472,8 +479,9 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     return QuotientKernelEval(value=values, terms_used=int(used.size), truncation_bound=tails)
 
 
-def _truncation_tails(space: str, order: int, epsilon: float, delta: float, scale: float,
-                      k0: int, ts: np.ndarray, value_abs: np.ndarray) -> np.ndarray:
+def _truncation_tails(model: rootspace.SpaceModel, order: int, epsilon: float, delta: float,
+                      scale: float, k0: int, ts: np.ndarray,
+                      value_abs: np.ndarray) -> np.ndarray:
     """Per-t sum of the shell terms scale * e^{delta (k+1)} * envelope(t, k)
     for k = k0, k0+1, ..., stopping at the first shell whose term is at most
     1e-18 of max(running tail, |value|, 1e-300).
@@ -484,7 +492,7 @@ def _truncation_tails(space: str, order: int, epsilon: float, delta: float, scal
     then holds the term at kp.  The block is sized to that, and each t row
     is summed left to right, independently of the other rows.
     """
-    n, rho = _SPACE_DATA[space]
+    n, rho = model.n, model.rho_norm
     a = 1.0 - epsilon
     log_t_part = -(n / 2.0 + order) * np.log(ts) - a * rho * rho * ts
     kp = np.maximum(float(k0), np.ceil(2.0 * ts * (delta - a * rho) / a))

@@ -1,125 +1,95 @@
-"""Root-space data for the geometric models under test.
+"""The space model every bound and oracle reads: real hyperbolic n-space.
 
-Holds the half-sum vector, its norm and its minimum over the closed chamber,
-the polynomial growth exponents of the kernel envelopes, and the conjugate
-exponent arithmetic.  The only model built here is real hyperbolic space,
-the rank-one case the exact oracles cover: its chamber is a ray, so the
-chamber minimum equals the norm.
+`SpaceModel` is defined by the dimension n alone.  It derives the half-sum
+norm, its chamber minimum and the polynomial growth exponents of the kernel
+envelopes, and for n = 2 and 3 it carries the exact heat-kernel oracle of
+`heatlab.oracle`.  Real hyperbolic space has rank one: one positive root, of
+unit length and multiplicity n - 1, so its chamber is a ray and the chamber
+minimum equals the norm.  Also here: the conjugate-exponent weight and the
+splitting triples of the quotient bound.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class RootDatum:
-    """One positive root: its vector, multiplicity, and the multiplicity of
-    its double (0 when the double is not a root)."""
-
-    vector: tuple[float, ...]
-    mult: int
-    mult_double: int = 0
-
-    def __post_init__(self):
-        if len(self.vector) < 1:
-            raise ValueError("root vector must have at least one coordinate")
-        if all(abs(v) <= _EPS for v in self.vector):
-            raise ValueError("root vector must be nonzero")
-        if self.mult < 1:
-            raise ValueError("root multiplicity must be >= 1")
-        if self.mult_double < 0:
-            raise ValueError("double-root multiplicity must be >= 0")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-
-@dataclass(frozen=True)
-class RootSystemSpec:
-    rank: int
-    roots: tuple[RootDatum, ...]
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if not self.roots:
-            raise ValueError("at least one positive root is required")
-        for datum in self.roots:
-            if len(datum.vector) != self.rank:
-                raise ValueError(
-                    f"root {datum.vector} has {len(datum.vector)} coordinates, expected rank {self.rank}"
-                )
-        # Doubles are carried by mult_double, never by a second list entry.
-        for a, b in itertools.combinations(self.roots, 2):
-            va, vb = np.asarray(a.vector), np.asarray(b.vector)
-            cross = np.outer(va, vb) - np.outer(vb, va)
-            if np.max(np.abs(cross)) <= _EPS * max(1.0, a.norm * b.norm) and float(va @ vb) > 0:
-                raise ValueError(
-                    f"roots {a.vector} and {b.vector} are positive multiples; "
-                    "record the double via mult_double instead"
-                )
+# oracle imports this module in turn; each reads the other's attributes
+# only at call time, so the tracer's replacements are always the ones seen
+from . import oracle
 
 
 @dataclass(frozen=True)
 class SpaceModel:
-    """Geometric context for every bound: dimension, half-sum vector and its
-    chamber minimum, and the envelope's polynomial exponents."""
+    """Real hyperbolic n-space, curvature -1: the geometric context of every
+    bound, and for n = 2 and 3 its exact heat-kernel oracle."""
 
     n: int
-    rho: tuple[float, ...]
-    rho_norm: float
-    rho_m: float
-    m_exp: float
-    A_exp: float
-    roots: RootSystemSpec | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.rho_norm < -_EPS or self.rho_m < -_EPS:
-            raise ValueError("rho_norm and rho_m must be nonnegative")
-        if self.rho_m > self.rho_norm + 1e-9:
-            raise ValueError(f"rho_m={self.rho_m} exceeds rho_norm={self.rho_norm}")
 
     @property
-    def rank(self) -> int:
-        return len(self.rho)
+    def rho_norm(self) -> float:
+        """|rho| = (n - 1)/2: the unit root has multiplicity n - 1."""
+        return (self.n - 1) / 2.0
+
+    @property
+    def rho_m(self) -> float:
+        """Minimum of <rho, H> over unit H in the chamber, a ray here."""
+        return self.rho_norm
+
+    @property
+    def m_exp(self) -> float:
+        """Polynomial exponent m of the on-diagonal shape (1 + t)^m."""
+        return self.rho_norm - 1.0
+
+    @property
+    def A_exp(self) -> float:
+        """Polynomial exponent of the chamber integrands."""
+        return self.rho_norm
 
     def rho_dot(self, r):
-        """<rho, H> for H of length r along the chamber ray carrying rho.
-
-        Exact in rank one; for higher-rank sweeps pass an explicit value to
-        the envelope functions instead.
-        """
+        """<rho, H> for H of length r along the chamber ray."""
         return self.rho_norm * np.asarray(r, dtype=float)
+
+    def log_kernel(self, t, r):
+        """log h_t at geodesic distance r."""
+        return self._exact()[0](t, r)
+
+    def dt_log_abs(self, t, r, order: int):
+        """(log |d^i_t h_t|, sign) at geodesic distance r, for i <= 2."""
+        return self._exact()[1](t, r, order)
+
+    def radial_log_abs(self, t, r):
+        """log |d_r h_t| at geodesic distance r > 0."""
+        return self._exact()[2](t, r)
+
+    def _exact(self):
+        # read from the module at each call, never stored on the model
+        if self.n == 3:
+            return oracle.h3_log, oracle.h3_dt_log_abs, oracle.h3_radial_log_abs
+        if self.n == 2:
+            return oracle.h2_log, oracle.h2_dt_log_abs, oracle.h2_radial_log_abs
+        raise ValueError(f"no exact heat-kernel oracle in dimension n={self.n}; "
+                         "only the plane (n = 2) and 3-space (n = 3) have one")
 
 
 def build_real_hyperbolic(n: int) -> SpaceModel:
-    """Rank-one model of the n-dimensional real hyperbolic space, curvature -1.
-
-    Single positive root of multiplicity n-1, unit length, so the geodesic
-    radial variable r satisfies <rho, H> = ((n-1)/2) * r.
-    """
+    """Model of the n-dimensional real hyperbolic space, curvature -1."""
     if int(n) != n or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
-    n = int(n)
-    datum = RootDatum(vector=(1.0,), mult=n - 1, mult_double=0)
-    spec = RootSystemSpec(rank=1, roots=(datum,))
-    half = (n - 1) / 2.0
-    return SpaceModel(
-        n=n,
-        rho=(half,),
-        rho_norm=half,
-        rho_m=half,
-        m_exp=half - 1.0,
-        A_exp=half,
-        roots=spec,
-    )
+    return SpaceModel(int(n))
+
+
+_NAMED = {"h2": 2, "h3": 3}
+
+
+def named_model(space: str) -> SpaceModel:
+    """The model a public space name keys: "h2" the plane, "h3" 3-space
+    (any case)."""
+    n = _NAMED.get(space.lower()) if isinstance(space, str) else None
+    if n is None:
+        raise ValueError(f"unknown space {space!r}, expected 'h2' or 'h3'")
+    return SpaceModel(n)
 
 
 def s_p(p: float) -> float:

@@ -64,13 +64,6 @@ def suite_recurrence(cfg: SuiteConfig) -> list[CheckRow]:
     return rows
 
 
-def _h3_abs_dt_log(i: int):
-    def log_oracle(t, r):
-        log_abs, _ = oracle.h3_dt_log_abs(t, r, i)
-        return log_abs
-    return log_oracle
-
-
 @suite("envelope", 2)
 def suite_envelope(cfg: SuiteConfig) -> list[CheckRow]:
     """Sharp-envelope bracketing on the 3-space: the kernel/envelope ratio
@@ -80,7 +73,8 @@ def suite_envelope(cfg: SuiteConfig) -> list[CheckRow]:
 
     def bracket(nt, nr):
         grid_t, grid_r = envelope.grid_points((0.01, 30.0), (0.0, 20.0), nt, nr)
-        log_ratio = oracle.h3_log(grid_t, grid_r) - envelope.sharp_envelope_log(model, grid_t, grid_r)
+        log_ratio = (model.log_kernel(grid_t, grid_r)
+                     - envelope.sharp_envelope_log(model, grid_t, grid_r))
         return math.exp(float(np.min(log_ratio))), math.exp(float(np.max(log_ratio)))
 
     lo_c, hi_c = bracket(60, 60)
@@ -105,7 +99,7 @@ def suite_theorem1(cfg: SuiteConfig) -> list[CheckRow]:
     fine = envelope.grid_points((0.01, 30.0), (0.0, 20.0), 120, 120)
     for i in cfg.orders:
         fit = envelope.two_grid_fit(
-            _h3_abs_dt_log(i),
+            lambda t, r, i=i: model.dt_log_abs(t, r, i)[0],
             lambda t, r, i=i: envelope.theorem1_rhs(model, i, t, r, eps),
             coarse, fine,
         )
@@ -133,7 +127,7 @@ def suite_gradient(cfg: SuiteConfig) -> list[CheckRow]:
     coarse = envelope.grid_points((0.05, 20.0), (0.1, 20.0), 30, 30)
     fine = envelope.grid_points((0.05, 20.0), (0.1, 20.0), 120, 120)
     fit = envelope.two_grid_fit(
-        oracle.h3_radial_log_abs,
+        model.radial_log_abs,
         lambda t, r: envelope.gradient_rhs_log(model, t, r, eps),
         coarse, fine,
     )

@@ -63,10 +63,6 @@ class TestSharpEnvelope:
         assert lo == pytest.approx((4.0 * math.pi) ** -1.5, rel=1e-10)
         assert hi == pytest.approx(0.0427588, rel=1e-4)
 
-    def test_rejects_higher_rank(self, rank_two_model):
-        with pytest.raises(ValueError):
-            sharp_envelope_log(rank_two_model, 1.0, 1.0)
-
 
 class TestGrigoryan:
     def test_exact_diagonal_dominates_derivative(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -495,6 +496,23 @@ class TestBlockSearch:
         assert np.count_nonzero(got) == ref_d.size > 10_000
         assert np.array_equal(np.sort(orbit.word_lengths[got]), np.sort(ref_w))
         assert np.max(np.abs(orbit.distances[got] - ref_d)) <= 1e-12
+
+
+class TestNonFiniteRadii:
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    @pytest.mark.parametrize("group", [axis_group(2.0), schottky_pair(),
+                                       GroupSpec(dim=2, generators=(), family="trivial")],
+                             ids=["cyclic", "schottky", "trivial"])
+    def test_enumerate_orbit_rejects_r_max(self, group, r_max):
+        with pytest.raises(ValueError, match="r_max"):
+            enumerate_orbit(group, (0.0, 1.0), (0.0, 1.5), r_max)
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_counting_function_rejects_nan(self, exhaustive):
+        orbit = enumerate_orbit(axis_group(2.0), (0.0, 1.0), (0.0, 1.0), 30.0)
+        orbit = dataclasses.replace(orbit, exhaustive=exhaustive)
+        with pytest.raises(ValueError, match="nan"):
+            counting_function(orbit, math.nan)
 
 
 class TestCountingFunction:

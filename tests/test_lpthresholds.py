@@ -146,17 +146,17 @@ class TestPoissonThreshold:
 
 class TestChamberIntegral:
     def test_pure_exponential_finite(self):
-        out = chamber_integral_verdict(H3, (0.0, -1.0), r_max=60.0)
+        out = chamber_integral_verdict((0.0, -1.0), r_max=60.0)
         assert out.verdict == Verdict.FINITE
         assert out.effective_rate == pytest.approx(-1.0, abs=1e-12)
 
     def test_growing_integrand_divergent(self):
-        out = chamber_integral_verdict(H3, (0.0, 0.5), r_max=200.0)
+        out = chamber_integral_verdict((0.0, 0.5), r_max=200.0)
         assert out.verdict == Verdict.DIVERGENT
         assert out.effective_rate == pytest.approx(0.5, abs=1e-6)
 
     def test_flat_rate_inconclusive(self):
-        out = chamber_integral_verdict(H3, (0.0, 0.001), r_max=100.0)
+        out = chamber_integral_verdict((0.0, 0.001), r_max=100.0)
         assert out.verdict == Verdict.INCONCLUSIVE
 
     def test_below_threshold_reference_case(self):
@@ -174,10 +174,6 @@ class TestChamberIntegral:
             out = heat_verdict(inp, sigma, float(eps), model=H3, r_max=2000.0)
             assert out.verdict == Verdict.DIVERGENT
 
-    def test_rank_restriction(self, rank_two_model):
-        with pytest.raises(ValueError):
-            chamber_integral_verdict(rank_two_model, (0.0, -1.0))
-
     def test_rate_undefined_when_sigma_too_large(self):
         with pytest.raises(ValueError):
             heat_integrand_rate(1.0, 0.0, 2.0, 1.2, 0.05)
@@ -187,7 +183,7 @@ class TestChamberIntegral:
                                              (0.0, 0.0, 60.0), (1.0, -1.2, 1000.0),
                                              (1.0, -0.01, 0.5)])
     def test_frontier_rate_matches_mpmath(self, a, b, r_max):
-        rate = chamber_integral_verdict(H3, (a, b), r_max=r_max).effective_rate
+        rate = chamber_integral_verdict((a, b), r_max=r_max).effective_rate
         assert rate == pytest.approx(float(mp_frontier_rate(a, b, r_max)), rel=1e-12, abs=1e-13)
 
     def test_suite_verdicts_need_no_quadrature_and_match_mpmath(self, monkeypatch):
@@ -239,7 +235,7 @@ class TestChamberIntegral:
                                   "inf_frontier"])
     def test_rejects_non_finite_rates_and_frontiers(self, rates, r_max):
         with pytest.raises(ValueError):
-            chamber_integral_verdict(H3, rates, r_max=r_max)
+            chamber_integral_verdict(rates, r_max=r_max)
 
 
 class TestStNorm:

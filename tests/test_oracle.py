@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from heatlab import lattice, oracle
+from heatlab import envelope, lattice, oracle
+from heatlab.rootspace import SpaceModel, build_real_hyperbolic
 
 
 def h3_value(t, r, order=0):
@@ -299,6 +300,30 @@ class TestH2FixedNodeRule:
                 call()
 
 
+# Every entry point that checks its (t, r) domain, called as f(t, r).
+DOMAIN_CHECKED = {
+    "h3_dt_log_abs": lambda t, r: oracle.h3_dt_log_abs(t, r, 1),
+    "h3_radial_log_abs": oracle.h3_radial_log_abs,
+    "h2_log": oracle.h2_log,
+    "h2_dt_log_abs": lambda t, r: oracle.h2_dt_log_abs(t, r, 1),
+    "h2_radial_log_abs": oracle.h2_radial_log_abs,
+    "radial_gradient_h2": lambda t, r: oracle.radial_gradient("h2", t, r),
+    "radial_gradient_h3": lambda t, r: oracle.radial_gradient("h3", t, r),
+    "fd_time_derivative": lambda t, r: oracle.fd_time_derivative(h3_value, 1, t, r),
+    "li_yau_gap_h2": lambda t, r: envelope.li_yau_gap(build_real_hyperbolic(2), t, r),
+    "li_yau_gap_h3": lambda t, r: envelope.li_yau_gap(build_real_hyperbolic(3), t, r),
+}
+
+
+@pytest.mark.parametrize("t, r", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                  (1.0, math.inf)],
+                         ids=["nan_t", "nan_r", "inf_t", "inf_r"])
+@pytest.mark.parametrize("name", sorted(DOMAIN_CHECKED))
+def test_domain_check_rejects_non_finite(name, t, r):
+    with pytest.raises(ValueError, match="time|distance|radial"):
+        DOMAIN_CHECKED[name](t, r)
+
+
 class TestGlRule:
     @pytest.mark.parametrize("edges", [[[0.0, 1.0], [1.0, 2.0]], [1.0], 2.0],
                              ids=["two_rows", "one_edge", "scalar"])
@@ -453,7 +478,7 @@ class TestQuotientKernel:
     def test_h2_tail_constant_envelopes_off_grid(self, order):
         # the fitted constant, with its 1.5 headroom, bounds |d^i_t h| off its grid
         eps = 0.1
-        c = oracle._tail_envelope_constant("h2", order, eps)
+        c = oracle._tail_envelope_constant(SpaceModel(2), order, eps)
         rng = np.random.default_rng(order)
         t = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 400))
         d = rng.uniform(0.0, 60.0, 400)
@@ -478,7 +503,7 @@ def sequential_tail(orbit, t, order, r_cut, delta, value, epsilon=0.2):
     c_count = max(np.count_nonzero(orbit.distances <= k) * math.exp(-delta * k)
                   for k in range(math.floor(orbit.r_max) + 1)
                   if np.count_nonzero(orbit.distances <= k) > 0)
-    c_env = oracle._tail_envelope_constant("h3", order, epsilon)
+    c_env = oracle._tail_envelope_constant(SpaceModel(3), order, epsilon)
     tail = 0.0
     for k in range(math.floor(r_cut), math.floor(r_cut) + 100000):
         log_term = (delta * (k + 1) - (1.5 + order) * math.log(t) - (1.0 - epsilon) * t
@@ -543,3 +568,16 @@ class TestQuotientKernelGrid:
         for bad in (np.array([1.0, 0.0]), np.array([[1.0]]), np.array([])):
             with pytest.raises(ValueError):
                 oracle.quotient_kernel(orbit, "h3", bad, None, None, 0, r_cut, delta=0.1)
+
+    @pytest.mark.parametrize("name, value", [("t", math.nan), ("t", np.array([1.0, math.nan])),
+                                             ("t", math.inf), ("r_cut", math.nan),
+                                             ("r_cut", math.inf), ("delta", math.nan),
+                                             ("delta", math.inf)],
+                             ids=["nan_t", "nan_in_t_grid", "inf_t", "nan_r_cut", "inf_r_cut",
+                                  "nan_delta", "inf_delta"])
+    def test_non_finite_argument_named(self, name, value):
+        orbit, r_cut = self.orbits()["cyclic"]
+        args = {"t": 1.0, "r_cut": r_cut, "delta": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            oracle.quotient_kernel(orbit, "h3", args["t"], None, None, 0, args["r_cut"],
+                                   delta=args["delta"])

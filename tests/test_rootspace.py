@@ -1,14 +1,22 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heatlab import lattice, lpthresholds, oracle
 from heatlab.rootspace import (
     AlphaTriple,
-    RootDatum,
-    RootSystemSpec,
+    SpaceModel,
     admissible_alpha_triple,
     build_real_hyperbolic,
+    named_model,
     s_p,
 )
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 class TestRealHyperbolic:
@@ -36,14 +44,48 @@ class TestRealHyperbolic:
             build_real_hyperbolic(bad)
 
 
-class TestRootData:
-    def test_rejects_zero_multiplicity(self):
-        with pytest.raises(ValueError):
-            RootDatum((1.0,), 0)
+class TestModelOracle:
+    T = np.array([[0.05], [1.0], [12.0]])
+    R = np.array([0.3, 2.0, 9.0])
 
-    def test_rejects_proportional_roots(self):
-        with pytest.raises(ValueError):
-            RootSystemSpec(rank=1, roots=(RootDatum((1.0,), 1), RootDatum((2.0,), 1)))
+    @pytest.mark.parametrize("n, log_kernel, dt_log_abs, radial_log_abs", [
+        (2, oracle.h2_log, oracle.h2_dt_log_abs, oracle.h2_radial_log_abs),
+        (3, oracle.h3_log, oracle.h3_dt_log_abs, oracle.h3_radial_log_abs),
+    ], ids=["h2", "h3"])
+    def test_bit_identical_to_the_oracle_functions(self, n, log_kernel, dt_log_abs,
+                                                   radial_log_abs):
+        model = build_real_hyperbolic(n)
+        assert same_bits(model.log_kernel(self.T, self.R), log_kernel(self.T, self.R))
+        for order in (0, 1, 2):
+            got, want = model.dt_log_abs(self.T, self.R, order), dt_log_abs(self.T, self.R, order)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert same_bits(model.radial_log_abs(self.T, self.R), radial_log_abs(self.T, self.R))
+
+    @pytest.mark.parametrize("call", [lambda m: m.log_kernel(1.0, 1.0),
+                                      lambda m: m.dt_log_abs(1.0, 1.0, 1),
+                                      lambda m: m.radial_log_abs(1.0, 1.0)],
+                             ids=["log_kernel", "dt_log_abs", "radial_log_abs"])
+    def test_no_oracle_beyond_three_dimensions(self, call):
+        m = build_real_hyperbolic(5)
+        assert m.rho_norm == 2.0  # the exponents exist; only the oracle does not
+        with pytest.raises(ValueError, match="n=5"):
+            call(m)
+
+    def test_names_resolve_to_models(self):
+        assert named_model("h2") == SpaceModel(2) == build_real_hyperbolic(2)
+        assert named_model("H3") == SpaceModel(3)
+
+    @pytest.mark.parametrize("space", ["h5", "", "h"])
+    @pytest.mark.parametrize("call", [
+        lambda space: oracle.radial_gradient(space, 1.0, 1.0),
+        lambda space: oracle.quotient_kernel(
+            lattice.GroupSpec(dim=3, generators=(), family="trivial"), space, 1.0,
+            (0j, 1.0), (0j, math.e), 0, 10.0),
+        lambda space: lpthresholds.riesz_kernel_decay(space, 1.0),
+    ], ids=["radial_gradient", "quotient_kernel", "riesz_kernel_decay"])
+    def test_unknown_space_names_rejected(self, call, space):
+        with pytest.raises(ValueError, match="space"):
+            call(space)
 
 
 class TestConjugateWeight:
