@@ -83,8 +83,9 @@ def _float_or_array(values):
 
 
 def _repeated_integral(f, i: int, t, site: str, args: dict):
-    """i-fold iterated integral of f from 0 at each t (a positive scalar or
-    array), via the single-integral form int_0^t (t-s)^{i-1}/(i-1)! f(s) ds.
+    """i-fold iterated integral of f from 0 at each t (a float array of
+    positive finite times, checked by the caller), via the single-integral
+    form int_0^t (t-s)^{i-1}/(i-1)! f(s) ds.
 
     With s = t v^2 it is 2 t^i/(i-1)! int_0^1 (1-v^2)^{i-1} v f(t v^2) dv:
     for f(s) = s^{n/2} g(s) with g smooth, as for every profile here, the
@@ -94,9 +95,6 @@ def _repeated_integral(f, i: int, t, site: str, args: dict):
     """
     if i < 1:
         raise ValueError("iterated integral order must be >= 1")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("time must be positive")
     ts = t.reshape(-1)  # a scalar is a one-row pass, so entries match scalar calls
     v = _ITERATED_RULE[0]
     values = (1.0 - v * v) ** (i - 1) * v * f(ts[:, None] * v * v)
@@ -123,6 +121,9 @@ def h3_exact_diagonal_f(t):
 def h3_exact_diagonal_f_iterated(i: int, t):
     """The i-fold iterated integral of h3_exact_diagonal_f at t (scalar or
     array)."""
+    t = np.asarray(t, dtype=float)
+    if not ((t > 0.0) & (t < math.inf)).all():  # nan fails both tests
+        raise ValueError("time must be positive and finite")
     if i == 0:
         return _float_or_array(h3_exact_diagonal_f(t))
     return _repeated_integral(h3_exact_diagonal_f, i, t, "h3 diagonal iterated integral", {})
@@ -135,10 +136,8 @@ def grigoryan_bound_exact_h3(i: int, t):
     if i < 1:
         raise ValueError("derivative order must be >= 1")
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("time must be positive")
-    return _float_or_array(1.0 / np.sqrt(h3_exact_diagonal_f(t)
-                                         * h3_exact_diagonal_f_iterated(2 * i, t)))
+    f_2i = h3_exact_diagonal_f_iterated(2 * i, t)  # rejects a bad t first
+    return _float_or_array(1.0 / np.sqrt(h3_exact_diagonal_f(t) * f_2i))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Upper half-space coordinates throughout: a point is (z, h) with z complex
 cosh identity.  Orbit enumeration is certified complete below its cutoff:
 cyclic groups via the translation-length bound, ping-pong groups via nested
 isometric-disk images in a depth-first search over blocks of word matrices,
-aborting with EnumerationError when the configuration or the floating-point
-range cannot certify.
+where each word pulls the basepoint back once and measures it against the
+fixed letter domes.  The search aborts with EnumerationError when the
+configuration or the floating-point range cannot certify.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .rootspace import AlphaTriple, SpaceModel, admissible_alpha_triple
 _DET_TOL = 1e-9
 # word matrices per block of the ping-pong search: larger blocks spread
 # numpy's per-call cost over more words, smaller ones keep the search diving
-_BLOCK = 256
+_BLOCK = 4096
 
 
 class EnumerationError(RuntimeError):
@@ -84,36 +85,6 @@ def isometric_circle(mat: np.ndarray) -> tuple[complex, float]:
     if abs(c) < 1e-14:
         raise GroupSpecError("matrix fixes infinity; no isometric circle")
     return -d / c, 1.0 / abs(c)
-
-
-def mobius_circle_image(a, b, c, d, center, radius):
-    """Images of the circles |z - C| = R under the det-1 map z -> (az + b) / (cz + d),
-    over broadcast arrays, in closed form: with q = |cC + d|^2 - |c|^2 R^2 the image
-    center is ((aC + b) conj(cC + d) - a conj(c) R^2) / q and the radius R / |q|
-    (affine c = 0 included), with no cancelling difference of image points.  Returns
-    (centers, radii, degenerate), degenerate where the pole -d/c is on the circle."""
-    with np.errstate(all="ignore"):
-        affine = np.abs(c) < 1e-14
-        offset = -d / np.where(affine, 1.0, c) - center
-        degenerate = ~affine & (np.abs(np.abs(offset) - radius)
-                                < 1e-12 * np.maximum(1.0, radius))
-        czd = c * center + d
-        q = np.abs(czd) ** 2 - np.abs(c) ** 2 * radius * radius
-        new_center = ((a * center + b) * np.conj(czd) - a * np.conj(c) * radius * radius) / q
-        return new_center, radius / np.abs(q), degenerate
-
-
-def hyperplane_distance(z, h, center, radius):
-    """Distance from points (z, h) to the geodesic hyperplanes over boundary
-    circles, over broadcast arrays; 0 for a point inside or on the dome, and
-    infinite for a radius <= 0 (an image shrunk below float resolution).
-
-    sinh(dist) = (|z - c|^2 + h^2 - r^2) / (2 r h) for outside points.
-    """
-    with np.errstate(all="ignore"):
-        num = np.abs(z - center) ** 2 + h * h - radius * radius
-        dist = np.arcsinh(np.maximum(num, 0.0) / (2.0 * radius * h))
-    return np.where(radius <= 0.0, np.inf, dist)
 
 
 @dataclass(frozen=True)
@@ -234,6 +205,15 @@ def _sorted_orbit(x: Point, y: Point, distances, word_lengths, r_max: float,
                     exhaustive=exhaustive, family=family)
 
 
+def _mobius_points(a, b, c, d, z, h):
+    """Images of the point (z, h) under the det-1 matrices with entry arrays
+    a, b, c, d, as in mobius_apply; overflow is left to the caller."""
+    with np.errstate(all="ignore"):
+        czd = c * z + d
+        denom = np.abs(czd) ** 2 + np.abs(c) ** 2 * h * h
+        return ((a * z + b) * np.conj(czd) + a * np.conj(c) * h * h) / denom, h / denom
+
+
 def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
                     node_budget: int = 2_000_000) -> OrbitSet:
     """All orbit distances d(x, gy) <= r_max, certified complete.
@@ -244,8 +224,10 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     is expanded by every allowed next letter in one array pass.  The subtree
     below a prefix w with next letter b lies inside the image under w of the
     solid dome over the isometric disk of b^{-1}, so the search prunes once
-    that dome is farther from x than r_max (plus the basepoint slack).  A word
-    whose image point overflows raises EnumerationError in either family.
+    that dome is farther from x than r_max (plus the basepoint slack).  Since
+    d(x, w D) = d(w^{-1} x, D), each popped word maps x back once and tests
+    the pulled-back point against the fixed letter domes.  A word whose image
+    point or pulled-back basepoint overflows raises EnumerationError.
     """
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
@@ -290,8 +272,19 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     # the words after next letter j lie over the isometric disk of j^{-1}
     centers = np.array([circles[j][0] for j in inverse])
     radii = np.array([circles[j][1] for j in inverse])
+    gap = np.abs(centers[:, None] - centers) - radii[:, None] - radii
+    near = gap < 1e-12 * np.maximum(1.0, np.maximum.outer(radii, radii))
+    if np.any(near & ~np.eye(radii.size, dtype=bool)):
+        raise EnumerationError("pruning certificate degenerated; generators too close "
+                               "to parabolic")
     # reference point outside every dome: height above the largest radius
     slack = distance((0j, 1.0 + radii.max()), yp)
+    # a point (z, h) is farther than r_max + slack from the dome (C, R) when
+    # |z - C|^2 + h^2 - R^2 > 2 R h sinh(r_max + slack)
+    try:
+        reach = 2.0 * radii * math.sinh(r_max + slack)
+    except OverflowError:  # no pruning, which stays sound
+        reach = math.inf
     (xz, xh), (yz, yh) = xp, yp
 
     dists, words = [np.array([distance(xp, yp)])], [np.zeros(1, dtype=int)]
@@ -300,14 +293,14 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     stack = [(np.eye(2, dtype=complex).reshape(1, 4), np.array([-1]), 0)]
     while stack:
         mats, last, depth = stack.pop()
-        a, b, c, d = mats.T[:, :, None]
-        img_center, img_radius, degenerate = mobius_circle_image(a, b, c, d, centers, radii)
-        allowed = inverse != last[:, None]
-        if np.any(degenerate & allowed):
-            raise EnumerationError("pruning certificate degenerated; generators too close "
-                                   "to parabolic")
-        far = hyperplane_distance(xz, xh, img_center, img_radius) - slack > r_max
-        rows, nxt = np.nonzero(allowed & ~far)
+        a, b, c, d = mats.T
+        z, h = _mobius_points(d, -b, -c, a, xz, xh)  # w^{-1} x
+        if not np.all((0.0 < h) & (h < math.inf) & np.isfinite(z)):  # nan too
+            raise EnumerationError(f"pulled-back basepoint left the float range at depth "
+                                   f"{depth}; cannot certify r_max={r_max}")
+        num = np.abs(z[:, None] - centers) ** 2 + (h * h)[:, None] - radii * radii
+        far = num > reach * h[:, None]
+        rows, nxt = np.nonzero((inverse != last[:, None]) & ~far)
         visited += rows.size
         if visited > node_budget:
             raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
@@ -316,12 +309,8 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
         m, g = mats[rows].T, letters[nxt].T
         child = np.stack((m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
                           m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3]), axis=1)
-        a, b, c, d = child.T
+        z, h = _mobius_points(*child.T, yz, yh)
         with np.errstate(all="ignore"):  # overflow is caught below
-            czd = c * yz + d
-            denom = np.abs(czd) ** 2 + np.abs(c) ** 2 * yh * yh
-            z = ((a * yz + b) * np.conj(czd) + a * np.conj(c) * yh * yh) / denom
-            h = yh / denom
             dist = np.arccosh(1.0 + (np.abs(xz - z) ** 2 + (xh - h) ** 2) / (2.0 * xh * h))
         bad = np.flatnonzero(~((0.0 < h) & (h < math.inf) & (dist < math.inf)))  # nan too
         if bad.size and not 0.0 < h[bad[0]] < math.inf:
@@ -376,7 +365,7 @@ def critical_exponent(orbit: OrbitSet) -> CriticalExponentEstimate:
 
     def window_slope(lo_frac: float) -> float:
         rs = np.linspace(lo_frac * orbit.r_max, orbit.r_max, 25)
-        counts = np.array([counting_function(orbit, r) for r in rs], dtype=float)
+        counts = np.searchsorted(orbit.distances, rs, side="right").astype(float)
         mask = counts > 0
         if mask.sum() < 3:
             return math.nan

@@ -149,6 +149,8 @@ def st_norm_rate(model: SpaceModel, eta_norm: float, p: float, epsilon: float) -
     rho = model.rho_norm
     if not 0.0 <= epsilon < rho * rho:
         raise ValueError(f"epsilon must lie in [0, rho^2), got {epsilon}")
+    if not 0.0 <= eta_norm < math.inf:
+        raise ValueError(f"eta_norm must be finite and nonnegative, got {eta_norm}")
     s = s_p(p)
     return (1.0 - s + epsilon) * rho - (1.0 - epsilon) * math.sqrt(rho * rho - epsilon) \
         + s * eta_norm
@@ -211,8 +213,8 @@ def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1) -> RieszDecay
     tails are 3-space closed forms, so only "h3" is accepted."""
     if named_model(space).n != 3:
         raise ValueError(f"the gradient-kernel integral has only its 3-space form, got {space!r}")
-    if r <= 0.0:
-        raise ValueError("need r > 0")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r}")
     t_lo = r * r / 3200.0  # Gaussian phase r^2/(4t) = 800 at the lower cut
     t_hi = 750.0
     small, large = riesz_time_integral(r, (t_lo, _RIESZ_T_CUT, t_hi)).tolist()

@@ -113,6 +113,15 @@ class TestGrigoryan:
         with pytest.raises(ValueError):
             envelope.grigoryan_bound_exact_h3(1, -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([1.0, math.nan])],
+                             ids=["nan", "inf", "nan_entry"])
+    def test_iterated_rejects_non_finite_time(self, t):
+        for i in (0, 1):
+            with pytest.raises(ValueError, match="time must be positive and finite"):
+                envelope.h3_exact_diagonal_f_iterated(i, t)
+        with pytest.raises(ValueError, match="time must be positive and finite"):
+            envelope.grigoryan_bound_exact_h3(1, t)
+
     def test_coarse_certificate_raises_naming_the_site(self, monkeypatch, coarse_certifier):
         monkeypatch.setattr(envelope, "_ITERATED_RULE", oracle.gl_rule([0.0, 1.0]))
         with pytest.raises(oracle.QuadratureError,

@@ -126,6 +126,27 @@ def scalar_dfs_orbit(group: GroupSpec, x, y, r_max: float) -> tuple[np.ndarray, 
     return np.array([d for d, _ in records]), np.array([w for _, w in records])
 
 
+def random_reduced_words(n_letters: int, max_len: int, per_length: int, seed: int):
+    """per_length random reduced words of each length 0..max_len; the inverse
+    of letter j is letter j ^ 1."""
+    rng = np.random.default_rng(seed)
+    for length in range(max_len + 1):
+        for _ in range(per_length):
+            word = []
+            while len(word) < length:
+                j = int(rng.integers(n_letters))
+                if not word or j != word[-1] ^ 1:
+                    word.append(j)
+            yield word
+
+
+def word_matrix(letters: list[np.ndarray], word: list[int]) -> np.ndarray:
+    mat = np.eye(2, dtype=complex)
+    for j in word:
+        mat = mat @ letters[j]
+    return mat
+
+
 def mp_brute_force_orbit(group: GroupSpec, x, y, max_len: int,
                          radius: float) -> tuple[list, list[int]]:
     """Distances and word lengths of every reduced word of length <= max_len
@@ -261,6 +282,14 @@ class TestEnumerateOrbit:
                           family="schottky")
         with pytest.raises(EnumerationError, match="not finite"):
             enumerate_orbit(group, (0j, 5.0), (0j, 5.0), 720.0)
+
+    def test_pulled_back_overflow_raises_enumeration_error(self):
+        # x far above y: w^{-1} x leaves the float range (|c| h_x > 1e154)
+        # while the image points w y, within r_max, are still finite
+        group = GroupSpec(dim=3, generators=(schottky_generator(2.0, 1.0).astype(complex),),
+                          family="schottky")
+        with pytest.raises(EnumerationError, match="pulled-back basepoint"):
+            enumerate_orbit(group, (0j, 1e100), (0j, 1.0), 720.0)
 
     def test_near_tangent_disks_raise_degenerate_certificate(self):
         # disks of radius 1e13 whose walls pass at +-2, 0.5 away from the
@@ -417,52 +446,73 @@ class TestBlockSearch:
         assert np.array_equal(np.sort(orbit.word_lengths), np.sort([w for _, w in ref]))
         assert np.max(np.abs(orbit.distances - [d for d, _ in ref])) <= 1e-12
 
-    def test_circle_image_matches_mpmath(self):
-        # the pruning disks of random reduced words up to length 16, exactly
-        # as the search forms them: the word's float product applied to the
-        # isometric disk of each allowed next letter's inverse, against the
-        # same closed form in 60 digits on the exact integer product
+    def test_pulled_back_prune_test_matches_mpmath(self):
+        # the prune quantities of random reduced words up to length 16: the
+        # basepoint pulled back by the word's float product, and per allowed
+        # next letter |z' - C|^2 + h'^2 - R^2 over its fixed dome, against the
+        # same quantities in 60 digits on the exact integer product
         group = space_pair()
         letters = group._letters()
-        inverse = np.arange(len(letters)) ^ 1
-        circles = [group._letter_circles()[j] for j in inverse]
-        centers = np.array([c for c, _ in circles])
-        radii = np.array([r for _, r in circles])
-        rng = np.random.default_rng(8)
+        circles = [group._letter_circles()[j ^ 1] for j in range(len(letters))]
+        xz, xh = 0.1 + 0.2j, 2.0
         worst = 0.0
-        for length in range(17):
-            for _ in range(6):
-                word = []
-                while len(word) < length:
-                    j = int(rng.integers(len(letters)))
-                    if not word or j != word[-1] ^ 1:
-                        word.append(j)
-                mat = np.eye(2, dtype=complex)
+        for word in random_reduced_words(len(letters), 16, 6, seed=8):
+            mat = word_matrix(letters, word)
+            a, b, c, d = mat.reshape(4)
+            z, h = lattice._mobius_points(d, -b, -c, a, xz, xh)
+            with mpmath.workdps(60):
+                ma, mb, mc, md = (mpmath.mpc(v) for v in (1, 0, 0, 1))
                 for j in word:
-                    mat = mat @ letters[j]
-                a, b, c, d = mat.reshape(4)
-                img_center, img_radius, degenerate = lattice.mobius_circle_image(
-                    a, b, c, d, centers, radii)
-                assert not degenerate.any()
-                with mpmath.workdps(60):  # real letters: conj drops out
-                    ma, mb, mc, md = (mpmath.mpf(v) for v in (1, 0, 0, 1))
-                    for j in word:
-                        ga, gb, gc, gd = (mpmath.mpf(v.real) for v in letters[j].reshape(4))
-                        ma, mb, mc, md = (ma * ga + mb * gc, ma * gb + mb * gd,
-                                          mc * ga + md * gc, mc * gb + md * gd)
-                    for nxt in range(len(letters)):
-                        if word and nxt == word[-1] ^ 1:
-                            continue
-                        cc, rr = mpmath.mpf(centers[nxt].real), mpmath.mpf(radii[nxt])
-                        czd = mc * cc + md
-                        q = czd * czd - mc * mc * rr * rr
-                        ref_center = ((ma * cc + mb) * czd - ma * mc * rr * rr) / q
-                        ref_radius = rr / abs(q)
-                        got_center = mpmath.mpc(complex(img_center[nxt]))
-                        worst = max(worst,
-                                    float(abs(got_center - ref_center) / abs(ref_center)),
-                                    float(abs(img_radius[nxt] - ref_radius) / ref_radius))
+                    ga, gb, gc, gd = (mpmath.mpc(v) for v in letters[j].reshape(4))
+                    ma, mb, mc, md = (ma * ga + mb * gc, ma * gb + mb * gd,
+                                      mc * ga + md * gc, mc * gb + md * gd)
+                mz, mh = mpmath.mpc(xz), mpmath.mpf(xh)
+                pole = ma - mc * mz  # w^{-1} = [[d, -b], [-c, a]]
+                denom = abs(pole) ** 2 + abs(mc) ** 2 * mh * mh
+                ref_z = ((md * mz - mb) * mpmath.conj(pole)
+                         - md * mpmath.conj(mc) * mh * mh) / denom
+                ref_h = mh / denom
+                worst = max(worst, float(abs(mpmath.mpc(complex(z)) - ref_z) / abs(ref_z)),
+                            float(abs(h - ref_h) / ref_h))
+                for nxt, (cc, rr) in enumerate(circles):
+                    if word and nxt == word[-1] ^ 1:
+                        continue
+                    num = abs(z - cc) ** 2 + h * h - rr * rr
+                    ref = abs(ref_z - mpmath.mpc(cc)) ** 2 + ref_h ** 2 - mpmath.mpf(rr) ** 2
+                    worst = max(worst, float(abs(num - ref) / abs(ref)))
         assert worst <= 1e-12
+
+    def test_pulled_back_distance_matches_forward_images(self):
+        # d(w^{-1} x, D) = d(x, w D): the distance from the pulled-back
+        # basepoint to each fixed dome against the forward image disk of the
+        # scalar reference, for random reduced words up to length 10
+        group = shifted_pair()
+        letters = group._letters()
+        circles = [group._letter_circles()[j ^ 1] for j in range(len(letters))]
+        xz, xh = 0.1 + 2.2j, 1.8
+        worst = 0.0
+        for word in random_reduced_words(len(letters), 10, 6, seed=9):
+            mat = word_matrix(letters, word)
+            a, b, c, d = mat.reshape(4)
+            z, h = lattice._mobius_points(d, -b, -c, a, xz, xh)
+            for nxt, (cc, rr) in enumerate(circles):
+                if word and nxt == word[-1] ^ 1:
+                    continue
+                pulled = math.asinh((abs(z - cc) ** 2 + h * h - rr * rr) / (2.0 * rr * h))
+                forward = _hyperplane_distance((xz, xh), *_circle_image(mat, cc, rr))
+                worst = max(worst, abs(pulled - forward))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("case", sorted(PING_PONG_CASES))
+    def test_block_size_leaves_orbit_unchanged(self, case, monkeypatch):
+        # blocks of 7 split every level of the search into many stack entries
+        make, x, y = PING_PONG_CASES[case]
+        ref = enumerate_orbit(make(), x, y, 15.0)
+        monkeypatch.setattr(lattice, "_BLOCK", 7)
+        got = enumerate_orbit(make(), x, y, 15.0)
+        assert len(ref) > 100
+        assert np.array_equal(got.distances, ref.distances)
+        assert np.array_equal(got.word_lengths, ref.word_lengths)
 
     def test_deep_orbit_matches_numpy_brute_force(self):
         # the orbit that once overflowed (pruning lost to a cancelling radius)
@@ -572,6 +622,21 @@ class TestCriticalExponent:
     def test_insufficient_data_flagged(self):
         orbit = enumerate_orbit(axis_group(2.0), (0.0, 1.0), (0.0, 1.0), 10.0)
         assert critical_exponent(orbit).insufficient_data
+
+    def test_matches_per_radius_counting_loop(self):
+        def window_slope(orbit, lo_frac):
+            rs = np.linspace(lo_frac * orbit.r_max, orbit.r_max, 25)
+            counts = np.array([counting_function(orbit, r) for r in rs], dtype=float)
+            mask = counts > 0
+            return float(np.polyfit(rs[mask], np.log(counts[mask]), 1)[0])
+
+        orbits = [enumerate_orbit(axis_group(2.0), (0.0, 1.0), (0.5, 3.0), 60.0),
+                  enumerate_orbit(schottky_pair(), (0.0, 2.0), (0.3, 1.5), 20.0)]
+        for orbit in orbits:
+            s1, s2 = window_slope(orbit, 0.5), window_slope(orbit, 0.75)
+            est = critical_exponent(orbit)
+            assert not est.insufficient_data
+            assert (est.estimate, est.lower, est.upper) == (s1, min(s1, s2), max(s1, s2))
 
 
 class TestPoincareSeries:

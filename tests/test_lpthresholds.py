@@ -268,8 +268,20 @@ class TestStNorm:
         with pytest.raises(ValueError):
             st_norm_rate(H3, 0.0, 2.0, math.nan)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_eta(self, eta):
+        with pytest.raises(ValueError, match="eta_norm"):
+            st_norm_rate(H3, eta, 2.0, 0.5)
+        with pytest.raises(ValueError, match="eta_norm"):
+            st_norm_certificate(H3, eta, 2.0)
+
 
 class TestRieszDecay:
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0])
+    def test_rejects_r(self, r):
+        with pytest.raises(ValueError, match=r"^r must be positive and finite"):
+            riesz_kernel_decay("h3", r)
+
     def test_finite_across_range(self):
         for r in (0.5, 2.0, 7.0, 15.0):
             res = riesz_kernel_decay("h3", r)
