@@ -172,6 +172,11 @@ class OrbitSet:
     exhaustive: bool = False  # the whole group was enumerated
     family: str = ""
 
+    def __post_init__(self):
+        # read-only, so a cache keyed by the identity of `distances` stays valid
+        self.distances.setflags(write=False)
+        self.word_lengths.setflags(write=False)
+
     @property
     def d_min(self) -> float:
         return float(self.distances[0])
@@ -183,6 +188,8 @@ class OrbitSet:
         """max_k N(k) e^{-delta k} over the unit radii k = 0..floor(r_max) with
         N(k) > 0: the c of the counting bound N(R) <= c e^{delta R} fitted on
         the enumerated range (1 when no radius counts a point)."""
+        if not 0.0 <= delta < math.inf:
+            raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
         ks = np.arange(0.0, math.floor(self.r_max) + 1.0)
         counts = np.searchsorted(self.distances, ks, side="right")
         mask = counts > 0
@@ -192,7 +199,7 @@ class OrbitSet:
 def _sorted_orbit(x: Point, y: Point, distances, word_lengths, r_max: float,
                   exhaustive: bool, family: str) -> OrbitSet:
     distances = np.asarray(distances, dtype=float)
-    word_lengths = np.asarray(word_lengths, dtype=int)
+    word_lengths = np.asarray(word_lengths, dtype=np.int32)  # the node budget keeps them small
     inside = distances <= r_max
     if not inside.any():
         raise ValueError(

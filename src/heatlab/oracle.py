@@ -9,7 +9,10 @@ oracle, and every function here that works on either space reads it from the
 model; the public names "h2" and "h3" resolve to a model through
 `rootspace.named_model`.  Finite-difference derivatives with Richardson
 extrapolation serve as an independent cross-check, and quotient kernels are
-orbit sums with certified Gaussian truncation bounds.
+orbit sums with certified Gaussian truncation bounds.  The 3-space closed
+form is one expression in a distance part (log(r/sinh r), r^2) and the
+times; the orbit sum computes the distance part once per orbit and keeps it
+for the last orbit summed, keyed by its read-only distances array.
 
 All evaluators work in log space internally; linear values may underflow to
 zero in extreme regimes, the log variants never do.
@@ -66,11 +69,42 @@ def _log_r_over_sinh(r):
     return np.where(small, series, exact)
 
 
+def _h3_distance_part(r):
+    """The factors of the 3-space kernel that depend on the distance alone,
+    (log(r / sinh r), r^2); an orbit sum computes them once per orbit."""
+    r = np.asarray(r, dtype=float)
+    return _log_r_over_sinh(r), r * r
+
+
+def _h3_log_from(t, log_ros, rr):
+    """h3_log at times t from the distance part (log_ros, rr)."""
+    return -1.5 * (LOG_4PI + np.log(t)) + log_ros - t - rr / (4.0 * t)
+
+
+def _h3_prefactor_from(t, rr, order: int):
+    """h3_dt_prefactor at order 1 or 2 from rr = r^2."""
+    if order not in (1, 2):
+        raise ValueError(f"closed-form time derivatives stop at order 2, got {order}")
+    u = rr / (4.0 * t * t) - 1.5 / t - 1.0
+    if order == 1:
+        return u
+    return u * u + 1.5 / (t * t) - rr / (2.0 * t ** 3)
+
+
+def _h3_dt_log_abs_from(t, log_ros, rr, order: int):
+    """(log |d^i_t h|, sign) from the distance part; the sign is None at
+    order 0, where the prefactor is 1 and is not applied."""
+    if order == 0:
+        return _h3_log_from(t, log_ros, rr), None
+    pref = _h3_prefactor_from(t, rr, order)
+    with np.errstate(divide="ignore"):
+        log_abs = _h3_log_from(t, log_ros, rr) + np.log(np.abs(pref))
+    return log_abs, np.sign(pref)
+
+
 def h3_log(t, r):
     """log of the 3-space heat kernel (4 pi t)^{-3/2} (r/sinh r) e^{-t - r^2/(4t)}."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return -1.5 * (LOG_4PI + np.log(t)) + _log_r_over_sinh(r) - t - r * r / (4.0 * t)
+    return _h3_log_from(np.asarray(t, dtype=float), *_h3_distance_part(r))
 
 
 def h3_dt_prefactor(t, r, order: int):
@@ -83,12 +117,7 @@ def h3_dt_prefactor(t, r, order: int):
     r = np.asarray(r, dtype=float)
     if order == 0:
         return np.ones(np.broadcast(t, r).shape)
-    u = r * r / (4.0 * t * t) - 1.5 / t - 1.0
-    if order == 1:
-        return u
-    if order == 2:
-        return u * u + 1.5 / (t * t) - r * r / (2.0 * t ** 3)
-    raise ValueError(f"closed-form time derivatives stop at order 2, got {order}")
+    return _h3_prefactor_from(t, r * r, order)
 
 
 def check_domain(t, r, radial: bool = False) -> None:
@@ -113,10 +142,8 @@ def check_domain(t, r, radial: bool = False) -> None:
 def h3_dt_log_abs(t, r, order: int):
     """(log |d^i_t h|, sign) for the 3-space kernel, vectorized."""
     check_domain(t, r)
-    pref = h3_dt_prefactor(t, r, order)
-    with np.errstate(divide="ignore"):
-        log_abs = h3_log(t, r) + np.log(np.abs(pref))
-    return log_abs, np.sign(pref)
+    log_abs, sign = _h3_dt_log_abs_from(np.asarray(t, dtype=float), *_h3_distance_part(r), order)
+    return log_abs, np.ones_like(log_abs) if sign is None else sign
 
 
 def h3_radial_log_abs(t, r):
@@ -420,6 +447,28 @@ def _tail_envelope_constant(model: rootspace.SpaceModel, order: int, epsilon: fl
     return math.exp(best) * 1.5  # safety headroom over the grid fit
 
 
+# The distance part of the last 3-space orbit summed, over its first k points,
+# and that orbit's counting constants: (distances, log(r/sinh r), r^2,
+# {(r_max, delta): constant}).  Keyed by the identity of the read-only
+# `distances` array, so it cannot go stale.  One orbit at most: a copy on
+# every orbit would add 16 bytes per point to each orbit a caller keeps.
+_last_orbit: tuple | None = None
+
+
+def _h3_orbit_terms(distances: np.ndarray, k: int):
+    """(log(r/sinh r), r^2) over distances[:k], and the orbit's dict of
+    counting constants, reused from the previous call on the same array."""
+    global _last_orbit
+    memo = _last_orbit
+    if memo is None or memo[0] is not distances or memo[1].size < k:
+        used = distances[:k]
+        check_domain(1.0, used)  # the distance test h3_dt_log_abs makes
+        memo = (distances, *_h3_distance_part(used), {})
+        if not distances.flags.writeable:
+            _last_orbit = memo
+    return memo[1][:k], memo[2][:k], memo[3]
+
+
 _TAIL_SHELL_CAP = 100000  # most unit shells one truncation tail sums
 _TAIL_BLOCK = 1 << 20  # array elements per block of t rows
 _TAIL_STOP = 1e-18  # stop once a shell adds at most this share of the running tail
@@ -446,9 +495,10 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
         raise ValueError("t must be a positive time or a nonempty 1-D array of them")
     if not ((ts > 0.0) & (ts < math.inf)).all():
         raise ValueError(f"t must be positive and finite, got {t!r}")
-    for name, value in (("r_cut", r_cut), ("delta", delta)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(r_cut):
+        raise ValueError(f"r_cut must be finite, got {r_cut!r}")
+    if delta is not None and not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("tail envelope needs epsilon in (0, 1); the Gaussian decay rate "
                          "(1 - epsilon)/(4t) must stay positive for the tail to converge")
@@ -462,21 +512,31 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
         raise ValueError("r_cut must exceed the quotient distance d_M(x, y)")
 
     distances = np.asarray(orbit.distances, dtype=float)
-    used = distances[distances <= r_cut + 1e-12]
-    values = np.sum(_space_derivative_values(model, ts, used, order), axis=1)
+    k = int(np.searchsorted(distances, r_cut + 1e-12, side="right"))  # sorted distances
+    if model.n == 3:
+        log_ros, rr, counting = _h3_orbit_terms(distances, k)
+        log_abs, sign = _h3_dt_log_abs_from(ts[:, None], log_ros, rr, order)
+        terms = np.exp(log_abs) if sign is None else np.exp(log_abs) * sign
+    else:
+        counting = {}
+        terms = _space_derivative_values(model, ts, distances[:k], order)
+    values = np.sum(terms, axis=1)
 
-    if orbit.exhaustive and used.size == distances.size:
+    if orbit.exhaustive and k == distances.size:
         tails = np.zeros_like(values)
     else:
         if delta is None:
             raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
-        scale = _tail_envelope_constant(model, order, epsilon) * orbit.counting_constant(delta)
+        key = (orbit.r_max, delta)
+        if key not in counting:
+            counting[key] = orbit.counting_constant(delta)
+        scale = _tail_envelope_constant(model, order, epsilon) * counting[key]
         tails = _truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut),
                                   ts, np.abs(values))
     if scalar:
-        return QuotientKernelEval(value=float(values[0]), terms_used=int(used.size),
+        return QuotientKernelEval(value=float(values[0]), terms_used=k,
                                   truncation_bound=float(tails[0]))
-    return QuotientKernelEval(value=values, terms_used=int(used.size), truncation_bound=tails)
+    return QuotientKernelEval(value=values, terms_used=k, truncation_bound=tails)
 
 
 def _truncation_tails(model: rootspace.SpaceModel, order: int, epsilon: float, delta: float,

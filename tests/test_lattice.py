@@ -564,6 +564,38 @@ class TestNonFiniteRadii:
         with pytest.raises(ValueError, match="nan"):
             counting_function(orbit, math.nan)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -5.0],
+                             ids=["nan", "inf", "-inf", "negative"])
+    def test_counting_constant_rejects_delta(self, delta):
+        orbit = enumerate_orbit(schottky_pair(), (0.0, 2.0), (0.3, 1.5), 12.0)
+        with pytest.raises(ValueError, match="^delta must be"):
+            orbit.counting_constant(delta)
+
+
+class TestOrbitArrays:
+    ORBITS = {
+        "trivial": lambda: enumerate_orbit(GroupSpec(dim=2, generators=(), family="trivial"),
+                                           (0.0, 1.0), (0.0, 1.5), 5.0),
+        "cyclic": lambda: enumerate_orbit(axis_group(2.0), (0.0, 1.0), (0.5, 3.0), 20.0),
+        "schottky": lambda: enumerate_orbit(schottky_pair(), (0.0, 2.0), (0.3, 1.5), 12.0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ORBITS))
+    def test_in_place_writes_raise(self, kind):
+        orbit = self.ORBITS[kind]()
+        for array in (orbit.distances, orbit.word_lengths):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        replaced = dataclasses.replace(orbit, distances=orbit.distances.copy())
+        with pytest.raises(ValueError):
+            replaced.distances[0] = 1.0
+
+    @pytest.mark.parametrize("kind", sorted(ORBITS))
+    def test_word_lengths_are_int32(self, kind):
+        orbit = self.ORBITS[kind]()
+        assert orbit.word_lengths.dtype == np.int32
+        assert orbit.distances.dtype == np.float64
+
 
 class TestCountingFunction:
     def test_cyclic_counting(self):

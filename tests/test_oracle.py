@@ -581,3 +581,84 @@ class TestQuotientKernelGrid:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             oracle.quotient_kernel(orbit, "h3", args["t"], None, None, 0, args["r_cut"],
                                    delta=args["delta"])
+
+
+def masked_orbit_sum(orbit, ts, order, r_cut, delta, epsilon=0.2):
+    """The orbit sum as a boolean mask and h3_dt_log_abs, and its truncation
+    tail, recomputed on every call: the reference for the reused distance
+    part."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    used = orbit.distances[orbit.distances <= r_cut + 1e-12]
+    log_abs, sign = oracle.h3_dt_log_abs(ts[:, None], used, order)
+    values = np.sum(np.exp(log_abs) * sign, axis=1)
+    model = SpaceModel(3)
+    scale = oracle._tail_envelope_constant(model, order, epsilon) * orbit.counting_constant(delta)
+    tails = oracle._truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut),
+                                     ts, np.abs(values))
+    return values, tails, used.size
+
+
+class TestQuotientKernelReusedTerms:
+    T_GRID = np.geomspace(0.1, 10.0, 12)
+    CUT_FRACTIONS = (0.75, 0.45, 1.0)  # shrinks, then grows past the reused prefix
+
+    def orbits(self):
+        a = schottky_h3().orbit((0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
+        b = make_cyclic_h3(3.0).orbit((0.1 + 0.2j, 1.0), (-0.3j, 1.7), 40.0)
+        return a, b
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_equals_masked_sum_across_orbit_switches(self, order):
+        a, b = self.orbits()
+        for fraction in self.CUT_FRACTIONS:
+            for orbit in (a, b, a):
+                r_cut = fraction * orbit.r_max
+                values, tails, used = masked_orbit_sum(orbit, self.T_GRID, order, r_cut, 0.6)
+                grid = oracle.quotient_kernel(orbit, "h3", self.T_GRID, None, None, order,
+                                              r_cut, delta=0.6)
+                assert np.array_equal(grid.value, values)
+                assert np.array_equal(grid.truncation_bound, tails)
+                assert grid.terms_used == used
+                t = float(self.T_GRID[4])
+                values, tails, used = masked_orbit_sum(orbit, t, order, r_cut, 0.6)
+                one = oracle.quotient_kernel(orbit, "h3", t, None, None, order, r_cut, delta=0.6)
+                assert np.array_equal(one.value, values[0])
+                assert np.array_equal(one.truncation_bound, tails[0])
+                assert one.terms_used == used
+
+    def test_counting_constant_follows_r_max(self):
+        # a replaced r_max shares the distances array but not the constant
+        a, _ = self.orbits()
+        short = dataclasses.replace(a, r_max=9.5)
+        assert short.distances is a.distances
+        assert short.counting_constant(0.05) != a.counting_constant(0.05)
+        for orbit in (a, short, a):
+            _, tails, _ = masked_orbit_sum(orbit, self.T_GRID, 1, 9.0, 0.05)
+            grid = oracle.quotient_kernel(orbit, "h3", self.T_GRID, None, None, 1, 9.0,
+                                          delta=0.05)
+            assert np.array_equal(grid.truncation_bound, tails)
+
+    def test_memo_holds_the_last_orbit_only(self):
+        a, b = self.orbits()
+        oracle.quotient_kernel(a, "h3", 1.0, None, None, 0, 11.0, delta=0.6)
+        memo = oracle._last_orbit
+        assert memo[0] is a.distances
+        oracle.quotient_kernel(a, "h3", 2.0, None, None, 2, 6.0, delta=0.6)
+        assert oracle._last_orbit is memo  # a shorter prefix reuses the entry
+        oracle.quotient_kernel(b, "h3", 1.0, None, None, 0, 30.0, delta=0.6)
+        assert oracle._last_orbit[0] is b.distances
+        assert not any(part is a.distances for part in oracle._last_orbit)
+
+    def test_bad_order_and_time_raise(self):
+        a, _ = self.orbits()
+        oracle.quotient_kernel(a, "h3", 1.0, None, None, 0, 11.0, delta=0.6)  # memo warm
+        with pytest.raises(ValueError, match="closed-form time derivatives stop at order 2"):
+            oracle.quotient_kernel(a, "h3", 1.0, None, None, 3, 11.0, delta=0.6)
+        with pytest.raises(ValueError, match="^t must be"):
+            oracle.quotient_kernel(a, "h3", math.nan, None, None, 1, 11.0, delta=0.6)
+
+    @pytest.mark.parametrize("delta", [-5.0, -1e-9])
+    def test_negative_delta_named(self, delta):
+        a, _ = self.orbits()
+        with pytest.raises(ValueError, match="^delta must be"):
+            oracle.quotient_kernel(a, "h3", 1.0, None, None, 0, 11.0, delta=delta)
