@@ -8,7 +8,9 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 configuration error.  A flag under `verify`, or a key in [suite NAME], that
 the suite never reads is a configuration error; `report`, [defaults] and
-[group] apply to the suites that read them.
+[group] apply to the suites that read them.  A suite whose orbit
+enumeration or quadrature cannot be certified on the configured input is
+one too: it ends the run with exit 2 and prints none of that suite's rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import os
 import sys
 
 from .config import Config, ConfigError, format_cell, load_config, write_csv
-from .lattice import group_from_section
+from .lattice import EnumerationError, group_from_section
+from .oracle import QuadratureError
 from .registry import CONFIGURABLE
 from .suites import CRITERION_SUITES, SUITE_READS, SUITES, SuiteConfig, SuiteReport, run_suite
 
@@ -224,7 +227,11 @@ def main(argv=None) -> int:
 
     all_passed = True
     for cfg in configs:
-        report = run_suite(cfg)
+        try:
+            report = run_suite(cfg)
+        except (EnumerationError, QuadratureError) as exc:
+            print(f"error: suite {cfg.name}: {exc}", file=sys.stderr)
+            return 2
         _print_report(report, sys.stdout)
         path = cfg.out if args.command == "verify" else os.path.join(args.out, f"{cfg.name}.csv")
         if path:

@@ -34,10 +34,10 @@ class Section:
     def __contains__(self, key: str) -> bool:
         return key in self.entries
 
-    def get(self, key: str, default: str | None = None) -> str | None:
+    def get(self, key: str) -> str | None:
         values = self.entries.get(key)
         if not values:
-            return default
+            return None
         if len(values) > 1:
             raise ConfigError(f"key {key!r} in [{self.name}] given {len(values)} times, expected once")
         return values[0]
@@ -45,19 +45,19 @@ class Section:
     def get_list(self, key: str) -> list[str]:
         return list(self.entries.get(key, []))
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
+    def get_float(self, key: str) -> float | None:
         raw = self.get(key)
         if raw is None:
-            return default
+            return None
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r} in [{self.name}]: {raw!r} is not a number") from exc
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
+    def get_int(self, key: str) -> int | None:
         raw = self.get(key)
         if raw is None:
-            return default
+            return None
         try:
             return int(raw)
         except ValueError as exc:

@@ -31,22 +31,9 @@ class BoundGrid:
     """Doubly-indexed rate grids: rows are recurrence steps, columns are
     derivative orders; entries are the linear and Gaussian decay weights."""
 
-    epsilon: float
-    lambda_eps: float
+    lam: float
     beta: np.ndarray   # shape (l_max+1, i_max+1)
     gamma: np.ndarray
-
-
-def lambda_from_epsilon(epsilon: float) -> float:
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return (1.0 - epsilon) / (1.0 + epsilon)
-
-
-def epsilon_from_lambda(lam: float) -> float:
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    return (1.0 - lam) / (1.0 + lam)
 
 
 def sharp_envelope_log(model: SpaceModel, t, r):
@@ -144,7 +131,7 @@ def grigoryan_bound_exact_h3(i: int, t):
 # the rate recurrence
 
 
-def recurrence_grid(epsilon: float, i_max: int, l_max: int) -> BoundGrid:
+def recurrence_grid(lam: float, i_max: int, l_max: int) -> BoundGrid:
     """Iterate the rate recurrences
         beta[l][i]  = (beta[l-1][i-1]  + beta[l-1][i+1]) / 2
         gamma[l][i] = (lam * gamma[l-1][i-1] + gamma[l-1][i+1]) / 2
@@ -152,8 +139,10 @@ def recurrence_grid(epsilon: float, i_max: int, l_max: int) -> BoundGrid:
 
     The i-axis is padded by l_max cells so the reported block never sees the
     truncation boundary: the i+1 dependency travels one column per step.
+    lam = (1 - eps)/(1 + eps) for the bound at epsilon eps.
     """
-    lam = lambda_from_epsilon(epsilon)
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     if i_max < 0 or l_max < 0:
         raise ValueError("grid extents must be nonnegative")
     width = i_max + l_max + 2
@@ -173,12 +162,7 @@ def recurrence_grid(epsilon: float, i_max: int, l_max: int) -> BoundGrid:
         beta, gamma = nb, ng
         betas.append(beta[: i_max + 1].copy())
         gammas.append(gamma[: i_max + 1].copy())
-    return BoundGrid(epsilon=epsilon, lambda_eps=lam,
-                     beta=np.asarray(betas), gamma=np.asarray(gammas))
-
-
-def recurrence_grid_from_lambda(lam: float, i_max: int, l_max: int) -> BoundGrid:
-    return recurrence_grid(epsilon_from_lambda(lam), i_max, l_max)
+    return BoundGrid(lam=lam, beta=np.asarray(betas), gamma=np.asarray(gammas))
 
 
 def gamma_limit_from_lambda(lam: float, i) -> float:
@@ -192,31 +176,27 @@ def gamma_limit_from_lambda(lam: float, i) -> float:
 # main right-hand sides
 
 
-def theorem1_rhs(model: SpaceModel, i: int, t, r, epsilon: float, rho_h=None):
+def theorem1_rhs(model: SpaceModel, i: int, t, r, epsilon: float):
     """Log of the derivative bound shape
     t^{-(n/2)-i} exp(-(1-eps)(|rho|^2 t + <rho,H> + r^2/(4t))), c = 1."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    if rho_h is None:
-        rho_h = model.rho_dot(r)
     return (
         -(model.n / 2.0 + i) * np.log(t)
-        - (1.0 - epsilon) * (model.rho_norm ** 2 * t + rho_h + r * r / (4.0 * t))
+        - (1.0 - epsilon) * (model.rho_norm ** 2 * t + model.rho_dot(r) + r * r / (4.0 * t))
     )
 
 
-def gradient_rhs_log(model: SpaceModel, t, r, epsilon: float, rho_h=None):
+def gradient_rhs_log(model: SpaceModel, t, r, epsilon: float):
     """Log of the gradient bound shape
     t^{-(n+1)/2} exp(-(1-eps)(|rho|^2 t + <rho,H> + r^2/(4t))), c = 1."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    if rho_h is None:
-        rho_h = model.rho_dot(r)
     return (
         -(model.n + 1.0) / 2.0 * np.log(t)
-        - (1.0 - epsilon) * (model.rho_norm ** 2 * t + rho_h + r * r / (4.0 * t))
+        - (1.0 - epsilon) * (model.rho_norm ** 2 * t + model.rho_dot(r) + r * r / (4.0 * t))
     )
 
 

@@ -423,13 +423,6 @@ def radial_gradient(space: str, t: float, r: float) -> float:
     return math.exp(rootspace.named_model(space).radial_log_abs(t, r))
 
 
-def _space_derivative_values(model: rootspace.SpaceModel, ts: np.ndarray,
-                             distances: np.ndarray, order: int) -> np.ndarray:
-    """d^i_t h at every (t, distance) pair, shape (len(ts), len(distances))."""
-    log_abs, sign = model.dt_log_abs(ts[:, None], distances, order)
-    return np.exp(log_abs) * sign
-
-
 @lru_cache(maxsize=64)
 def _tail_envelope_constant(model: rootspace.SpaceModel, order: int, epsilon: float) -> float:
     """Fitted constant c with |d^i_t h| <= c * t^{-n/2-i} e^{-(1-eps)(rho^2 t
@@ -516,10 +509,10 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     if model.n == 3:
         log_ros, rr, counting = _h3_orbit_terms(distances, k)
         log_abs, sign = _h3_dt_log_abs_from(ts[:, None], log_ros, rr, order)
-        terms = np.exp(log_abs) if sign is None else np.exp(log_abs) * sign
     else:
         counting = {}
-        terms = _space_derivative_values(model, ts, distances[:k], order)
+        log_abs, sign = model.dt_log_abs(ts[:, None], distances[:k], order)
+    terms = np.exp(log_abs) if sign is None else np.exp(log_abs) * sign
     values = np.sum(terms, axis=1)
 
     if orbit.exhaustive and k == distances.size:
@@ -543,8 +536,10 @@ def _truncation_tails(model: rootspace.SpaceModel, order: int, epsilon: float, d
                       scale: float, k0: int, ts: np.ndarray,
                       value_abs: np.ndarray) -> np.ndarray:
     """Per-t sum of the shell terms scale * e^{delta (k+1)} * envelope(t, k)
-    for k = k0, k0+1, ..., stopping at the first shell whose term is at most
-    1e-18 of max(running tail, |value|, 1e-300).
+    for k = k0, k0+1, ..., stopping at the first shell at or past the peak
+    shell kp whose term is at most 1e-18 of max(running tail, |value|,
+    1e-300).  Before kp the terms still grow, so a shell that underflows
+    there says nothing about the rest of the tail.
 
     The log-term is a concave quadratic in k.  From the first shell kp at
     or past its peak it falls by 45 (more than -log 1e-18) within j shells,
@@ -570,7 +565,7 @@ def _truncation_tails(model: rootspace.SpaceModel, order: int, epsilon: float, d
         terms = scale * np.exp(log_terms)
         running = np.cumsum(terms, axis=1)
         floor = np.maximum(value_abs[blk, None], 1e-300)
-        stop = terms <= _TAIL_STOP * np.maximum(running, floor)
+        stop = (terms <= _TAIL_STOP * np.maximum(running, floor)) & (ks >= kp[blk, None])
         last = np.where(stop.any(axis=1), np.argmax(stop, axis=1), m - 1)
         tails[blk] = running[np.arange(last.size), last]
     return tails

@@ -45,7 +45,7 @@ def suite_recurrence(cfg: SuiteConfig) -> list[CheckRow]:
     rows = []
     i_max, l_max = 10, 200
     for lam in (0.25, 0.5, 0.75, 0.9):
-        grid = envelope.recurrence_grid_from_lambda(lam, i_max, l_max)
+        grid = envelope.recurrence_grid(lam, i_max, l_max)
         limits = envelope.gamma_limit_from_lambda(lam, np.arange(i_max + 1))
         gamma_err = float(np.max(np.abs(grid.gamma[-1] - limits)))
         beta_err = float(np.max(np.abs(grid.beta[-1] - 1.0)))
@@ -168,12 +168,12 @@ def suite_grigoryan(cfg: SuiteConfig) -> list[CheckRow]:
     rows = []
     t_grid = np.geomspace(0.01, 30.0, 30)
     r_grid = np.linspace(0.0, 20.0, 30)
+    t_col = t_grid[:, None]
     for i in (1, 2):
-        bounds = envelope.grigoryan_bound_exact_h3(i, t_grid)
-        worst_ratio = 0.0
-        for t, bnd in zip(t_grid, bounds):
-            lhs = np.abs(np.exp(oracle.h3_log(t, r_grid)) * oracle.h3_dt_prefactor(t, r_grid, i))
-            worst_ratio = max(worst_ratio, float(np.max(lhs)) / bnd)
+        lhs = np.abs(np.exp(oracle.h3_log(t_col, r_grid))
+                     * oracle.h3_dt_prefactor(t_col, r_grid, i))
+        worst_ratio = float(np.max(np.max(lhs, axis=1)
+                                   / envelope.grigoryan_bound_exact_h3(i, t_grid)))
         rows.append(CheckRow("pointwise_no_constant", {"i": i},
                              worst_ratio, 1.0, worst_ratio, worst_ratio <= 1.0))
     model = build_real_hyperbolic(3)
@@ -256,51 +256,32 @@ def suite_quotient(cfg: SuiteConfig) -> list[CheckRow]:
     triples = (AlphaTriple(0.0, model.rho_m, 0.0),
                AlphaTriple(0.5, model.rho_m + 0.2, 0.5))
 
-    orbit_cache: dict[float, tuple[lattice.OrbitSet, float]] = {}
-
-    def orbit_and_series(d: float):
-        if d not in orbit_cache:
-            y = (0.0 + 0.0j, math.exp(d))
-            orbit = group.orbit(x, y, r_cut)
-            series = lattice.poincare_series(orbit, s=eps + delta, delta=delta)
-            orbit_cache[d] = (orbit, series.partial_sum)
-        return orbit_cache[d]
-
-    # coarse and fine (t, d) grids; each orbit sum is evaluated once over
-    # the times of both grids
-    grids = {n: (np.geomspace(0.1, 10.0, n), np.linspace(0.0, d_hi, n)) for n in (20, 40)}
-    t_all = np.concatenate([t_grid for t_grid, _ in grids.values()])
-    log_abs_cache: dict[tuple[int, float], dict[float, float]] = {}
-
-    def measured_log_abs(i: int, d: float) -> dict[float, float]:
-        """t -> log |orbit-summed i-th derivative| at separation d."""
-        if (i, d) not in log_abs_cache:
-            orbit, _ = orbit_and_series(d)
-            ev = oracle.quotient_kernel(orbit, "h3", t_all, None, None, i, r_cut, delta=delta)
-            log_abs_cache[(i, d)] = {t: math.log(max(abs(v), 1e-300))
-                                     for t, v in zip(t_all.tolist(), ev.value.tolist())}
-        return log_abs_cache[(i, d)]
-
-    def fit_on(i: int, triple: AlphaTriple, n: int) -> float:
-        t_grid, d_grid = grids[n]
-        best = -math.inf
-        for d in d_grid.tolist():
-            orbit, series = orbit_and_series(d)
-            log_bound = lattice.theorem2_rhs_log(
-                model, delta, triple, i, t_grid, orbit.d_min, eps) + math.log(series)
-            measured = measured_log_abs(i, d)
-            best = max(best, max(measured[t] - bound
-                                 for t, bound in zip(t_grid.tolist(), log_bound.tolist())))
-        return math.exp(best)
+    # best[n, i, triple]: the largest log(measured / bound) on the n x n grid
+    best = {}
+    for n in (20, 40):
+        t_grid = np.geomspace(0.1, 10.0, n)
+        for d in np.linspace(0.0, d_hi, n).tolist():
+            orbit = group.orbit(x, (0.0 + 0.0j, math.exp(d)), r_cut)
+            log_series = math.log(lattice.poincare_series(orbit, s=eps + delta,
+                                                          delta=delta).partial_sum)
+            for i in (0, 1):
+                ev = oracle.quotient_kernel(orbit, "h3", t_grid, None, None, i, r_cut,
+                                            delta=delta)
+                measured = [math.log(max(abs(v), 1e-300)) for v in ev.value.tolist()]
+                for triple in triples:
+                    log_bound = lattice.theorem2_rhs_log(
+                        model, delta, triple, i, t_grid, orbit.d_min, eps) + log_series
+                    worst = max(m - b for m, b in zip(measured, log_bound.tolist()))
+                    best[n, i, triple] = max(best.get((n, i, triple), -math.inf), worst)
 
     for i in (0, 1):
         for triple in triples:
-            fit = envelope.TwoGridFit(c_coarse=fit_on(i, triple, 20),
-                                      c_fine=fit_on(i, triple, 40))
+            fit = envelope.TwoGridFit(c_coarse=math.exp(best[20, i, triple]),
+                                      c_fine=math.exp(best[40, i, triple]))
             rows.append(_stability_row(
-         "two_grid_stability",
-         {"i": i, "a1": triple.a1, "a2": triple.a2, "a3": triple.a3, "delta": delta},
-         fit))
+                "two_grid_stability",
+                {"i": i, "a1": triple.a1, "a2": triple.a2, "a3": triple.a3, "delta": delta},
+                fit))
     return rows
 
 

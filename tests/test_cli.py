@@ -233,6 +233,31 @@ class TestExitCodes:
         assert main(["report", "--out", str(tmp_path), "--epsilon", "1.5"]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    # a Schottky pair whose exponent orbit to r_max 60 outgrows the node budget
+    UNCERTIFIABLE_GROUP = ("[group]\ndim = 3\nfamily = schottky\n"
+                           "generator = 2,0,3,0,1,0,2,0\ngenerator = 6,0,35,0,1,0,6,0\n")
+
+    @pytest.mark.parametrize("name", ["quotient", "theorem2"])
+    def test_uncertifiable_group_exits_two(self, tmp_path, capsys, name):
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text(self.UNCERTIFIABLE_GROUP, encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        assert main(["verify", name, "--config", str(cfg_file), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: suite {name}: node budget 2000000 exhausted")
+        assert captured.out == "" and not out.exists()
+
+    def test_report_stops_at_the_uncertifiable_suite(self, tmp_path, capsys):
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text(self.UNCERTIFIABLE_GROUP, encoding="utf-8")
+        out_dir = tmp_path / "reports"
+        assert main(["report", "--config", str(cfg_file), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: suite quotient: node budget")
+        assert "suite quotient" not in captured.out
+        written = sorted(p.name for p in out_dir.iterdir())
+        assert written == [f"{n}.csv" for n in sorted(SUITES) if n < "quotient"]
+
     def test_out_flag_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "stnorm.csv"
         assert main(["verify", "stnorm", "--out", str(out)]) == 0

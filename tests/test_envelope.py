@@ -12,11 +12,9 @@ from heatlab.envelope import (
     gamma_limit_from_lambda,
     gradient_rhs_log,
     grid_points,
-    lambda_from_epsilon,
     li_yau_gap,
     li_yau_rhs,
     recurrence_grid,
-    recurrence_grid_from_lambda,
     sharp_envelope_log,
     theorem1_rhs,
     two_grid_fit,
@@ -133,7 +131,13 @@ class TestGrigoryan:
 class TestRecurrenceGrid:
     def test_first_step_gamma(self):
         grid = recurrence_grid(0.1, i_max=3, l_max=1)
-        assert grid.gamma[1, 1] == pytest.approx(grid.lambda_eps / 2.0, abs=1e-15)
+        assert grid.gamma[1, 1] == pytest.approx(grid.lam / 2.0, abs=1e-15)
+
+    def test_built_at_the_given_lambda(self):
+        # no round trip through epsilon = (1 - lam)/(1 + lam) moves lam by an ulp
+        for lam in (0.25, 0.5, 0.75, 0.9):
+            grid = recurrence_grid(lam, i_max=2, l_max=1)
+            assert grid.lam == lam and grid.gamma[1, 1] == 0.5 * lam
 
     def test_column_zero_pinned(self):
         grid = recurrence_grid(0.3, i_max=4, l_max=50)
@@ -146,13 +150,13 @@ class TestRecurrenceGrid:
         assert np.all(grid.gamma[0, 1:] == 0.0)
 
     def test_convergence_lambda_three_quarters(self):
-        grid = recurrence_grid_from_lambda(0.75, i_max=10, l_max=200)
+        grid = recurrence_grid(0.75, i_max=10, l_max=200)
         target = 0.5 ** np.arange(11)
         assert np.max(np.abs(grid.gamma[-1] - target)) < 1e-9
 
     def test_bounded_and_monotone(self):
         for lam in (0.25, 0.5, 0.9):
-            grid = recurrence_grid_from_lambda(lam, i_max=8, l_max=120)
+            grid = recurrence_grid(lam, i_max=8, l_max=120)
             for arr in (grid.beta, grid.gamma):
                 assert np.min(arr) >= 0.0 and np.max(arr) <= 1.0
                 assert np.all(arr[1:] >= arr[:-1])
@@ -166,7 +170,7 @@ class TestRecurrenceGrid:
 
 class TestGammaLimit:
     def test_power_zero(self):
-        assert gamma_limit_from_lambda(lambda_from_epsilon(0.37), 0) == 1.0
+        assert gamma_limit_from_lambda((1.0 - 0.37) / (1.0 + 0.37), 0) == 1.0
 
     def test_lambda_three_quarters(self):
         for i in range(6):
@@ -174,7 +178,7 @@ class TestGammaLimit:
 
     def test_epsilon_to_zero(self):
         for i in (1, 3, 7):
-            assert gamma_limit_from_lambda(lambda_from_epsilon(1e-12), i) == pytest.approx(
+            assert gamma_limit_from_lambda((1.0 - 1e-12) / (1.0 + 1e-12), i) == pytest.approx(
                 1.0, abs=1e-4)
 
 

@@ -563,6 +563,23 @@ class TestQuotientKernelGrid:
             expected = sequential_tail(orbit, float(t), 1, r_cut, delta, batch.value[k])
             assert batch.truncation_bound[k] == pytest.approx(expected, rel=1e-12)
 
+    def test_tail_sums_past_shells_that_underflow_before_the_peak(self):
+        # at t = 1000 and delta = 1.5 the shells from r_cut = 20 underflow to 0
+        # and grow to a peak at shell 1750; the tail is the whole sum, not 0
+        orbit = make_cyclic_h3(3.0).orbit((0j, 1.0), (0j, 1.0), 20.0)
+        a, t, delta = 0.8, 1000.0, 1.5
+        ev = oracle.quotient_kernel(orbit, "h3", t, None, None, 0, 20.0, delta=delta)
+        ks = np.arange(20.0, 20000.0)  # past 6000 every term underflows again
+        log_terms = delta * (ks + 1.0) - 1.5 * math.log(t) - a * t - a * (ks + ks * ks / (4.0 * t))
+        scale = (oracle._tail_envelope_constant(SpaceModel(3), 0, 0.2)
+                 * orbit.counting_constant(delta))
+        expected = math.fsum((scale * np.exp(log_terms)).tolist())
+        assert expected > 0.0
+        assert ev.truncation_bound == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # a time whose shells peak at r_cut keeps its tail
+        at_ten = oracle.quotient_kernel(orbit, "h3", 10.0, None, None, 0, 20.0, delta=delta)
+        assert at_ten.truncation_bound == 0.005816658104880228
+
     def test_rejects_bad_time_grids(self):
         orbit, r_cut = self.orbits()["cyclic"]
         for bad in (np.array([1.0, 0.0]), np.array([[1.0]]), np.array([])):
