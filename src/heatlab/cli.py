@@ -80,6 +80,8 @@ def _orders(raw: str, where: str) -> tuple[int, ...]:
         orders = ()
     if not orders or any(i not in _ORDERS for i in orders):
         raise ConfigError(f"{where}: orders must be integers in {{0, 1, 2}}, got {raw!r}")
+    if len(set(orders)) != len(orders):
+        raise ConfigError(f"{where}: orders must not repeat, got {raw!r}")
     return orders
 
 

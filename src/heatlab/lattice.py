@@ -6,8 +6,9 @@ cosh identity.  Orbit enumeration is certified complete below its cutoff:
 cyclic groups via the translation-length bound, ping-pong groups via nested
 isometric-disk images in a depth-first search over blocks of word matrices,
 where each word pulls the basepoint back once and measures it against the
-fixed letter domes.  The search aborts with EnumerationError when the
-configuration or the floating-point range cannot certify.
+fixed letter domes.  GroupSpec checks the certificate when it is built; the
+search aborts with EnumerationError when its node budget or the float range
+runs out.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def isometric_circle(mat: np.ndarray) -> tuple[complex, float]:
     """Boundary circle |cz + d| = 1 of the matrix: center -d/c, radius 1/|c|."""
     c, d = complex(mat[1, 0]), complex(mat[1, 1])
     if abs(c) < 1e-14:
-        raise GroupSpecError("matrix fixes infinity; no isometric circle")
+        raise GroupSpecError("matrix fixes infinity; no isometric circle for a ping-pong disk")
     return -d / c, 1.0 / abs(c)
 
 
@@ -94,18 +95,20 @@ class GroupSpec:
 
     dim: int
     generators: tuple[np.ndarray, ...]
-    family: str  # trivial | cyclic | schottky | free
+    family: str  # trivial | cyclic | schottky
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise GroupSpecError(f"dim must be 2 or 3, got {self.dim}")
-        if self.family not in ("trivial", "cyclic", "schottky", "free"):
+        if self.family not in ("trivial", "cyclic", "schottky"):
             raise GroupSpecError(f"unknown family {self.family!r}")
         mats = tuple(np.asarray(g, dtype=complex) for g in self.generators)
         object.__setattr__(self, "generators", mats)
         for g in mats:
             if g.shape != (2, 2):
                 raise GroupSpecError("generators must be 2x2 matrices")
+            if not np.all(np.isfinite(g)):
+                raise GroupSpecError("generator entries must be finite (no nan or inf)")
             det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
             if abs(det - 1.0) > _DET_TOL:
                 raise GroupSpecError(f"generator determinant {det} is not 1")
@@ -119,14 +122,13 @@ class GroupSpec:
             raise GroupSpecError(f"{self.family} family needs at least one generator")
         if self.family == "cyclic" and len(mats) != 1:
             raise GroupSpecError("cyclic family takes exactly one generator")
-        if self.family in ("cyclic", "schottky"):
-            for g in mats:
-                trace = g[0, 0] + g[1, 1]
-                if abs(trace.imag) <= _DET_TOL and abs(trace.real) <= 2.0 + _DET_TOL:
-                    raise GroupSpecError(
-                        f"generator trace {trace} is not loxodromic "
-                        "(a trace outside the real segment [-2, 2])"
-                    )
+        for g in mats:
+            trace = g[0, 0] + g[1, 1]
+            if abs(trace.imag) <= _DET_TOL and abs(trace.real) <= 2.0 + _DET_TOL:
+                raise GroupSpecError(
+                    f"generator trace {trace} is not loxodromic "
+                    "(a trace outside the real segment [-2, 2])"
+                )
         if self.family == "schottky":
             self._letter_circles()  # validates disjointness at construction
 
@@ -139,19 +141,16 @@ class GroupSpec:
         return letters
 
     def _letter_circles(self) -> list[tuple[complex, float]]:
-        letters = self._letters()
-        try:
-            circles = [isometric_circle(g) for g in letters]
-        except GroupSpecError as exc:
-            raise GroupSpecError(f"ping-pong disks unavailable: {exc}") from exc
+        circles = [isometric_circle(g) for g in self._letters()]
         for i in range(len(circles)):
             for j in range(i + 1, len(circles)):
                 ci, ri = circles[i]
                 cj, rj = circles[j]
-                if abs(ci - cj) <= ri + rj:
+                # the pruning test certifies only a gap of 1e-12 max(1, r_i, r_j)
+                if abs(ci - cj) - ri - rj < 1e-12 * max(1.0, ri, rj):
                     raise GroupSpecError(
-                        f"isometric disks {i} and {j} are not disjoint; "
-                        "not a valid ping-pong configuration"
+                        f"isometric disks {i} and {j} are not disjoint by a certifiable "
+                        "margin; not a valid ping-pong configuration"
                     )
         return circles
 
@@ -170,7 +169,6 @@ class OrbitSet:
     word_lengths: np.ndarray
     r_max: float
     exhaustive: bool = False  # the whole group was enumerated
-    family: str = ""
 
     def __post_init__(self):
         # read-only, so a cache keyed by the identity of `distances` stays valid
@@ -197,7 +195,7 @@ class OrbitSet:
 
 
 def _sorted_orbit(x: Point, y: Point, distances, word_lengths, r_max: float,
-                  exhaustive: bool, family: str) -> OrbitSet:
+                  exhaustive: bool) -> OrbitSet:
     distances = np.asarray(distances, dtype=float)
     word_lengths = np.asarray(word_lengths, dtype=np.int32)  # the node budget keeps them small
     inside = distances <= r_max
@@ -209,7 +207,7 @@ def _sorted_orbit(x: Point, y: Point, distances, word_lengths, r_max: float,
     order = np.lexsort((word_lengths[inside], distances[inside]))
     return OrbitSet(x=x, y=y, distances=distances[inside][order],
                     word_lengths=word_lengths[inside][order], r_max=float(r_max),
-                    exhaustive=exhaustive, family=family)
+                    exhaustive=exhaustive)
 
 
 def _mobius_points(a, b, c, d, z, h):
@@ -225,32 +223,34 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
                     node_budget: int = 2_000_000) -> OrbitSet:
     """All orbit distances d(x, gy) <= r_max, certified complete.
 
-    Cyclic: d(y, g^k y) >= |k| L bounds the word range directly.  Ping-pong
-    families: depth-first search over blocks of at most _BLOCK reduced words
-    of one length, held as (N, 4) arrays of matrix entries; each popped block
-    is expanded by every allowed next letter in one array pass.  The subtree
-    below a prefix w with next letter b lies inside the image under w of the
-    solid dome over the isometric disk of b^{-1}, so the search prunes once
-    that dome is farther from x than r_max (plus the basepoint slack).  Since
-    d(x, w D) = d(w^{-1} x, D), each popped word maps x back once and tests
-    the pulled-back point against the fixed letter domes.  A word whose image
+    Cyclic: d(y, g^k y) >= |k| L bounds the word range directly, and its
+    2 k_max words count against node_budget.  Schottky: depth-first search
+    over blocks of at most _BLOCK reduced words of one length, held as (N, 4)
+    arrays of matrix entries; each popped block is expanded by every allowed
+    next letter in one array pass.  The subtree below a prefix w with next
+    letter b lies inside the image under w of the solid dome over the
+    isometric disk of b^{-1}, so the search prunes once that dome is farther
+    from x than r_max (plus the basepoint slack).  Since d(x, w D) =
+    d(w^{-1} x, D), each popped word maps x back once and tests the
+    pulled-back point against the fixed letter domes.  A word whose image
     point or pulled-back basepoint overflows raises EnumerationError.
     """
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     xp, yp = as_point(x), as_point(y)
     if group.family == "trivial":
-        return _sorted_orbit(xp, yp, [distance(xp, yp)], [0], r_max,
-                             exhaustive=True, family="trivial")
+        return _sorted_orbit(xp, yp, [distance(xp, yp)], [0], r_max, exhaustive=True)
 
     if group.family == "cyclic":
         g = group.generators[0]
         length = translation_length(g)
-        if length <= 1e-12:
-            raise EnumerationError("generator has zero translation length; cannot bound words")
         d_xy = distance(xp, yp)
         # d(x, g^k y) >= k L - d(x, y): no longer word lands within r_max
         k_max = int(math.floor((r_max + d_xy) / length * (1.0 + 1e-12)))
+        if 2 * k_max > node_budget:
+            raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
+                                   f"r_max={r_max}: translation length {length:.3g} "
+                                   f"needs {2 * k_max} words")
         records = [(d_xy, 0)]
         ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=complex)
         for mat0 in (g, ginv):
@@ -265,25 +265,14 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
                     raise EnumerationError(f"orbit distance at word length {k} is not finite "
                                            f"(g^k overflowed); cannot certify r_max={r_max}")
                 records.append((d, k))
-        return _sorted_orbit(xp, yp, *zip(*records), r_max, exhaustive=False, family="cyclic")
+        return _sorted_orbit(xp, yp, *zip(*records), r_max, exhaustive=False)
 
-    # schottky / free: need a certified ping-pong configuration
-    try:
-        circles = group._letter_circles()
-    except GroupSpecError as exc:
-        raise EnumerationError(
-            f"free-family generators admit no disjoint-disk certificate: {exc}"
-        ) from exc
+    circles = group._letter_circles()  # disjoint with a certified margin, as built
     letters = np.array([g.reshape(4) for g in group._letters()])  # rows a, b, c, d
     inverse = np.arange(len(letters)) ^ 1
     # the words after next letter j lie over the isometric disk of j^{-1}
     centers = np.array([circles[j][0] for j in inverse])
     radii = np.array([circles[j][1] for j in inverse])
-    gap = np.abs(centers[:, None] - centers) - radii[:, None] - radii
-    near = gap < 1e-12 * np.maximum(1.0, np.maximum.outer(radii, radii))
-    if np.any(near & ~np.eye(radii.size, dtype=bool)):
-        raise EnumerationError("pruning certificate degenerated; generators too close "
-                               "to parabolic")
     # reference point outside every dome: height above the largest radius
     slack = distance((0j, 1.0 + radii.max()), yp)
     # a point (z, h) is farther than r_max + slack from the dome (C, R) when
@@ -333,7 +322,7 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
         for start in range(0, rows.size, _BLOCK):
             stack.append((child[start:start + _BLOCK], nxt[start:start + _BLOCK], depth + 1))
     return _sorted_orbit(xp, yp, np.concatenate(dists), np.concatenate(words), r_max,
-                         exhaustive=False, family=group.family)
+                         exhaustive=False)
 
 
 def counting_function(orbit: OrbitSet, radius: float) -> int:
@@ -500,6 +489,8 @@ def group_from_section(section: Section) -> GroupSpec:
     family = section.get("family")
     if dim is None or family is None:
         raise ConfigError("group config needs dim and family keys")
+    if dim not in (2, 3):
+        raise ConfigError(f"dim must be 2 or 3, got {dim}")
     mats = []
     for raw in section.get_list("generator"):
         values = parse_floats(raw)

@@ -39,7 +39,6 @@ class ThresholdInput:
     p: float
     rho_norm: float
     eta_norm: float
-    sigma: float = 0.0
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -173,7 +172,6 @@ def st_norm_certificate(model: SpaceModel, eta_norm: float, p: float) -> tuple[b
 @dataclass(frozen=True)
 class RieszDecay:
     value: float
-    bound: float
     value_small_t: float
     value_large_t: float
     tail_small_t: float
@@ -205,12 +203,11 @@ def riesz_time_integral(r: float, t_edges, panels: int = 12) -> np.ndarray:
                                {"r": r, "t_lo": t_edges[:-1], "t_hi": t_edges[1:]})
 
 
-def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1) -> RieszDecay:
+def riesz_kernel_decay(space: str, r: float) -> RieszDecay:
     """Gradient-kernel time integral int_0^inf |d_r h_t| / sqrt(t) dt on the
     space named `space`, split at t = 1, with certified Gaussian (small t)
-    and exponential (large t) tails; paired with the decay shape
-    e^{-(1-eps)(<rho,H> + |rho| r)} for fitted-constant domination.  Its
-    tails are 3-space closed forms, so only "h3" is accepted."""
+    and exponential (large t) tails.  Its tails are 3-space closed forms, so
+    only "h3" is accepted."""
     if named_model(space).n != 3:
         raise ValueError(f"the gradient-kernel integral has only its 3-space form, got {space!r}")
     if not 0.0 < r < math.inf:
@@ -231,8 +228,5 @@ def riesz_kernel_decay(space: str, r: float, epsilon: float = 0.1) -> RieszDecay
     # Large-t tail (e^{-q/t} <= 1): int_T^inf e^{-t} t^{-k} dt <= T^{-k} e^{-T}.
     log_tail_large = log_c0 + math.log(1.0 / t_hi ** 2 + (r / 2.0) / t_hi ** 3) - t_hi
     tail_large = math.exp(log_tail_large) if log_tail_large > -740.0 else 0.0
-    value = small + large
-    bound = math.exp(-(1.0 - epsilon) * 2.0 * r)  # <rho,H> + |rho| r = 2r here
-    return RieszDecay(value=value, bound=bound, value_small_t=small,
-                      value_large_t=large, tail_small_t=tail_small,
-                      tail_large_t=tail_large)
+    return RieszDecay(value=small + large, value_small_t=small, value_large_t=large,
+                      tail_small_t=tail_small, tail_large_t=tail_large)

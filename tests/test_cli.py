@@ -204,6 +204,7 @@ class TestExitCodes:
         ("[suite theorem1]\norders = 1,x\n", "orders"),
         ("[suite theorem1]\norders = 3\n", "orders"),
         ("[suite theorem1]\norders =\n", "orders"),
+        ("[suite theorem1]\norders = 1,1\n", "orders must not repeat"),
         ("[defaults]\nepsilon = 1.5\n", "epsilon"),
         ("[suite stnorm]\nepsilon = nan\n", "epsilon"),
         ("[defaults]\nseed = -2\n", "seed"),
@@ -213,6 +214,7 @@ class TestExitCodes:
         ("[nosuch]\n", "nosuch"),
         ("epsilon = 0.3\n", "outside any section"),
         ("[group]\ndim = 2\nfamily = cyclic\ngenerator = 2,0,0,0.5\nsize = 3\n", "size"),
+        ("[group]\ndim = 5\nfamily = cyclic\ngenerator = 2,0,0,0.5\n", "dim must be 2 or 3"),
     ])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named):
         cfg_file = tmp_path / "heatlab.cfg"
@@ -232,6 +234,25 @@ class TestExitCodes:
     def test_report_rejects_bad_epsilon(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path), "--epsilon", "1.5"]) == 2
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group, named", [
+        ("dim = 2\nfamily = cyclic\ngenerator = nan,0,0,1\n", "must be finite"),
+        ("dim = 2\nfamily = cyclic\ngenerator = inf,0,0,0\n", "must be finite"),
+        # isometric disks 1e-13 apart: too close for the pruning certificate
+        ("dim = 2\nfamily = schottky\ngenerator = 2,3,1,2\n"
+         "generator = 4.0000000000001,15.000000000000803,1,4.0000000000001\n",
+         "certifiable margin"),
+        ("dim = 2\nfamily = free\ngenerator = 1.5,0,0,0.6666666666666666\n",
+         "unknown family 'free'"),
+    ], ids=["nan", "inf", "near-tangent", "free"])
+    def test_report_rejects_bad_group_before_any_suite(self, tmp_path, capsys, group, named):
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("[group]\n" + group, encoding="utf-8")
+        out_dir = tmp_path / "reports"
+        assert main(["report", "--config", str(cfg_file), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.out == "" and not out_dir.exists()
 
     # a Schottky pair whose exponent orbit to r_max 60 outgrows the node budget
     UNCERTIFIABLE_GROUP = ("[group]\ndim = 3\nfamily = schottky\n"

@@ -250,6 +250,21 @@ class TestGroupSpec:
                       generators=(schottky_generator(2.0, 1.0), schottky_generator(3.5, 1.0)),
                       family="schottky")
 
+    def test_schottky_generator_fixing_infinity_rejected(self):
+        # a diagonal generator has no isometric circle to serve as a disk
+        diag = np.array([[1.5, 0.0], [0.0, 1.0 / 1.5]])
+        with pytest.raises(GroupSpecError, match="no isometric circle"):
+            GroupSpec(dim=2, generators=(diag,), family="schottky")
+
+    @pytest.mark.parametrize("entries, dim", [
+        ((math.nan, 0.0, 0.0, 1.0), 2), ((math.inf, 0.0, 0.0, 0.0), 2),
+        ((2.0, 0.0, 0.0, complex(0.5, math.inf)), 3),
+    ])
+    def test_non_finite_entries_rejected(self, entries, dim):
+        # a NaN determinant would pass the det-1 test
+        with pytest.raises(GroupSpecError, match="must be finite"):
+            GroupSpec(dim=dim, generators=(np.array(entries).reshape(2, 2),), family="cyclic")
+
 
 class TestEnumerateOrbit:
     def test_cyclic_distances(self):
@@ -292,16 +307,13 @@ class TestEnumerateOrbit:
             enumerate_orbit(group, (0j, 1e100), (0j, 1.0), 720.0)
 
     def test_near_tangent_disks_raise_degenerate_certificate(self):
-        # disks of radius 1e13 whose walls pass at +-2, 0.5 away from the
-        # small pair: a pole inside a small disk lies within the relative
-        # tolerance of a huge circle, so no pruning disk can be certified
-        group = GroupSpec(dim=2, family="free",
-                          generators=(schottky_generator(1e13 + 2.0, 1e13),
-                                      schottky_generator(1.0, 0.5)))
-        p = (0.0, 2.0)
-        for search in (enumerate_orbit, scalar_dfs_orbit):
-            with pytest.raises(EnumerationError, match="certificate degenerated"):
-                search(group, p, p, 5.0)
+        # disks of radius 1 at +-2 and +-4.0000000000001: a gap of 1e-13,
+        # below the 1e-12 margin the pruning test can certify, so the group
+        # is refused when it is built; both traces (4, 8.0000000000002) pass
+        gens = (np.array([[2.0, 3.0], [1.0, 2.0]]),
+                np.array([[4.0000000000001, 15.000000000000803], [1.0, 4.0000000000001]]))
+        with pytest.raises(GroupSpecError, match="certifiable margin"):
+            GroupSpec(dim=2, generators=gens, family="schottky")
 
     @pytest.mark.parametrize("translation, dim, r_max", [(1.5, 3, 356.0), (1.5, 3, 2000.0),
                                                          (2.0, 2, 720.0)])
@@ -381,33 +393,32 @@ class TestEnumerateOrbit:
         assert len(a) == len(b)
         assert np.allclose(a.distances, b.distances, atol=1e-9)
 
-    def test_free_family_without_disks_aborts(self):
-        par_like = np.array([[1.5, 0.0], [0.0, 1.0 / 1.5]])  # no isometric circle data
-        group = GroupSpec(dim=2, generators=(par_like,), family="free")
-        with pytest.raises(EnumerationError):
-            enumerate_orbit(group, (0.0, 1.0), (0.0, 1.0), 5.0)
-
-    def test_free_family_with_disks_matches_schottky(self):
-        free = GroupSpec(dim=2,
-                         generators=(schottky_generator(2.0, 1.0), schottky_generator(6.0, 1.0)),
-                         family="free")
-        p = (0.0, 2.0)
-        a = enumerate_orbit(free, p, p, 10.0)
-        b = enumerate_orbit(schottky_pair(), p, p, 10.0)
-        assert np.allclose(a.distances, b.distances)
+    def test_free_family_rejected(self):
+        # a free family would defer the ping-pong check to enumeration
+        with pytest.raises(GroupSpecError, match="unknown family 'free'"):
+            GroupSpec(dim=2, generators=schottky_pair().generators, family="free")
 
     def test_node_budget_abort(self):
         group = schottky_pair()
         with pytest.raises(EnumerationError):
             enumerate_orbit(group, (0.0, 2.0), (0.0, 2.0), 60.0, node_budget=50)
 
+    def test_cyclic_node_budget_abort(self):
+        # trace 2e-9 i: a half-turn screw of translation length 2e-9, which
+        # the trace test accepts; its word range to r_max 60 is 6e10 words
+        g = np.array([[1e-9j, 1.0], [-1.0, 1e-9j]])
+        group = GroupSpec(dim=3, generators=(g,), family="cyclic")
+        assert translation_length(group.generators[0]) == pytest.approx(2e-9, rel=1e-6)
+        with pytest.raises(EnumerationError, match="node budget 1000 exhausted"):
+            enumerate_orbit(group, (0j, 1.0), (0j, 1.0), 60.0, node_budget=1000)
+        with pytest.raises(EnumerationError, match="node budget 2000000 exhausted"):
+            enumerate_orbit(group, (0j, 1.0), (0j, 1.0), 60.0)
+
 
 PING_PONG_CASES = {
     "plane": (schottky_pair, (0.0, 2.0), (0.3, 1.5)),
     "space": (space_pair, (0.1 + 0.2j, 2.0), (0.3j, 2.5)),
     "conjugated": (shifted_pair, (0.1 + 2.2j, 1.8), (2.0j, 2.0)),
-    "free": (lambda: GroupSpec(dim=2, generators=schottky_pair().generators, family="free"),
-             (0.0, 2.0), (0.0, 2.0)),
 }
 
 
@@ -798,6 +809,10 @@ class TestGroupConfig:
     def test_parse_rejects_wrong_arity(self):
         with pytest.raises(ConfigError):
             parse_group("[group]\ndim = 2\nfamily = cyclic\ngenerator = 1,2,3\n")
+
+    def test_parse_rejects_bad_dim_before_generators(self):
+        with pytest.raises(ConfigError, match="dim must be 2 or 3, got 5"):
+            parse_group("[group]\ndim = 5\nfamily = cyclic\ngenerator = 2,0,0,0.5\n")
 
     def test_parse_rejects_invalid_family(self):
         with pytest.raises(ConfigError):

@@ -330,10 +330,6 @@ class TestRieszDecay:
                                  r"r=4\.0, t_lo=0\.005, t_hi=1\.0"):
             riesz_kernel_decay("h3", 4.0)
 
-    def test_bound_shape(self):
-        res = riesz_kernel_decay("h3", 2.0, epsilon=0.25)
-        assert res.bound == pytest.approx(math.exp(-0.75 * 4.0), rel=1e-14)
-
     def test_rejects_other_spaces(self):
         with pytest.raises(ValueError):
             riesz_kernel_decay("h2", 1.0)
