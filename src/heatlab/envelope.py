@@ -131,42 +131,48 @@ def grigoryan_bound_exact_h3(i: int, t):
 # the rate recurrence
 
 
-def recurrence_grid(lam: float, i_max: int, l_max: int) -> BoundGrid:
+def recurrence_grid(lam, i_max: int, l_max: int) -> BoundGrid | list[BoundGrid]:
     """Iterate the rate recurrences
         beta[l][i]  = (beta[l-1][i-1]  + beta[l-1][i+1]) / 2
         gamma[l][i] = (lam * gamma[l-1][i-1] + gamma[l-1][i+1]) / 2
     from beta[0][i] = gamma[0][i] = 0 (i >= 1), column 0 pinned at 1.
 
-    The i-axis is padded by l_max cells so the reported block never sees the
-    truncation boundary: the i+1 dependency travels one column per step.
-    lam = (1 - eps)/(1 + eps) for the bound at epsilon eps.
+    The i-axis is padded by l_max cells, past which the cells stay 0, so the
+    reported block never sees that truncation boundary: the i+1 dependency
+    travels one column per step.
+    lam = (1 - eps)/(1 + eps) for the bound at epsilon eps.  `lam` is one
+    lambda, giving one BoundGrid, or a 1-D array of them, giving a list of
+    BoundGrids in its order.  One pass steps gamma for every lambda at once,
+    and beta as the gamma row at lambda = 1 (1 * x is exact), so beta is
+    stepped once and shared; each grid equals a call with its lambda alone.
+    The grids' arrays are read-only.
     """
-    if not 0.0 < lam < 1.0:
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError("lambda must be a number or a 1-D array of them")
+    if not ((lams > 0.0) & (lams < 1.0)).all():
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     if i_max < 0 or l_max < 0:
         raise ValueError("grid extents must be nonnegative")
-    width = i_max + l_max + 2
-    beta = np.zeros(width)
-    gamma = np.zeros(width)
-    beta[0] = gamma[0] = 1.0
-    betas = [beta[: i_max + 1].copy()]
-    gammas = [gamma[: i_max + 1].copy()]
-    for _ in range(l_max):
-        nb = np.zeros_like(beta)
-        ng = np.zeros_like(gamma)
-        nb[0] = ng[0] = 1.0
-        nb[1:-1] = 0.5 * (beta[:-2] + beta[2:])
-        ng[1:-1] = 0.5 * (lam * gamma[:-2] + gamma[2:])
-        nb[-1] = 0.5 * beta[-2]
-        ng[-1] = 0.5 * lam * gamma[-2]
-        beta, gamma = nb, ng
-        betas.append(beta[: i_max + 1].copy())
-        gammas.append(gamma[: i_max + 1].copy())
-    return BoundGrid(lam=lam, beta=np.asarray(betas), gamma=np.asarray(gammas))
+    rates = np.append(lams, 1.0)[:, None]  # the last row, lambda = 1, is beta
+    cells = np.zeros((rates.shape[0], i_max + l_max + 2))
+    cells[:, 0] = 1.0
+    spare = cells.copy()  # the next step's cells; the first and last columns stay put
+    grids = np.empty((rates.shape[0], l_max + 1, i_max + 1))
+    grids[:, 0] = cells[:, : i_max + 1]
+    for step in range(1, l_max + 1):
+        spare[:, 1:-1] = 0.5 * (rates * cells[:, :-2] + cells[:, 2:])
+        cells, spare = spare, cells
+        grids[:, step] = cells[:, : i_max + 1]
+    grids.flags.writeable = False
+    out = [BoundGrid(lam=float(value), beta=grids[-1], gamma=gamma)
+           for value, gamma in zip(lams.reshape(-1), grids)]
+    return out[0] if lams.ndim == 0 else out
 
 
-def gamma_limit_from_lambda(lam: float, i) -> float:
-    """Closed-form limit of the Gaussian-rate column: (1 - sqrt(1 - lam))^i."""
+def gamma_limit_from_lambda(lam: float, i) -> float | np.ndarray:
+    """Closed-form limit of the Gaussian-rate column: (1 - sqrt(1 - lam))^i,
+    an array for an array of orders i."""
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     return (1.0 - math.sqrt(1.0 - lam)) ** np.asarray(i)
@@ -210,18 +216,27 @@ def li_yau_rhs(n: int, curvature_sq: float, t, gamma: float):
         + n * gamma ** 2 / (2.0 * t)
 
 
-def li_yau_gap(model: SpaceModel, t: float, r: float, gamma: float = 2.0) -> float:
+def li_yau_gap(model: SpaceModel, t, r, gamma: float = 2.0):
     """RHS minus LHS of the curvature gradient inequality
     |grad h|^2/h^2 - g (1/h) dh/dt <= n R^2 g^2/(sqrt2 (g-1)) + n g^2/(2t)
     with R^2 = n - 1, evaluated with the exact oracles: the 3-space closed
     forms, or the plane model's kernel and r-derivative.  Nonnegative gap
     means the inequality holds at (t, r > 0).
+
+    In 3-space `t` and `r` broadcast: arrays give an array of gaps, each
+    entry equal to a scalar call, and scalars a float.  The plane takes
+    scalars only (ValueError otherwise): its time derivative is a
+    Richardson difference of the kernel at each point.
     """
     oracle.check_domain(t, r, radial=True)
     if model.n == 3:
-        grad_log_sq = (1.0 / r - 1.0 / math.tanh(r) - r / (2.0 * t)) ** 2
-        dt_over_h = float(oracle.h3_dt_prefactor(t, r, 1))
+        t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+        slope = 1.0 / r - 1.0 / np.tanh(r) - r / (2.0 * t)  # d_r log h
+        grad_log_sq = slope * slope
+        dt_over_h = oracle.h3_dt_prefactor(t, r, 1)
     else:
+        if np.ndim(t) or np.ndim(r):
+            raise ValueError("the plane Li-Yau gap takes a scalar t and r")
         h = math.exp(model.log_kernel(t, r))
         grad_log_sq = (math.exp(model.radial_log_abs(t, r)) / h) ** 2
         # the time derivative stays a Richardson difference: the plane
@@ -231,8 +246,7 @@ def li_yau_gap(model: SpaceModel, t: float, r: float, gamma: float = 2.0) -> flo
                                        1, t, r)
         dt_over_h = fd.value / h
     lhs = grad_log_sq - gamma * dt_over_h
-    rhs = float(li_yau_rhs(model.n, model.n - 1.0, t, gamma))
-    return rhs - lhs
+    return _float_or_array(li_yau_rhs(model.n, model.n - 1.0, t, gamma) - lhs)
 
 
 # ---------------------------------------------------------------------------

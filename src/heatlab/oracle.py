@@ -40,14 +40,18 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FdDerivative:
-    value: float
-    error: float
-    rel_error: float
-    subnormal_stencil: bool = False  # some kernel value was zero or subnormal
+    """A finite-difference derivative: floats from fd_time_derivative,
+    arrays over the points from fd_time_derivatives."""
+
+    value: float | np.ndarray
+    error: float | np.ndarray
+    rel_error: float | np.ndarray
+    subnormal_stencil: bool | np.ndarray = False  # some kernel value was zero or subnormal
 
     @property
-    def precision_ok(self) -> bool:
-        return not self.subnormal_stencil and self.rel_error <= _FD_PRECISION_LIMIT
+    def precision_ok(self) -> bool | np.ndarray:
+        ok = np.logical_not(self.subnormal_stencil) & (self.rel_error <= _FD_PRECISION_LIMIT)
+        return ok if np.ndim(ok) else bool(ok)
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,10 @@ _H2_REL_TOL = 1e-9  # certified relative error of the kernel integral
 # weight's absolute value: the 32-node rule differs by up to 1.4e-9 of that
 # scale where the moments cancel, so the kernel's 1e-9 would be too tight.
 _H2_MOMENT_TOL = 1e-8
-_H2_BLOCK = 2048  # points per pass; bounds the (points x nodes) temporaries
+# points per pass; bounds the (points x nodes) temporaries.  256 points by
+# 96 nodes keep each near 200 kB: an 8,100-point pass takes about half the
+# time it took in blocks of 2,048
+_H2_BLOCK = 256
 
 
 _GL_UNIT = tuple(np.polynomial.legendre.leggauss(n) for n in (64, 32))
@@ -373,34 +380,38 @@ _FD_STENCILS = {
 }
 
 
-def fd_time_derivative(kernel, order: int, t: float, r: float) -> FdDerivative:
-    """i-th central finite difference in t with two Richardson levels.
+def fd_time_derivatives(kernel, order: int, t, r) -> FdDerivative:
+    """i-th central finite difference in t with two Richardson levels, at
+    a point or at every point of numpy arrays `t` and `r` that broadcast.
 
-    `kernel` is any evaluator f(t, r) -> float.  The step is 1e-3 * t;
-    the returned error estimate is the difference of the last two Richardson
-    extrapolants.  Callers should trust the value only when precision_ok.
+    `kernel` is an evaluator f(t, r) of the same kind as `t` and `r`:
+    floats for floats, arrays for arrays; it is called once per stencil
+    point, with t shifted by the step.  The step is 1e-3 * t; the error
+    estimate is the difference of the last two Richardson extrapolants.
+    Each array entry is bit-identical to a call at that point alone.
+    Trust a value only where precision_ok.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"finite differences support orders 0..2, got {order}")
     check_domain(t, r)
     if order == 0:
-        value = float(kernel(t, r))
-        return FdDerivative(value=value, error=0.0, rel_error=0.0,
+        value = kernel(t, r)
+        zero = np.zeros(np.shape(value))
+        return FdDerivative(value=value, error=zero, rel_error=zero,
                             subnormal_stencil=abs(value) < sys.float_info.min)
     h = _FD_STEP_SCALE * t  # the widest stencil point, t - 4h, stays positive
     stencil = _FD_STENCILS[order]
-    # smallest |kernel value| seen: zero or subnormal values carry too few
-    # significant bits for the differences to mean anything
-    smallest = math.inf
+    seen = []
 
-    def diff(step: float) -> float:
-        nonlocal smallest
+    def diff(step):
         acc = 0.0
         for offset, coeff in stencil:
             f = kernel(t + offset * step, r)
-            smallest = min(smallest, abs(f))
+            seen.append(f)
             acc += coeff * f
-        return acc / step ** order
+        # the exact square: Python's step ** 2 calls C pow, which rounds
+        # differently on about 1 step in 1,200
+        return acc / (step * step if order == 2 else step)
 
     # Richardson ladder with h as the smallest step: the base step stays
     # 1e-3 * t, so subtractive roundoff never grows past the h level.
@@ -409,9 +420,24 @@ def fd_time_derivative(kernel, order: int, t: float, r: float) -> FdDerivative:
     r1b = (4.0 * d2 - d1) / 3.0
     value = (16.0 * r1b - r1a) / 15.0
     error = abs(value - r1b)
-    scale = max(abs(value), 1e-300)
-    return FdDerivative(value=value, error=error, rel_error=error / scale,
+    # smallest |kernel value|, NaN ignored: zero or subnormal values carry
+    # too few significant bits for the differences to mean anything
+    smallest = np.fmin.reduce(np.abs(seen), axis=0)
+    return FdDerivative(value=value, error=error,
+                        rel_error=error / np.maximum(abs(value), 1e-300),
                         subnormal_stencil=smallest < sys.float_info.min)
+
+
+def fd_time_derivative(kernel, order: int, t: float, r: float) -> FdDerivative:
+    """fd_time_derivatives at one point, with float fields.
+
+    `kernel` is any evaluator f(t, r) -> float and is called with the
+    floats t + offset * step and r.
+    """
+    fd = fd_time_derivatives(kernel, order, t, r)
+    return FdDerivative(value=float(fd.value), error=float(fd.error),
+                        rel_error=float(fd.rel_error),
+                        subnormal_stencil=bool(fd.subnormal_stencil))
 
 
 def radial_gradient(space: str, t: float, r: float) -> float:
@@ -429,15 +455,12 @@ def _tail_envelope_constant(model: rootspace.SpaceModel, order: int, epsilon: fl
     + rho_m d + d^2/(4t))} on a wide internal grid of the model's space.
     Deterministic; cached."""
     n, rho = model.n, model.rho_norm
-    t_grid = np.geomspace(1e-3, 60.0, 90)
+    t = np.geomspace(1e-3, 60.0, 90)[:, None]
     d_grid = np.linspace(0.0, 60.0, 90)
-    best = -np.inf
-    for t in t_grid:
-        log_abs, _ = model.dt_log_abs(t, d_grid, order)
-        log_env = (-(n / 2.0 + order) * math.log(t)
-                   - (1.0 - epsilon) * (rho * rho * t + rho * d_grid + d_grid * d_grid / (4.0 * t)))
-        best = max(best, float(np.max(log_abs - log_env)))
-    return math.exp(best) * 1.5  # safety headroom over the grid fit
+    log_abs, _ = model.dt_log_abs(t, d_grid, order)
+    log_env = (-(n / 2.0 + order) * np.log(t)
+               - (1.0 - epsilon) * (rho * rho * t + rho * d_grid + d_grid * d_grid / (4.0 * t)))
+    return math.exp(float(np.max(log_abs - log_env))) * 1.5  # safety headroom over the grid fit
 
 
 # The distance part of the last 3-space orbit summed, over its first k points,

@@ -162,10 +162,44 @@ class TestRecurrenceGrid:
                 assert np.all(arr[1:] >= arr[:-1])
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            recurrence_grid(0.0, 3, 3)
-        with pytest.raises(ValueError):
-            recurrence_grid(1.0, 3, 3)
+        for lam in (0.0, 1.0, np.array([0.5, 1.0]), np.array([[0.5]])):
+            with pytest.raises(ValueError, match="lambda"):
+                recurrence_grid(lam, 3, 3)
+
+    @pytest.mark.parametrize("i_max, l_max", [(10, 200), (10, 0), (0, 7), (4, 1)])
+    def test_lambda_array_equals_scalar_loop(self, i_max, l_max):
+        lams = (0.25, 0.5, 0.75, 0.9)
+        grids = recurrence_grid(np.array(lams), i_max, l_max)
+        assert [grid.lam for grid in grids] == list(lams)
+        for lam, grid in zip(lams, grids):
+            beta, gamma = scalar_recurrence_reference(lam, i_max, l_max)
+            one = recurrence_grid(lam, i_max, l_max)
+            for got in (grid, one):
+                assert got.beta.shape == got.gamma.shape == (l_max + 1, i_max + 1)
+                assert got.beta.tobytes() == beta.tobytes()
+                assert got.gamma.tobytes() == gamma.tobytes()
+
+
+def scalar_recurrence_reference(lam, i_max, l_max):
+    """(beta, gamma) of recurrence_grid stepped for one lambda at a time."""
+    width = i_max + l_max + 2
+    beta = np.zeros(width)
+    gamma = np.zeros(width)
+    beta[0] = gamma[0] = 1.0
+    betas = [beta[: i_max + 1].copy()]
+    gammas = [gamma[: i_max + 1].copy()]
+    for _ in range(l_max):
+        nb = np.zeros_like(beta)
+        ng = np.zeros_like(gamma)
+        nb[0] = ng[0] = 1.0
+        nb[1:-1] = 0.5 * (beta[:-2] + beta[2:])
+        ng[1:-1] = 0.5 * (lam * gamma[:-2] + gamma[2:])
+        nb[-1] = 0.5 * beta[-2]
+        ng[-1] = 0.5 * lam * gamma[-2]
+        beta, gamma = nb, ng
+        betas.append(beta[: i_max + 1].copy())
+        gammas.append(gamma[: i_max + 1].copy())
+    return np.asarray(betas), np.asarray(gammas)
 
 
 class TestGammaLimit:
@@ -234,9 +268,37 @@ class TestLiYau:
     def test_h2_spot_check(self):
         assert li_yau_gap(H2, 1.0, 1.0, 2.0) >= 0.0
 
+    @pytest.mark.parametrize("t, r", [(np.array([1.0, 2.0]), 1.0), (1.0, np.array([1.0]))])
+    def test_h2_takes_scalars_only(self, t, r):
+        with pytest.raises(ValueError, match="plane Li-Yau gap takes a scalar"):
+            li_yau_gap(H2, t, r, 2.0)
+
+    # the liyau suite's mesh, and points where C pow rounds the squared
+    # r-slope differently from slope * slope
+    @pytest.mark.parametrize("t, r", [
+        (np.geomspace(0.1, 10.0, 30)[:, None], np.linspace(0.1, 10.0, 30)),
+        (np.array([0.5, 0.5, 0.5, 2.0, 3.0]), np.array([4.0, 4.14, 7.3, 5.79, 3.09]))],
+        ids=["mesh", "pow_rounds_apart"])
+    def test_h3_array_equals_scalar_calls(self, t, r):
+        gaps = li_yau_gap(H3, t, r, 2.0)
+        assert gaps.shape == np.broadcast(t, r).shape
+        for index in np.ndindex(gaps.shape):
+            tk, rk = (float(np.broadcast_to(a, gaps.shape)[index]) for a in (t, r))
+            one = li_yau_gap(H3, tk, rk, 2.0)
+            assert isinstance(one, float)
+            assert np.float64(one).tobytes() == gaps[index].tobytes() \
+                == np.float64(h3_gap_reference(tk, rk, 2.0)).tobytes()
+
     def test_rejects_gamma_at_most_one(self):
         with pytest.raises(ValueError):
             li_yau_gap(H3, 1.0, 1.0, 1.0)
+
+
+def h3_gap_reference(t, r, gamma):
+    """The 3-space Li-Yau gap in scalar float arithmetic."""
+    slope = 1.0 / r - 1.0 / float(np.tanh(r)) - r / (2.0 * t)
+    lhs = slope * slope - gamma * float(oracle.h3_dt_prefactor(t, r, 1))
+    return float(li_yau_rhs(3, 2.0, t, gamma)) - lhs
 
 
 class TestFitConstant:

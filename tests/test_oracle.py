@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -403,6 +404,71 @@ class TestFdTimeDerivative:
         assert not fd.subnormal_stencil and fd.precision_ok
 
 
+def scalar_fd_reference(kernel, order, t, r):
+    """The Richardson ladder as a scalar loop over the stencil: the
+    reference for fd_time_derivatives.  Order 2 divides by the exact square
+    step * step (Python's step ** 2 calls C pow)."""
+    if order == 0:
+        value = float(kernel(t, r))
+        return value, 0.0, abs(value) < sys.float_info.min
+    h = 1e-3 * t
+    smallest = math.inf
+
+    def diff(step):
+        nonlocal smallest
+        acc = 0.0
+        for offset, coeff in oracle._FD_STENCILS[order]:
+            f = kernel(t + offset * step, r)
+            smallest = min(smallest, abs(f))
+            acc += coeff * f
+        return acc / (step * step if order == 2 else step)
+
+    d0, d1, d2 = diff(4.0 * h), diff(2.0 * h), diff(h)
+    r1a = (4.0 * d1 - d0) / 3.0
+    r1b = (4.0 * d2 - d1) / 3.0
+    value = (16.0 * r1b - r1a) / 15.0
+    error = abs(value - r1b)
+    return value, error / max(abs(value), 1e-300), smallest < sys.float_info.min
+
+
+class TestFdLadderOverArrays:
+    # theorem1's cross-check mesh, plus a stencil of subnormal values
+    # (r^2/4t = 720), one that underflows to 0 (r^2/4t = 1000), and (0.12, 2),
+    # where C pow rounds the squares of 2h and h differently from step * step
+    # and the order-2 value moves with them
+    T, R = (np.concatenate([mesh.ravel(), extra]) for mesh, extra in zip(
+        envelope.grid_points((0.05, 20.0), (0.2, 10.0), 8, 8),
+        ([0.05, 0.04, 0.12], [12.0, math.sqrt(160.0), 2.0])))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_array_ladder_equals_scalar_calls(self, order):
+        fd = oracle.fd_time_derivatives(lambda t, r: np.exp(oracle.h3_log(t, r)),
+                                        order, self.T, self.R)
+        assert fd.value.shape == fd.rel_error.shape == fd.subnormal_stencil.shape == self.T.shape
+        for k, (t, r) in enumerate(zip(self.T.tolist(), self.R.tolist())):
+            one = oracle.fd_time_derivative(h3_value, order, t, r)
+            assert isinstance(one.value, float) and isinstance(one.subnormal_stencil, bool)
+            value, rel_error, subnormal = scalar_fd_reference(h3_value, order, t, r)
+            for got in (one.value, fd.value[k]):
+                assert same_bits(got, value)
+            for got in (one.rel_error, fd.rel_error[k]):
+                assert same_bits(got, rel_error)
+            assert one.subnormal_stencil == fd.subnormal_stencil[k] == subnormal
+            assert one.precision_ok == fd.precision_ok[k]
+        assert fd.subnormal_stencil[-3:-1].all() and fd.value[-2] == 0.0
+        assert not fd.subnormal_stencil[:-3].any()
+
+    def test_array_ladder_calls_the_kernel_once_per_stencil_point(self):
+        shapes = []
+
+        def kernel(t, r):
+            shapes.append(t.shape)
+            return np.exp(oracle.h3_log(t, r))
+
+        oracle.fd_time_derivatives(kernel, 2, self.T, self.R)
+        assert shapes == [self.T.shape] * 9
+
+
 def make_cyclic_h3(translation: float) -> lattice.GroupSpec:
     half = math.exp(translation / 2.0)
     mat = np.array([[half, 0.0], [0.0, 1.0 / half]], dtype=complex)
@@ -486,6 +552,27 @@ class TestQuotientKernel:
         log_env = (-(1.0 + order) * np.log(t)
                    - (1.0 - eps) * (0.25 * t + 0.5 * d + d * d / (4.0 * t)))
         assert np.all(log_abs - log_env <= math.log(c))
+
+
+def tail_constant_reference(model, order, epsilon):
+    """_tail_envelope_constant as a loop over the rows of its t-grid."""
+    n, rho = model.n, model.rho_norm
+    d_grid = np.linspace(0.0, 60.0, 90)
+    best = -np.inf
+    for t in np.geomspace(1e-3, 60.0, 90):
+        log_abs, _ = model.dt_log_abs(t, d_grid, order)
+        log_env = (-(n / 2.0 + order) * math.log(t)
+                   - (1.0 - epsilon) * (rho * rho * t + rho * d_grid + d_grid * d_grid / (4.0 * t)))
+        best = max(best, float(np.max(log_abs - log_env)))
+    return math.exp(best) * 1.5
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.2])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_tail_constant_equals_the_row_loop(order, epsilon):
+    model = SpaceModel(3)
+    assert oracle._tail_envelope_constant(model, order, epsilon) == \
+        tail_constant_reference(model, order, epsilon)
 
 
 def schottky_h3() -> lattice.GroupSpec:

@@ -1,10 +1,14 @@
-"""The quotient suite against the cached evaluation it replaced.
+"""Suites against the evaluations they replaced.
 
 `cached_quotient_rows` evaluates every orbit once over the times of both
 grids and reads each grid's values back from dictionaries keyed by d and t;
 `suite_quotient` enumerates each orbit once per grid point instead.  The
 rows must agree exactly, on the default group and on plane groups the
 report never reaches.
+
+`theorem1`, `liyau` and `recurrence` evaluate their meshes in one array
+pass; the `*_loop_rows` references call the scalar entry points once per
+point, or once per lambda.  Their rows must agree exactly too.
 """
 
 import math
@@ -15,7 +19,8 @@ import pytest
 from heatlab import envelope, lattice, oracle
 from heatlab.lattice import parse_group
 from heatlab.rootspace import AlphaTriple, build_real_hyperbolic
-from heatlab.suites import SuiteConfig, _quotient_setup, _stability_row, run_suite
+from heatlab.registry import CheckRow
+from heatlab.suites import SuiteConfig, _quotient_setup, _stability_row, _tol_row, run_suite
 
 
 def cached_quotient_rows(cfg: SuiteConfig) -> list:
@@ -86,3 +91,95 @@ def test_quotient_rows_equal_the_cached_evaluation(group, epsilon):
     rows = run_suite(cfg).rows
     assert len(rows) == 4
     assert rows == cached_quotient_rows(cfg)
+
+
+def theorem1_loop_rows(cfg: SuiteConfig) -> list:
+    rows = []
+    model = build_real_hyperbolic(3)
+    eps = cfg.epsilon
+    coarse = envelope.grid_points((0.01, 30.0), (0.0, 20.0), 30, 30)
+    fine = envelope.grid_points((0.01, 30.0), (0.0, 20.0), 120, 120)
+    for i in cfg.orders:
+        fit = envelope.two_grid_fit(
+            lambda t, r, i=i: model.dt_log_abs(t, r, i)[0],
+            lambda t, r, i=i: envelope.theorem1_rhs(model, i, t, r, eps),
+            coarse, fine,
+        )
+        rows.append(_stability_row("two_grid_stability", {"i": i, "epsilon": eps}, fit))
+
+        worst = 0.0
+        for t in np.geomspace(0.05, 20.0, 8):
+            for r in np.linspace(0.2, 10.0, 8):
+                sym = float(np.exp(oracle.h3_log(t, r)) * oracle.h3_dt_prefactor(t, r, i))
+                fd = oracle.fd_time_derivative(
+                    lambda tt, rr: float(np.exp(oracle.h3_log(tt, rr))), i, t, r)
+                if not fd.precision_ok:
+                    continue
+                worst = max(worst, abs(sym - fd.value) / max(abs(sym), 1e-300))
+        rows.append(_tol_row("fd_cross_check", {"i": i}, worst, 1e-7))
+    return rows
+
+
+def liyau_loop_rows() -> list:
+    rows = []
+    model = build_real_hyperbolic(3)
+    gamma = 2.0
+    t_grid = np.geomspace(0.1, 10.0, 30)
+    r_grid = np.linspace(0.1, 10.0, 30)
+    min_gap = math.inf
+    for t in t_grid:
+        for r in r_grid:
+            min_gap = min(min_gap, envelope.li_yau_gap(model, float(t), float(r), gamma))
+    rows.append(CheckRow("gap_nonnegative", {"gamma": gamma, "curv_sq": model.n - 1.0},
+                         min_gap, 0.0, min_gap, min_gap >= 0.0))
+    rhs_vals = envelope.li_yau_rhs(model.n, model.n - 1.0, t_grid, gamma)
+    shape_vals = (1.0 + t_grid) / t_grid
+    c_fit = float(np.max(rhs_vals / shape_vals))
+    t_fine = np.geomspace(0.1, 10.0, 240)
+    covered = float(np.max(envelope.li_yau_rhs(model.n, model.n - 1.0, t_fine, gamma)
+                           / ((1.0 + t_fine) / t_fine)))
+    rows.append(CheckRow("rhs_shape_fit", {"gamma": gamma}, covered, 1.05 * c_fit,
+                         covered / c_fit, covered <= 1.05 * c_fit))
+    return rows
+
+
+def recurrence_loop_rows() -> list:
+    rows = []
+    i_max, l_max = 10, 200
+    for lam in (0.25, 0.5, 0.75, 0.9):
+        grid = envelope.recurrence_grid(lam, i_max, l_max)
+        limits = envelope.gamma_limit_from_lambda(lam, np.arange(i_max + 1))
+        gamma_err = float(np.max(np.abs(grid.gamma[-1] - limits)))
+        beta_err = float(np.max(np.abs(grid.beta[-1] - 1.0)))
+        rows.append(_tol_row("gamma_vs_limit", {"lambda": lam}, gamma_err, 1e-9))
+        rows.append(_tol_row("beta_vs_one", {"lambda": lam}, beta_err, 1e-9))
+        range_violation = float(max(np.max(grid.gamma) - 1.0, -np.min(grid.gamma),
+                                    np.max(grid.beta) - 1.0, -np.min(grid.beta), 0.0))
+        mono_violation = float(max(np.max(grid.gamma[:-1] - grid.gamma[1:]),
+                                   np.max(grid.beta[:-1] - grid.beta[1:]), 0.0))
+        rows.append(CheckRow("cells_in_unit_interval", {"lambda": lam},
+                             range_violation, 0.0, range_violation,
+                             range_violation <= 0.0))
+        rows.append(CheckRow("monotone_in_step", {"lambda": lam},
+                             mono_violation, 0.0, mono_violation,
+                             mono_violation <= 0.0))
+    return rows
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.3])
+@pytest.mark.parametrize("orders", [(0,), (1, 2)], ids=["0", "1-2"])
+def test_theorem1_rows_equal_the_point_loop(orders, epsilon):
+    cfg = SuiteConfig(name="theorem1", epsilon=epsilon, orders=orders)
+    rows = run_suite(cfg).rows
+    assert len(rows) == 2 * len(orders)
+    assert rows == theorem1_loop_rows(cfg)
+
+
+def test_liyau_rows_equal_the_point_loop():
+    assert run_suite(SuiteConfig(name="liyau")).rows == liyau_loop_rows()
+
+
+def test_recurrence_rows_equal_the_lambda_loop():
+    rows = run_suite(SuiteConfig(name="recurrence")).rows
+    assert len(rows) == 16
+    assert rows == recurrence_loop_rows()
