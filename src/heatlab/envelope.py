@@ -263,13 +263,13 @@ def grid_points(t_range, r_range, nt: int, nr: int):
 def fit_constant(log_oracle, log_bound, grid) -> float:
     """Max over the grid of oracle/bound, computed as exp(max log-difference).
 
-    Both evaluators take the grid coordinate arrays and return log values.
+    `grid` is a sequence of coordinate arrays, such as grid_points' (T, R);
+    both evaluators take them as arguments and return log values.
     Deterministic for a fixed grid.  Raises ShapeMismatchError when the
     oracle exceeds the bound by more than e^700.
     """
-    coords = grid if isinstance(grid, (tuple, list)) else (grid,)
-    lo = np.asarray(log_oracle(*coords), dtype=float)
-    lb = np.asarray(log_bound(*coords), dtype=float)
+    lo = np.asarray(log_oracle(*grid), dtype=float)
+    lb = np.asarray(log_bound(*grid), dtype=float)
     diff = lo - lb
     finite = np.isfinite(diff)
     if not finite.any():

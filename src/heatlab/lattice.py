@@ -40,14 +40,10 @@ Point = tuple[complex, float]
 
 
 def as_point(p) -> Point:
-    """Normalize (x, h), (z, h), or (x, y, h) to the (complex, height) form."""
+    """Normalize a (z, h) pair to the (complex, height) form."""
     if isinstance(p, tuple) and len(p) == 2:
         z, h = p
         return complex(z), float(h)
-    if isinstance(p, (list, np.ndarray)) and len(p) == 2:
-        return complex(p[0]), float(p[1])
-    if isinstance(p, (tuple, list, np.ndarray)) and len(p) == 3:
-        return complex(float(p[0]), float(p[1])), float(p[2])
     raise ValueError(f"cannot interpret {p!r} as an upper half-space point")
 
 
@@ -378,11 +374,9 @@ def critical_exponent(orbit: OrbitSet) -> CriticalExponentEstimate:
 
 @dataclass(frozen=True)
 class PoincareEval:
-    s: float
     partial_sum: float
     n_terms: int
     tail_bound: float
-    delta_used: float
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -400,14 +394,12 @@ def poincare_series(orbit: OrbitSet, s: float, delta: float) -> PoincareEval:
         raise ValueError(f"series certified to converge only for s > delta ({s} <= {delta})")
     partial = float(np.sum(np.exp(-s * orbit.distances)))
     if orbit.exhaustive:
-        return PoincareEval(s=s, partial_sum=partial, n_terms=len(orbit),
-                            tail_bound=0.0, delta_used=delta)
+        return PoincareEval(partial_sum=partial, n_terms=len(orbit), tail_bound=0.0)
     c_count = orbit.counting_constant(delta)
     k0 = math.floor(orbit.r_max)
     gap = s - delta
     tail = c_count * math.exp(delta) * math.exp(-k0 * gap) / (1.0 - math.exp(-gap))
-    return PoincareEval(s=s, partial_sum=partial, n_terms=len(orbit),
-                        tail_bound=tail, delta_used=delta)
+    return PoincareEval(partial_sum=partial, n_terms=len(orbit), tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ oracle, and every function here that works on either space reads it from the
 model; the public names "h2" and "h3" resolve to a model through
 `rootspace.named_model`.  Finite-difference derivatives with Richardson
 extrapolation serve as an independent cross-check, and quotient kernels are
-orbit sums with certified Gaussian truncation bounds.  The 3-space closed
-form is one expression in a distance part (log(r/sinh r), r^2) and the
-times; the orbit sum computes the distance part once per orbit and keeps it
-for the last orbit summed, keyed by its read-only distances array.
+orbit sums whose truncation tail, the Gaussian envelope against the
+counting bound over unit shells, is bounded in closed form.  The 3-space
+closed form is one expression in a distance part (log(r/sinh r), r^2) and
+the times; the orbit sum computes the distance part once per orbit and
+keeps it for the last orbit summed only, keyed by its read-only distances
+array.
 
 All evaluators work in log space internally; linear values may underflow to
 zero in extreme regimes, the log variants never do.
@@ -463,31 +465,25 @@ def _tail_envelope_constant(model: rootspace.SpaceModel, order: int, epsilon: fl
     return math.exp(float(np.max(log_abs - log_env))) * 1.5  # safety headroom over the grid fit
 
 
-# The distance part of the last 3-space orbit summed, over its first k points,
-# and that orbit's counting constants: (distances, log(r/sinh r), r^2,
-# {(r_max, delta): constant}).  Keyed by the identity of the read-only
+# The distance part of the last 3-space orbit summed, over its first k points:
+# (distances, log(r/sinh r), r^2).  Keyed by the identity of the read-only
 # `distances` array, so it cannot go stale.  One orbit at most: a copy on
 # every orbit would add 16 bytes per point to each orbit a caller keeps.
 _last_orbit: tuple | None = None
 
 
 def _h3_orbit_terms(distances: np.ndarray, k: int):
-    """(log(r/sinh r), r^2) over distances[:k], and the orbit's dict of
-    counting constants, reused from the previous call on the same array."""
+    """(log(r/sinh r), r^2) over distances[:k], reused from the previous call
+    on the same array."""
     global _last_orbit
     memo = _last_orbit
     if memo is None or memo[0] is not distances or memo[1].size < k:
         used = distances[:k]
         check_domain(1.0, used)  # the distance test h3_dt_log_abs makes
-        memo = (distances, *_h3_distance_part(used), {})
+        memo = (distances, *_h3_distance_part(used))
         if not distances.flags.writeable:
             _last_orbit = memo
-    return memo[1][:k], memo[2][:k], memo[3]
-
-
-_TAIL_SHELL_CAP = 100000  # most unit shells one truncation tail sums
-_TAIL_BLOCK = 1 << 20  # array elements per block of t rows
-_TAIL_STOP = 1e-18  # stop once a shell adds at most this share of the running tail
+    return memo[1][:k], memo[2][:k]
 
 
 def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
@@ -499,9 +495,10 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     already-enumerated `OrbitSet`.  `t` is a positive time or a 1-D array of
     them; for an array, `value` and `truncation_bound` are arrays over t,
     each entry bit-identical to a scalar call at that t.  The truncation
-    bound integrates the Gaussian envelope of the derivative against the
-    exponential counting bound c * e^{delta R}, summed over unit shells
-    beyond r_cut until a shell adds at most 1e-18 of the running tail.
+    bound weights the Gaussian envelope of the derivative with the
+    exponential counting bound c * e^{delta R} over the unit shells from
+    floor(r_cut) on, and bounds that whole series in closed form (see
+    _truncation_tails); an exhaustive orbit summed to its end has tail 0.
     """
     model = rootspace.named_model(space)
     ts = np.asarray(t, dtype=float)
@@ -530,10 +527,9 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     distances = np.asarray(orbit.distances, dtype=float)
     k = int(np.searchsorted(distances, r_cut + 1e-12, side="right"))  # sorted distances
     if model.n == 3:
-        log_ros, rr, counting = _h3_orbit_terms(distances, k)
+        log_ros, rr = _h3_orbit_terms(distances, k)
         log_abs, sign = _h3_dt_log_abs_from(ts[:, None], log_ros, rr, order)
     else:
-        counting = {}
         log_abs, sign = model.dt_log_abs(ts[:, None], distances[:k], order)
     terms = np.exp(log_abs) if sign is None else np.exp(log_abs) * sign
     values = np.sum(terms, axis=1)
@@ -543,12 +539,8 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     else:
         if delta is None:
             raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
-        key = (orbit.r_max, delta)
-        if key not in counting:
-            counting[key] = orbit.counting_constant(delta)
-        scale = _tail_envelope_constant(model, order, epsilon) * counting[key]
-        tails = _truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut),
-                                  ts, np.abs(values))
+        scale = _tail_envelope_constant(model, order, epsilon) * orbit.counting_constant(delta)
+        tails = _truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut), ts)
     if scalar:
         return QuotientKernelEval(value=float(values[0]), terms_used=k,
                                   truncation_bound=float(tails[0]))
@@ -556,39 +548,29 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
 
 
 def _truncation_tails(model: rootspace.SpaceModel, order: int, epsilon: float, delta: float,
-                      scale: float, k0: int, ts: np.ndarray,
-                      value_abs: np.ndarray) -> np.ndarray:
-    """Per-t sum of the shell terms scale * e^{delta (k+1)} * envelope(t, k)
-    for k = k0, k0+1, ..., stopping at the first shell at or past the peak
-    shell kp whose term is at most 1e-18 of max(running tail, |value|,
-    1e-300).  Before kp the terms still grow, so a shell that underflows
-    there says nothing about the rest of the tail.
+                      scale: float, k0: int, ts: np.ndarray) -> np.ndarray:
+    """Per-t upper bound of the shell series sum_{k >= k0} scale * e^{L(k)},
+    L(k) = delta (k+1) - (n/2+i) log t - a rho^2 t - a (rho k + k^2/(4t)),
+    a = 1 - epsilon: the counting bound times the derivative's envelope.
 
-    The log-term is a concave quadratic in k.  From the first shell kp at
-    or past its peak it falls by 45 (more than -log 1e-18) within j shells,
-    j from the quadratic; the stop comes no later, because the running tail
-    then holds the term at kp.  The block is sized to that, and each t row
-    is summed left to right, independently of the other rows.
+    L is a concave quadratic, L(k) = L(kp) - C (k - kp)^2 with C = a/(4t)
+    and peak kp = 2t (delta - a rho)/a, so the terms rise to one peak and
+    then fall; such a sum is at most its largest term, e^{L(top)} at
+    top = max(k0, kp), plus the integral I of e^L from k0.  With
+    z = sqrt(C) (k0 - kp), L(top) = L(kp) - max(z, 0)^2 and I is
+    e^{L(kp)} sqrt(pi/C) erfc(z)/2.  For z >= 0, where top = k0, the
+    Mills-ratio bound on erfc (Abramowitz & Stegun 7.1.13) gives
+    I <= e^{L(k0)} / (sqrt(C) (z + sqrt(z^2 + 4/pi))); for z < 0, where
+    top = kp, erfc <= 2 gives I <= e^{L(kp)} sqrt(pi/C).
     """
     n, rho = model.n, model.rho_norm
     a = 1.0 - epsilon
-    log_t_part = -(n / 2.0 + order) * np.log(ts) - a * rho * rho * ts
-    kp = np.maximum(float(k0), np.ceil(2.0 * ts * (delta - a * rho) / a))
-    slope = a * rho + a * kp / (2.0 * ts) - delta  # -(d/dk log-term) at kp, >= 0
-    shells = kp - k0 + 90.0 / (slope + np.sqrt(slope * slope + 45.0 * a / ts)) + 2.0
-    m = int(min(math.ceil(float(np.max(shells))), _TAIL_SHELL_CAP))
-    ks = np.arange(k0, k0 + m, dtype=float)
-    tails = np.empty_like(ts)
-    rows = max(1, _TAIL_BLOCK // m)
-    for lo in range(0, ts.size, rows):
-        blk = slice(lo, lo + rows)
-        t_col = ts[blk, None]
-        log_terms = (delta * (ks + 1.0) + log_t_part[blk, None]
-                     - a * (rho * ks + ks * ks / (4.0 * t_col)))
-        terms = scale * np.exp(log_terms)
-        running = np.cumsum(terms, axis=1)
-        floor = np.maximum(value_abs[blk, None], 1e-300)
-        stop = (terms <= _TAIL_STOP * np.maximum(running, floor)) & (ks >= kp[blk, None])
-        last = np.where(stop.any(axis=1), np.argmax(stop, axis=1), m - 1)
-        tails[blk] = running[np.arange(last.size), last]
-    return tails
+    c = a / (4.0 * ts)
+    root_c = np.sqrt(c)
+    slope = delta - a * rho  # L'(0)
+    log_peak = delta - (n / 2.0 + order) * np.log(ts) - a * rho * rho * ts + slope * slope / a * ts
+    z = root_c * (k0 - 2.0 * slope / a * ts)
+    log_top = log_peak - np.maximum(z, 0.0) ** 2
+    integral = np.where(z >= 0.0, 1.0 / (root_c * (z + np.sqrt(z * z + 4.0 / math.pi))),
+                        np.sqrt(math.pi / c))  # I / e^{L(top)}
+    return scale * np.exp(log_top) * (1.0 + integral)

@@ -29,10 +29,9 @@ def _tol_row(check: str, params: dict, err: float, tol: float) -> CheckRow:
                     passed=bool(err < tol))
 
 
-def _stability_row(check: str, params: dict, fit: envelope.TwoGridFit,
-                   factor: float = 1.05) -> CheckRow:
+def _stability_row(check: str, params: dict, fit: envelope.TwoGridFit) -> CheckRow:
     return CheckRow(check=check, params=params, oracle=fit.c_fine, bound=fit.c_coarse,
-                    ratio=fit.stability, passed=bool(fit.stable_within(factor)))
+                    ratio=fit.stability, passed=bool(fit.stable_within()))
 
 
 # ---------------------------------------------------------------------------

@@ -585,21 +585,21 @@ def same_bits(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def sequential_tail(orbit, t, order, r_cut, delta, value, epsilon=0.2):
-    """The truncation tail as a shell-by-shell loop, for comparison."""
+def exact_tail(orbit, t, order, r_cut, delta, epsilon=0.2):
+    """The whole shell series the truncation bound covers, summed in
+    log-sum-exp form with no stop rule, out to 60/sqrt(C) shells past its
+    peak (C = (1 - epsilon)/(4t)), where the terms have fallen by e^3600."""
     c_count = max(np.count_nonzero(orbit.distances <= k) * math.exp(-delta * k)
                   for k in range(math.floor(orbit.r_max) + 1)
                   if np.count_nonzero(orbit.distances <= k) > 0)
     c_env = oracle._tail_envelope_constant(SpaceModel(3), order, epsilon)
-    tail = 0.0
-    for k in range(math.floor(r_cut), math.floor(r_cut) + 100000):
-        log_term = (delta * (k + 1) - (1.5 + order) * math.log(t) - (1.0 - epsilon) * t
-                    - (1.0 - epsilon) * (k + k * k / (4.0 * t)))
-        term = c_env * c_count * math.exp(log_term)
-        tail += term
-        if term <= 1e-18 * max(tail, abs(value), 1e-300):
-            return tail
-    return tail
+    a, k0 = 1.0 - epsilon, math.floor(r_cut)
+    peak = max(k0, 2.0 * t * (delta - a) / a)
+    log_terms = [delta * (k + 1) - (1.5 + order) * math.log(t) - a * t
+                 - a * (k + k * k / (4.0 * t))
+                 for k in range(k0, math.ceil(peak + 60.0 / math.sqrt(a / (4.0 * t))) + 1)]
+    top = max(log_terms)
+    return c_env * c_count * math.exp(top) * math.fsum(math.exp(x - top) for x in log_terms)
 
 
 class TestQuotientKernelGrid:
@@ -641,31 +641,30 @@ class TestQuotientKernelGrid:
         assert batch.terms_used == len(orbit)
 
     @pytest.mark.parametrize("delta", [0.05, 0.6, 1.5, 1.95])
-    def test_tail_matches_shell_loop(self, delta):
-        # at delta > 0.8 the shell terms first grow, so the stop lies past r_cut
+    def test_tail_bounds_the_exact_series(self, delta):
+        # at delta > 0.8 the shell terms first grow; at 1.5 and 1.95 the
+        # largest times put their peak past r_cut, the other branch of the bound
         orbit, r_cut = self.orbits()["schottky"]
-        batch = oracle.quotient_kernel(orbit, "h3", self.T_GRID, None, None, 1, r_cut,
-                                       delta=delta)
-        for k, t in enumerate(self.T_GRID):
-            expected = sequential_tail(orbit, float(t), 1, r_cut, delta, batch.value[k])
-            assert batch.truncation_bound[k] == pytest.approx(expected, rel=1e-12)
+        peak = 2.0 * self.T_GRID * (delta - 0.8) / 0.8
+        assert (peak > math.floor(r_cut)).any() == (delta > 1.0)
+        for order in (0, 1, 2):
+            batch = oracle.quotient_kernel(orbit, "h3", self.T_GRID, None, None, order, r_cut,
+                                           delta=delta)
+            for k, t in enumerate(self.T_GRID):
+                exact = exact_tail(orbit, float(t), order, r_cut, delta)
+                assert 0.0 < exact <= batch.truncation_bound[k] <= 2.5 * exact
 
-    def test_tail_sums_past_shells_that_underflow_before_the_peak(self):
-        # at t = 1000 and delta = 1.5 the shells from r_cut = 20 underflow to 0
-        # and grow to a peak at shell 1750; the tail is the whole sum, not 0
+    @pytest.mark.parametrize("t, delta, slack", [(1000.0, 1.5, 1.02), (200.0, 0.838, 1.05)],
+                             ids=["peak_past_cut", "peak_just_before_cut"])
+    def test_tail_bound_is_tight_on_wide_shell_peaks(self, t, delta, slack):
+        # at t = 1000 the shells from r_cut = 20 underflow to 0 and grow to a
+        # peak at shell 1750; at t = 200 the peak is shell 19.  Either peak is
+        # tens of shells wide, so the series is nearly its integral
         orbit = make_cyclic_h3(3.0).orbit((0j, 1.0), (0j, 1.0), 20.0)
-        a, t, delta = 0.8, 1000.0, 1.5
-        ev = oracle.quotient_kernel(orbit, "h3", t, None, None, 0, 20.0, delta=delta)
-        ks = np.arange(20.0, 20000.0)  # past 6000 every term underflows again
-        log_terms = delta * (ks + 1.0) - 1.5 * math.log(t) - a * t - a * (ks + ks * ks / (4.0 * t))
-        scale = (oracle._tail_envelope_constant(SpaceModel(3), 0, 0.2)
-                 * orbit.counting_constant(delta))
-        expected = math.fsum((scale * np.exp(log_terms)).tolist())
-        assert expected > 0.0
-        assert ev.truncation_bound == pytest.approx(expected, rel=1e-12, abs=0.0)
-        # a time whose shells peak at r_cut keeps its tail
-        at_ten = oracle.quotient_kernel(orbit, "h3", 10.0, None, None, 0, 20.0, delta=delta)
-        assert at_ten.truncation_bound == 0.005816658104880228
+        for order in (0, 1, 2):
+            ev = oracle.quotient_kernel(orbit, "h3", t, None, None, order, 20.0, delta=delta)
+            exact = exact_tail(orbit, t, order, 20.0, delta)
+            assert 0.0 < exact <= ev.truncation_bound <= slack * exact
 
     def test_rejects_bad_time_grids(self):
         orbit, r_cut = self.orbits()["cyclic"]
@@ -697,8 +696,7 @@ def masked_orbit_sum(orbit, ts, order, r_cut, delta, epsilon=0.2):
     values = np.sum(np.exp(log_abs) * sign, axis=1)
     model = SpaceModel(3)
     scale = oracle._tail_envelope_constant(model, order, epsilon) * orbit.counting_constant(delta)
-    tails = oracle._truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut),
-                                     ts, np.abs(values))
+    tails = oracle._truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut), ts)
     return values, tails, used.size
 
 
