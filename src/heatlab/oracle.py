@@ -8,13 +8,15 @@ weighting the same nodes.  `rootspace.SpaceModel` carries these as its
 oracle, and every function here that works on either space reads it from the
 model; the public names "h2" and "h3" resolve to a model through
 `rootspace.named_model`.  Finite-difference derivatives with Richardson
-extrapolation serve as an independent cross-check, and quotient kernels are
+extrapolation serve as an independent cross-check.  Quotient kernels are
 orbit sums whose truncation tail, the Gaussian envelope against the
-counting bound over unit shells, is bounded in closed form.  The 3-space
+counting bound over unit shells, is bounded in closed form;
+quotient_kernels sums many orbits over one t-grid in one array pass per
+block of orbits, and quotient_kernel is its one-orbit view.  The 3-space
 closed form is one expression in a distance part (log(r/sinh r), r^2) and
-the times; the orbit sum computes the distance part once per orbit and
-keeps it for the last orbit summed only, keyed by its read-only distances
-array.
+the times; a block computes the distance part once over all its points,
+and an orbit summed alone keeps it for the next call on the same orbit,
+keyed by its read-only distances array.
 
 All evaluators work in log space internally; linear values may underflow to
 zero in extreme regimes, the log variants never do.
@@ -58,10 +60,12 @@ class FdDerivative:
 
 @dataclass(frozen=True)
 class QuotientKernelEval:
-    """Orbit sum and its truncation bound; arrays over t for a t-grid."""
+    """Orbit sums and their truncation bounds: from quotient_kernel, floats
+    at one time and arrays over t for a t-grid; from quotient_kernels,
+    (orbits x times) arrays and an integer array of terms_used."""
 
     value: float | np.ndarray
-    terms_used: int
+    terms_used: int | np.ndarray
     truncation_bound: float | np.ndarray
 
 
@@ -465,16 +469,17 @@ def _tail_envelope_constant(model: rootspace.SpaceModel, order: int, epsilon: fl
     return math.exp(float(np.max(log_abs - log_env))) * 1.5  # safety headroom over the grid fit
 
 
-# The distance part of the last 3-space orbit summed, over its first k points:
-# (distances, log(r/sinh r), r^2).  Keyed by the identity of the read-only
-# `distances` array, so it cannot go stale.  One orbit at most: a copy on
-# every orbit would add 16 bytes per point to each orbit a caller keeps.
+# The distance part of the last 3-space orbit summed alone, over its first k
+# points: (distances, log(r/sinh r), r^2).  Keyed by the identity of the
+# read-only `distances` array, so it cannot go stale.  One orbit at most: a
+# copy on every orbit would add 16 bytes per point to each orbit a caller
+# keeps.
 _last_orbit: tuple | None = None
 
 
 def _h3_orbit_terms(distances: np.ndarray, k: int):
     """(log(r/sinh r), r^2) over distances[:k], reused from the previous call
-    on the same array."""
+    on the same array when it is read-only."""
     global _last_orbit
     memo = _last_orbit
     if memo is None or memo[0] is not distances or memo[1].size < k:
@@ -486,27 +491,63 @@ def _h3_orbit_terms(distances: np.ndarray, k: int):
     return memo[1][:k], memo[2][:k]
 
 
-def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
-                    delta: float | None = None, epsilon: float = 0.2) -> QuotientKernelEval:
-    """Orbit sum of kernel time derivatives over points with d(x, gy) <= r_cut,
-    on the space named "h2" or "h3".
+# (times x points) terms per pass of quotient_kernels; bounds each
+# temporary near 1 MB.  An orbit with more terms than this runs alone.
+_ORBIT_BLOCK = 1 << 17
 
-    `group` is either an object with an ``orbit(x, y, r_max)`` method or an
-    already-enumerated `OrbitSet`.  `t` is a positive time or a 1-D array of
-    them; for an array, `value` and `truncation_bound` are arrays over t,
-    each entry bit-identical to a scalar call at that t.  The truncation
-    bound weights the Gaussian envelope of the derivative with the
-    exponential counting bound c * e^{delta R} over the unit shells from
-    floor(r_cut) on, and bounds that whole series in closed form (see
-    _truncation_tails); an exhaustive orbit summed to its end has tail 0.
-    """
-    model = rootspace.named_model(space)
+
+def _orbit_blocks(ks: list[int], n_times: int) -> list[slice]:
+    """Slices of consecutive orbits, with ks[g] terms per time, whose terms
+    together stay within _ORBIT_BLOCK, or one orbit that alone exceeds it."""
+    if sum(ks) * n_times <= _ORBIT_BLOCK:
+        return [slice(0, len(ks))]
+    blocks, lo, size = [], 0, 0
+    for g, k in enumerate(ks):
+        if size and (size + k) * n_times > _ORBIT_BLOCK:
+            blocks.append(slice(lo, g))
+            lo, size = g, 0
+        size += k
+    return blocks + [slice(lo, len(ks))]
+
+
+def _block_sums(model: rootspace.SpaceModel, ts: np.ndarray, order: int, orbits: list,
+                ks: list[int]) -> np.ndarray:
+    """(orbits x times) sums of d^order_t h over each orbit's first k
+    distances at the times ts.
+
+    One distance-part pass and one exp cover the block's terms; each orbit
+    is then summed over its own contiguous columns, which groups the
+    additions as a sum over that orbit alone does.  One orbit alone reads
+    its distance part through the _last_orbit memo."""
+    if len(orbits) == 1:
+        distances = np.asarray(orbits[0].distances, dtype=float)
+    else:
+        distances = np.concatenate([orbit.distances[:k] for orbit, k in zip(orbits, ks)])
+    size = sum(ks)
+    if model.n == 3:
+        log_ros, rr = _h3_orbit_terms(distances, size)
+        log_abs, sign = _h3_dt_log_abs_from(ts[:, None], log_ros, rr, order)
+    else:
+        log_abs, sign = model.dt_log_abs(ts[:, None], distances[:size], order)
+    terms = np.exp(log_abs) if sign is None else np.exp(log_abs) * sign
+    if len(ks) == 1:
+        return np.sum(terms, axis=1)[None]
+    sums = np.empty((len(ks), ts.size))
+    lo = 0
+    for g, k in enumerate(ks):
+        np.sum(terms[:, lo:lo + k], axis=1, out=sums[g])
+        lo += k
+    return sums
+
+
+def _orbit_sum_times(t, r_cut: float, delta: float | None, epsilon: float) -> np.ndarray:
+    """`t` as an array, once it is a positive time or a nonempty 1-D array
+    of them, and once r_cut, delta and epsilon pass their checks."""
     ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    ts = ts.reshape(1) if scalar else ts
-    if ts.ndim != 1 or ts.size == 0:
+    if ts.ndim > 1 or ts.size == 0:
         raise ValueError("t must be a positive time or a nonempty 1-D array of them")
-    if not ((ts > 0.0) & (ts < math.inf)).all():
+    # a float skips numpy's per-call cost, as in check_domain
+    if not (0.0 < t < math.inf if isinstance(t, float) else ((ts > 0.0) & (ts < math.inf)).all()):
         raise ValueError(f"t must be positive and finite, got {t!r}")
     if not math.isfinite(r_cut):
         raise ValueError(f"r_cut must be finite, got {r_cut!r}")
@@ -515,43 +556,104 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError("tail envelope needs epsilon in (0, 1); the Gaussian decay rate "
                          "(1 - epsilon)/(4t) must stay positive for the tail to converge")
-    if hasattr(group, "distances") and hasattr(group, "r_max"):
-        orbit = group
+    return ts
+
+
+def _orbit_sums(model: rootspace.SpaceModel, orbits: list, ts: np.ndarray, order: int,
+                r_cut: float, delta: float | None, epsilon: float):
+    """quotient_kernels on a model, a nonempty list of orbits and checked
+    1-D times, as (values, terms used per orbit, tails)."""
+    # each orbit's terms within r_cut; the orbits with a tail, which are all
+    # but the exhaustive ones summed to their end
+    ks, cut = [], []
+    for g, orbit in enumerate(orbits):
         if orbit.r_max < r_cut - 1e-12:
             raise ValueError(f"orbit certified to {orbit.r_max}, below r_cut={r_cut}")
+        if r_cut <= float(orbit.distances[0]):
+            raise ValueError("r_cut must exceed the quotient distance d_M(x, y)")
+        k = int(np.searchsorted(orbit.distances, r_cut + 1e-12, side="right"))
+        ks.append(k)
+        if not (orbit.exhaustive and k == orbit.distances.size):
+            cut.append(g)
+    blocks = [_block_sums(model, ts, order, orbits[block], ks[block])
+              for block in _orbit_blocks(ks, ts.size)]
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    if not cut:
+        return values, ks, np.zeros_like(values)
+    if delta is None:
+        raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
+    envelope = _tail_envelope_constant(model, order, epsilon)
+    scales = [envelope * orbits[g].counting_constant(delta) for g in cut]
+    # a column of scales gives a row per orbit; one float skips its broadcasting
+    scale = scales[0] if len(scales) == 1 else np.array(scales)[:, None]
+    tails = _truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut), ts)
+    tails = tails.reshape(len(cut), ts.size)
+    if len(cut) < len(orbits):
+        tails, bound = np.zeros_like(values), tails
+        tails[cut] = bound
+    return values, ks, tails
+
+
+def quotient_kernels(orbits, space: str, t, order: int, r_cut: float,
+                     delta: float | None = None, epsilon: float = 0.2) -> QuotientKernelEval:
+    """Orbit sums of kernel time derivatives over the points with
+    d(x, gy) <= r_cut of each `OrbitSet` in the nonempty sequence `orbits`,
+    on the space named "h2" or "h3", at a positive time `t` or a 1-D array
+    of them.
+
+    `value` and `truncation_bound` are (orbits x times) arrays and
+    `terms_used` is an integer array over the orbits; each row is
+    bit-identical to quotient_kernel on that orbit alone.  The orbits are
+    summed in blocks of at most _ORBIT_BLOCK terms, one pass each.  The
+    truncation bound weights the Gaussian envelope of the derivative with
+    the exponential counting bound c * e^{delta R} over the unit shells from
+    floor(r_cut) on, and bounds that whole series in closed form (see
+    _truncation_tails); an exhaustive orbit summed to its end has tail 0.
+    """
+    model = rootspace.named_model(space)
+    ts = _orbit_sum_times(t, r_cut, delta, epsilon).reshape(-1)
+    orbits = list(orbits)
+    if not orbits:
+        raise ValueError("quotient_kernels needs at least one orbit")
+    values, ks, tails = _orbit_sums(model, orbits, ts, order, r_cut, delta, epsilon)
+    return QuotientKernelEval(value=values, terms_used=np.array(ks), truncation_bound=tails)
+
+
+def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
+                    delta: float | None = None, epsilon: float = 0.2) -> QuotientKernelEval:
+    """quotient_kernels on one orbit: the orbit sum of kernel time
+    derivatives over points with d(x, gy) <= r_cut, on the space named "h2"
+    or "h3".
+
+    `group` is either an object with an ``orbit(x, y, r_max)`` method or an
+    already-enumerated `OrbitSet`.  `t` is a positive time or a 1-D array of
+    them; for an array, `value` and `truncation_bound` are arrays over t,
+    each entry bit-identical to a scalar call at that t, and for a scalar
+    they are floats.  In 3-space the distance part of the orbit is kept
+    between calls on the same orbit (see _h3_orbit_terms).
+    """
+    model = rootspace.named_model(space)
+    ts = _orbit_sum_times(t, r_cut, delta, epsilon)
+    if hasattr(group, "distances") and hasattr(group, "r_max"):
+        orbit = group
     else:
         orbit = group.orbit(x, y, r_cut)
-    if r_cut <= float(orbit.distances[0]):
-        raise ValueError("r_cut must exceed the quotient distance d_M(x, y)")
-
-    distances = np.asarray(orbit.distances, dtype=float)
-    k = int(np.searchsorted(distances, r_cut + 1e-12, side="right"))  # sorted distances
-    if model.n == 3:
-        log_ros, rr = _h3_orbit_terms(distances, k)
-        log_abs, sign = _h3_dt_log_abs_from(ts[:, None], log_ros, rr, order)
-    else:
-        log_abs, sign = model.dt_log_abs(ts[:, None], distances[:k], order)
-    terms = np.exp(log_abs) if sign is None else np.exp(log_abs) * sign
-    values = np.sum(terms, axis=1)
-
-    if orbit.exhaustive and k == distances.size:
-        tails = np.zeros_like(values)
-    else:
-        if delta is None:
-            raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
-        scale = _tail_envelope_constant(model, order, epsilon) * orbit.counting_constant(delta)
-        tails = _truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut), ts)
-    if scalar:
-        return QuotientKernelEval(value=float(values[0]), terms_used=k,
-                                  truncation_bound=float(tails[0]))
-    return QuotientKernelEval(value=values, terms_used=k, truncation_bound=tails)
+    values, (k,), tails = _orbit_sums(model, [orbit], ts.reshape(-1), order, r_cut, delta,
+                                      epsilon)
+    if ts.ndim == 0:
+        return QuotientKernelEval(value=values.item(0), terms_used=k,
+                                  truncation_bound=tails.item(0))
+    return QuotientKernelEval(value=values[0], terms_used=k, truncation_bound=tails[0])
 
 
 def _truncation_tails(model: rootspace.SpaceModel, order: int, epsilon: float, delta: float,
-                      scale: float, k0: int, ts: np.ndarray) -> np.ndarray:
+                      scale, k0: int, ts: np.ndarray) -> np.ndarray:
     """Per-t upper bound of the shell series sum_{k >= k0} scale * e^{L(k)},
     L(k) = delta (k+1) - (n/2+i) log t - a rho^2 t - a (rho k + k^2/(4t)),
     a = 1 - epsilon: the counting bound times the derivative's envelope.
+    `scale` is a float, or a column of them (one per orbit) for an
+    (orbits x times) array.
 
     L is a concave quadratic, L(k) = L(kp) - C (k - kp)^2 with C = a/(4t)
     and peak kp = 2t (delta - a rho)/a, so the terms rise to one peak and

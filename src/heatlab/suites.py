@@ -253,19 +253,22 @@ def suite_quotient(cfg: SuiteConfig) -> list[CheckRow]:
     best = {}
     for n in (20, 40):
         t_grid = np.geomspace(0.1, 10.0, n)
-        for d in np.linspace(0.0, d_hi, n).tolist():
-            orbit = group.orbit(x, (0.0 + 0.0j, math.exp(d)), r_cut)
-            log_series = math.log(lattice.poincare_series(orbit, s=eps + delta,
-                                                          delta=delta).partial_sum)
-            for i in (0, 1):
-                ev = oracle.quotient_kernel(orbit, "h3", t_grid, None, None, i, r_cut,
-                                            delta=delta)
-                measured = [math.log(max(abs(v), 1e-300)) for v in ev.value.tolist()]
-                for triple in triples:
-                    log_bound = lattice.theorem2_rhs_log(
-                        model, delta, triple, i, t_grid, orbit.d_min, eps) + log_series
-                    worst = max(m - b for m, b in zip(measured, log_bound.tolist()))
-                    best[n, i, triple] = max(best.get((n, i, triple), -math.inf), worst)
+        orbits = [group.orbit(x, (0.0 + 0.0j, math.exp(d)), r_cut)
+                  for d in np.linspace(0.0, d_hi, n).tolist()]
+        # columns over the orbits, so the bound arithmetic stays elementwise
+        d_min = np.array([[orbit.d_min] for orbit in orbits])
+        log_series = np.array([[math.log(lattice.poincare_series(orbit, s=eps + delta,
+                                                                 delta=delta).partial_sum)]
+                               for orbit in orbits])
+        for i in (0, 1):
+            ev = oracle.quotient_kernels(orbits, "h3", t_grid, i, r_cut, delta=delta)
+            # math.log, not numpy's log, which may round differently
+            measured = np.array([math.log(max(abs(v), 1e-300)) for v in ev.value.ravel().tolist()])
+            measured = measured.reshape(ev.value.shape)
+            for triple in triples:
+                log_bound = lattice.theorem2_rhs_log(
+                    model, delta, triple, i, t_grid, d_min, eps) + log_series
+                best[n, i, triple] = float(np.max(measured - log_bound))
 
     for i in (0, 1):
         for triple in triples:
@@ -284,17 +287,17 @@ def suite_theorem2(cfg: SuiteConfig) -> list[CheckRow]:
     regime-style domination of the orbit sum on the axis quotient."""
     rows = []
     model = build_real_hyperbolic(3)
-    rng = np.random.default_rng(cfg.seed)
-    worst = math.inf
-    for _ in range(200):
-        a1, a3 = rng.uniform(0.0, 1.0, size=2)
-        lo = model.rho_m - model.rho_norm * math.sqrt(a1 * a3)
-        hi = model.rho_m + model.rho_norm * math.sqrt(a1 * a3)
-        a2 = rng.uniform(lo, min(hi, model.rho_norm + model.rho_m - 1e-9))
-        triple = AlphaTriple(float(a1), float(a2), float(a3))
-        t = rng.uniform(0.05, 20.0)
-        d = rng.uniform(0.0, 15.0)
-        worst = min(worst, float(lattice.splitting_slack(model, triple, t, d)))
+    # one draw of the 200 samples' five uniforms; numpy's uniform(low, high)
+    # is low + (high - low) * u, so each sample keeps its bits
+    u = np.random.default_rng(cfg.seed).random((200, 5))
+    a1, a3 = u[:, 0], u[:, 1]
+    spread = model.rho_norm * np.sqrt(a1 * a3)
+    lo = model.rho_m - spread
+    hi = np.minimum(model.rho_m + spread, model.rho_norm + model.rho_m - 1e-9)
+    a2 = lo + (hi - lo) * u[:, 2]
+    t = 0.05 + (20.0 - 0.05) * u[:, 3]
+    d = 0.0 + (15.0 - 0.0) * u[:, 4]
+    worst = float(np.min(lattice.splitting_slack(model, AlphaTriple(a1, a2, a3), t, d)))
     rows.append(CheckRow("slack_nonnegative", {"samples": 200},
                          worst, 0.0, worst, worst >= -1e-12))
     eq = float(lattice.splitting_slack(model, AlphaTriple(0.0, model.rho_m, 0.0), 1.7, 3.1))
@@ -304,15 +307,15 @@ def suite_theorem2(cfg: SuiteConfig) -> list[CheckRow]:
     group, x, delta, d_hi = _quotient_setup(cfg)
     s_val = 0.5
     t_grid = np.geomspace(0.1, 10.0, 12)
-    best = -math.inf
-    for d in np.linspace(0.0, d_hi, 12):
-        y = (0.0 + 0.0j, math.exp(float(d)))
-        orbit = group.orbit(x, y, 80.0)
-        ev = oracle.quotient_kernel(orbit, "h3", t_grid, x, y, 0, 80.0, delta=delta)
-        series = lattice.poincare_series(orbit, s=s_val, delta=delta)
-        rhs = lattice.quotient_regime_rhs(model, delta, s_val, t_grid, orbit.d_min)
-        for value, rhs_t in zip(ev.value.tolist(), rhs.tolist()):
-            best = max(best, math.log(max(value, 1e-300)) - math.log(rhs_t * series.partial_sum))
+    orbits = [group.orbit(x, (0.0 + 0.0j, math.exp(float(d))), 80.0)
+              for d in np.linspace(0.0, d_hi, 12)]
+    ev = oracle.quotient_kernels(orbits, "h3", t_grid, 0, 80.0, delta=delta)
+    d_min = np.array([[orbit.d_min] for orbit in orbits])
+    series = np.array([[lattice.poincare_series(orbit, s=s_val, delta=delta).partial_sum]
+                       for orbit in orbits])
+    rhs = lattice.quotient_regime_rhs(model, delta, s_val, t_grid, d_min) * series
+    best = max(math.log(max(value, 1e-300)) - math.log(bound)
+               for value, bound in zip(ev.value.ravel().tolist(), rhs.ravel().tolist()))
     c_fit = math.exp(best)
     rows.append(CheckRow("regime1_domination", {"s": s_val, "delta": delta},
                          c_fit, math.inf, 0.0, math.isfinite(c_fit)))

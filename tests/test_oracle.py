@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from heatlab import envelope, lattice, oracle
+from heatlab import envelope, lattice, oracle, rootspace
 from heatlab.rootspace import SpaceModel, build_real_hyperbolic
 
 
@@ -764,3 +764,139 @@ class TestQuotientKernelReusedTerms:
         a, _ = self.orbits()
         with pytest.raises(ValueError, match="^delta must be"):
             oracle.quotient_kernel(a, "h3", 1.0, None, None, 0, 11.0, delta=delta)
+
+
+def batch_orbits():
+    """The suites' default 9-point cyclic orbit, the plane cyclic orbit
+    (115 points) and the plane Schottky orbit (61 points), between two
+    points of the vertical axis, with their r_cut."""
+    x, y = (0j, 1.0), (0j, math.exp(1.3))
+    groups = [lattice.GroupSpec(dim=3, generators=(np.diag([math.exp(9.0), math.exp(-9.0)]),),
+                                family="cyclic"),
+              lattice.parse_group("[group]\ndim = 2\nfamily = cyclic\ngenerator = 2.0,0,0,0.5\n"),
+              lattice.parse_group("[group]\ndim = 2\nfamily = schottky\ngenerator = 2,3,1,2\n")]
+    return [group.orbit(x, y, 80.0) for group in groups], 80.0
+
+
+def trivial_orbit(r_cut: float) -> lattice.OrbitSet:
+    group = lattice.GroupSpec(dim=3, generators=(), family="trivial")
+    return group.orbit((0j, 1.0), (0j, math.exp(1.3)), r_cut)
+
+
+def closed_form_tail(model, order, delta, scale, k0, ts, epsilon=0.2):
+    """_truncation_tails written out for one float scale, in its order of
+    operations: the reference for the bits of the batched tails."""
+    n, rho, a = model.n, model.rho_norm, 1.0 - epsilon
+    c = a / (4.0 * ts)
+    root_c = np.sqrt(c)
+    slope = delta - a * rho
+    log_peak = delta - (n / 2.0 + order) * np.log(ts) - a * rho * rho * ts + slope * slope / a * ts
+    z = root_c * (k0 - 2.0 * slope / a * ts)
+    log_top = log_peak - np.maximum(z, 0.0) ** 2
+    integral = np.where(z >= 0.0, 1.0 / (root_c * (z + np.sqrt(z * z + 4.0 / math.pi))),
+                        np.sqrt(math.pi / c))
+    return scale * np.exp(log_top) * (1.0 + integral)
+
+
+def lone_orbit_sum(orbit, space, ts, order, r_cut, delta, epsilon=0.2):
+    """One orbit summed alone from scratch: its (times x points) terms and
+    np.sum over the points, and its closed-form tail."""
+    model = rootspace.named_model(space)
+    used = orbit.distances[orbit.distances <= r_cut + 1e-12]
+    log_abs, sign = model.dt_log_abs(ts[:, None], used, order)
+    values = np.sum(np.exp(log_abs) * sign, axis=1)
+    if orbit.exhaustive and used.size == len(orbit):
+        return values, np.zeros_like(values), used.size
+    scale = oracle._tail_envelope_constant(model, order, epsilon) * orbit.counting_constant(delta)
+    return values, closed_form_tail(model, order, delta, scale, math.floor(r_cut), ts), used.size
+
+
+def assert_rows_are_single_orbit_calls(orbits, space, order, r_cut, delta):
+    """quotient_kernels on `orbits` against quotient_kernel on each alone
+    and against lone_orbit_sum, bit for bit; the batch is summed first, so
+    no single call has filled the memo with its orbit's distance part."""
+    ts = TestQuotientKernels.T_GRID
+    batch = oracle.quotient_kernels(orbits, space, ts, order, r_cut, delta=delta)
+    assert batch.value.shape == batch.truncation_bound.shape == (len(orbits), ts.size)
+    assert batch.terms_used.shape == (len(orbits),)
+    for g, orbit in enumerate(orbits):
+        one = oracle.quotient_kernel(orbit, space, ts, None, None, order, r_cut, delta=delta)
+        values, tails, used = lone_orbit_sum(orbit, space, ts, order, r_cut, delta)
+        for value in (one.value, values):
+            assert value.tobytes() == batch.value[g].tobytes()
+        for tail in (one.truncation_bound, tails):
+            assert tail.tobytes() == batch.truncation_bound[g].tobytes()
+        assert one.terms_used == used == batch.terms_used[g]
+    return batch
+
+
+class TestQuotientKernels:
+    T_GRID = np.geomspace(0.1, 10.0, 12)
+
+    # at r_cut 10 the points past the last whole group of 8 carry weight, so
+    # a sum that groups them differently (padding, reduceat) moves bits
+    @pytest.mark.parametrize("r_cut, terms", [(80.0, [9, 115, 61]), (10.0, [1, 15, 7])])
+    @pytest.mark.parametrize("space", ["h3", "h2"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_rows_equal_single_orbit_calls(self, space, order, r_cut, terms):
+        orbits, _ = batch_orbits()
+        batch = assert_rows_are_single_orbit_calls(orbits, space, order, r_cut, delta=0.05)
+        assert batch.terms_used.tolist() == terms
+        # the tail underflows at small times only
+        assert np.all(batch.truncation_bound[:, -1] > 0.0)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_exhaustive_orbit_between_truncated_ones(self, order):
+        orbits, r_cut = batch_orbits()
+        orbits.insert(1, trivial_orbit(r_cut))
+        batch = assert_rows_are_single_orbit_calls(orbits, "h3", order, r_cut, delta=0.05)
+        assert np.all(batch.truncation_bound[1] == 0.0)
+        assert np.all(np.delete(batch.truncation_bound, 1, axis=0)[:, -1] > 0.0)
+        # exhaustive orbits alone need no delta
+        whole = assert_rows_are_single_orbit_calls([trivial_orbit(r_cut)] * 2, "h3", order,
+                                                   r_cut, delta=None)
+        assert np.all(whole.truncation_bound == 0.0)
+
+    @pytest.mark.parametrize("space", ["h3", "h2"])
+    def test_blocks_keep_the_bits(self, space, monkeypatch):
+        # 40 terms per block at 12 times: the 9-point orbits share blocks
+        # two at a time, and the 115- and 61-point orbits run alone
+        orbits, r_cut = batch_orbits()
+        orbits = [orbits[0], orbits[0], orbits[1], orbits[0], orbits[2], orbits[0]]
+        monkeypatch.setattr(oracle, "_ORBIT_BLOCK", 12 * 20)
+        ks = [9, 9, 115, 9, 61, 9]
+        assert list(oracle._orbit_blocks(ks, 12)) == [
+            slice(0, 2), slice(2, 3), slice(3, 4), slice(4, 5), slice(5, 6)]
+        for order in (0, 1, 2):
+            batch = assert_rows_are_single_orbit_calls(orbits, space, order, r_cut, delta=0.05)
+            assert batch.terms_used.tolist() == ks
+
+    def test_scalar_time_gives_one_column(self):
+        orbits, r_cut = batch_orbits()
+        batch = oracle.quotient_kernels(orbits, "h3", 1.5, 1, r_cut, delta=0.05)
+        assert batch.value.shape == batch.truncation_bound.shape == (3, 1)
+        for g, orbit in enumerate(orbits):
+            one = oracle.quotient_kernel(orbit, "h3", 1.5, None, None, 1, r_cut, delta=0.05)
+            assert same_bits(one.value, batch.value[g, 0])
+            assert same_bits(one.truncation_bound, batch.truncation_bound[g, 0])
+
+    @pytest.mark.parametrize("case", ["below_r_cut", "r_cut_at_d_min", "no_delta"])
+    def test_errors_match_the_single_orbit_call(self, case):
+        # (an orbit that passes, the orbit that fails, r_cut, delta)
+        (cyclic, plane_cyclic, schottky), _ = batch_orbits()
+        good, bad, r_cut, delta = {
+            "below_r_cut": (cyclic, dataclasses.replace(plane_cyclic, r_max=60.0), 80.0, 0.05),
+            "r_cut_at_d_min": (plane_cyclic, trivial_orbit(80.0), 1.3, 0.05),
+            "no_delta": (trivial_orbit(80.0), schottky, 80.0, None),
+        }[case]
+        with pytest.raises(ValueError) as single:
+            oracle.quotient_kernel(bad, "h3", self.T_GRID, None, None, 0, r_cut, delta=delta)
+        with pytest.raises(ValueError) as batched:
+            oracle.quotient_kernels([good, bad], "h3", self.T_GRID, 0, r_cut, delta=delta)
+        assert type(batched.value) is type(single.value)
+        assert str(batched.value) == str(single.value)
+        oracle.quotient_kernels([good], "h3", self.T_GRID, 0, r_cut, delta=delta)
+
+    def test_rejects_an_empty_batch(self):
+        with pytest.raises(ValueError, match="at least one orbit"):
+            oracle.quotient_kernels([], "h3", self.T_GRID, 0, 10.0, delta=0.05)

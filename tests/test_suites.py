@@ -1,10 +1,14 @@
 """Suites against the evaluations they replaced.
 
 `cached_quotient_rows` evaluates every orbit once over the times of both
-grids and reads each grid's values back from dictionaries keyed by d and t;
-`suite_quotient` enumerates each orbit once per grid point instead.  The
-rows must agree exactly, on the default group and on plane groups the
-report never reaches.
+grids, one `quotient_kernel` call per orbit and order, and reads each
+grid's values back from dictionaries keyed by d and t; `suite_quotient`
+enumerates each grid's orbits and sums them in one `quotient_kernels` call
+per grid and order instead.  `theorem2_loop_rows` draws the slack samples
+one at a time and sums each orbit alone; `suite_theorem2` draws them at
+once and sums its orbits in one call.  The rows must agree exactly, on the
+default group and on plane groups the report never reaches.  One report
+makes a fixed, small number of orbit-sum and bound calls.
 
 `theorem1`, `liyau` and `recurrence` evaluate their meshes in one array
 pass; the `*_loop_rows` references call the scalar entry points once per
@@ -16,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from heatlab import envelope, lattice, oracle
+from heatlab import cli, envelope, lattice, oracle
 from heatlab.lattice import parse_group
 from heatlab.rootspace import AlphaTriple, build_real_hyperbolic
 from heatlab.registry import CheckRow
@@ -91,6 +95,77 @@ def test_quotient_rows_equal_the_cached_evaluation(group, epsilon):
     rows = run_suite(cfg).rows
     assert len(rows) == 4
     assert rows == cached_quotient_rows(cfg)
+
+
+def theorem2_loop_rows(cfg: SuiteConfig) -> list:
+    rows = []
+    model = build_real_hyperbolic(3)
+    rng = np.random.default_rng(cfg.seed)
+    worst = math.inf
+    for _ in range(200):
+        a1, a3 = rng.uniform(0.0, 1.0, size=2)
+        lo = model.rho_m - model.rho_norm * math.sqrt(a1 * a3)
+        hi = model.rho_m + model.rho_norm * math.sqrt(a1 * a3)
+        a2 = rng.uniform(lo, min(hi, model.rho_norm + model.rho_m - 1e-9))
+        triple = AlphaTriple(float(a1), float(a2), float(a3))
+        t = rng.uniform(0.05, 20.0)
+        d = rng.uniform(0.0, 15.0)
+        worst = min(worst, float(lattice.splitting_slack(model, triple, t, d)))
+    rows.append(CheckRow("slack_nonnegative", {"samples": 200},
+                         worst, 0.0, worst, worst >= -1e-12))
+    eq = float(lattice.splitting_slack(model, AlphaTriple(0.0, model.rho_m, 0.0), 1.7, 3.1))
+    rows.append(CheckRow("slack_equality_case", {"a2": model.rho_m},
+                         eq, 0.0, eq, eq == 0.0))
+
+    group, x, delta, d_hi = _quotient_setup(cfg)
+    s_val = 0.5
+    t_grid = np.geomspace(0.1, 10.0, 12)
+    best = -math.inf
+    for d in np.linspace(0.0, d_hi, 12):
+        y = (0.0 + 0.0j, math.exp(float(d)))
+        orbit = group.orbit(x, y, 80.0)
+        ev = oracle.quotient_kernel(orbit, "h3", t_grid, x, y, 0, 80.0, delta=delta)
+        series = lattice.poincare_series(orbit, s=s_val, delta=delta)
+        rhs = lattice.quotient_regime_rhs(model, delta, s_val, t_grid, orbit.d_min)
+        for value, rhs_t in zip(ev.value.tolist(), rhs.tolist()):
+            best = max(best, math.log(max(value, 1e-300)) - math.log(rhs_t * series.partial_sum))
+    c_fit = math.exp(best)
+    rows.append(CheckRow("regime1_domination", {"s": s_val, "delta": delta},
+                         c_fit, math.inf, 0.0, math.isfinite(c_fit)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_theorem2_rows_equal_the_loop(group, seed):
+    text = GROUPS[group]
+    cfg = SuiteConfig(name="theorem2", seed=seed,
+                      group=None if text is None else parse_group(text))
+    rows = run_suite(cfg).rows
+    assert len(rows) == 3
+    assert rows == theorem2_loop_rows(cfg)
+
+
+def test_a_report_sums_its_orbits_in_few_calls(tmp_path, monkeypatch):
+    # quotient: one orbit sum per (grid, order) and one bound per (grid,
+    # order, triple); theorem2: one orbit sum.  A per-orbit loop would make
+    # 132 orbit-sum and 240 bound calls.
+    calls = {"orbit sums": 0, "bounds": 0}
+
+    def counted(kind, function):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("quotient_kernel", "quotient_kernels"):
+        monkeypatch.setattr(oracle, name, counted("orbit sums", getattr(oracle, name)))
+    monkeypatch.setattr(lattice, "theorem2_rhs_log",
+                        counted("bounds", lattice.theorem2_rhs_log))
+    assert cli.main(["report", "--out", str(tmp_path)]) in (0, 1)  # 1: rows failing by design
+    assert (tmp_path / "quotient.csv").exists() and (tmp_path / "theorem2.csv").exists()
+    assert 0 < calls["orbit sums"] <= 5
+    assert 0 < calls["bounds"] <= 8
 
 
 def theorem1_loop_rows(cfg: SuiteConfig) -> list:
