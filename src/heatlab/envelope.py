@@ -254,17 +254,20 @@ def li_yau_gap(model: SpaceModel, t, r, gamma: float = 2.0):
 
 
 def grid_points(t_range, r_range, nt: int, nr: int):
-    """Meshgrid (T, R) over the requested ranges: t log-spaced, r linear."""
+    """Grid axes (t, r) over the requested ranges, t log-spaced and r linear:
+    a (nt, 1) column and a (1, nr) row that broadcast to the (nt, nr) mesh,
+    so an evaluator takes each transcendental of t or r once per axis value."""
     t = np.geomspace(*t_range, nt)
     r = np.linspace(*r_range, nr)
-    return np.meshgrid(t, r, indexing="ij")
+    return np.meshgrid(t, r, indexing="ij", sparse=True)
 
 
 def fit_constant(log_oracle, log_bound, grid) -> float:
     """Max over the grid of oracle/bound, computed as exp(max log-difference).
 
-    `grid` is a sequence of coordinate arrays, such as grid_points' (T, R);
-    both evaluators take them as arguments and return log values.
+    `grid` is a sequence of coordinate arrays that broadcast together, such
+    as grid_points' axes (t, r); both evaluators take them as arguments and
+    return log values, and the maximum runs over the broadcast mesh.
     Deterministic for a fixed grid.  Raises ShapeMismatchError when the
     oracle exceeds the bound by more than e^700.
     """

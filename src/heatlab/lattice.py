@@ -57,11 +57,12 @@ def distance(p, q) -> float:
     return math.acosh(1.0 + num / (2.0 * hp * hq))
 
 
-def mobius_apply(mat: np.ndarray, p) -> Point:
-    """Action of a unimodular 2x2 matrix on the upper half-space."""
+def mobius_apply(mat, p) -> Point:
+    """Action of a unimodular 2x2 matrix on the upper half-space; `mat` is
+    any nested ((a, b), (c, d)), such as a numpy matrix or its tolist()."""
     z, h = as_point(p)
-    a, b = complex(mat[0, 0]), complex(mat[0, 1])
-    c, d = complex(mat[1, 0]), complex(mat[1, 1])
+    (a, b), (c, d) = mat
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     czd = c * z + d
     denom = abs(czd) ** 2 + abs(c) ** 2 * h * h
     if denom <= 0.0:
@@ -220,8 +221,9 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     """All orbit distances d(x, gy) <= r_max, certified complete.
 
     Cyclic: d(y, g^k y) >= |k| L bounds the word range directly, and its
-    2 k_max words count against node_budget.  Schottky: depth-first search
-    over blocks of at most _BLOCK reduced words of one length, held as (N, 4)
+    2 k_max words count against node_budget; the words are those of
+    enumerate_orbits on one basepoint.  Schottky: depth-first search over
+    blocks of at most _BLOCK reduced words of one length, held as (N, 4)
     arrays of matrix entries; each popped block is expanded by every allowed
     next letter in one array pass.  The subtree below a prefix w with next
     letter b lies inside the image under w of the solid dome over the
@@ -238,30 +240,7 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
         return _sorted_orbit(xp, yp, [distance(xp, yp)], [0], r_max, exhaustive=True)
 
     if group.family == "cyclic":
-        g = group.generators[0]
-        length = translation_length(g)
-        d_xy = distance(xp, yp)
-        # d(x, g^k y) >= k L - d(x, y): no longer word lands within r_max
-        k_max = int(math.floor((r_max + d_xy) / length * (1.0 + 1e-12)))
-        if 2 * k_max > node_budget:
-            raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
-                                   f"r_max={r_max}: translation length {length:.3g} "
-                                   f"needs {2 * k_max} words")
-        records = [(d_xy, 0)]
-        ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=complex)
-        for mat0 in (g, ginv):
-            acc = np.eye(2, dtype=complex)
-            for k in range(1, k_max + 1):
-                acc = acc @ mat0
-                try:
-                    d = distance(xp, mobius_apply(acc, yp))
-                except (OverflowError, ValueError):  # g^k y left the float range
-                    d = math.nan
-                if not d < math.inf:
-                    raise EnumerationError(f"orbit distance at word length {k} is not finite "
-                                           f"(g^k overflowed); cannot certify r_max={r_max}")
-                records.append((d, k))
-        return _sorted_orbit(xp, yp, *zip(*records), r_max, exhaustive=False)
+        return _cyclic_orbits(group, xp, [yp], r_max, node_budget)[0]
 
     circles = group._letter_circles()  # disjoint with a certified margin, as built
     letters = np.array([g.reshape(4) for g in group._letters()])  # rows a, b, c, d
@@ -319,6 +298,63 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
             stack.append((child[start:start + _BLOCK], nxt[start:start + _BLOCK], depth + 1))
     return _sorted_orbit(xp, yp, np.concatenate(dists), np.concatenate(words), r_max,
                          exhaustive=False)
+
+
+def enumerate_orbits(group: GroupSpec, x, ys, r_max: float,
+                     node_budget: int = 2_000_000) -> list[OrbitSet]:
+    """enumerate_orbit(group, x, y, r_max, node_budget) for each basepoint y
+    of ys, in order; the first failure raises as that loop would.
+
+    A cyclic group builds one word list for all of them: the entries of
+    g^k and g^-k, as Python complex numbers, accumulated by the same matrix
+    products as a lone call, up to the longest word a basepoint needs.
+    Each basepoint then runs through the scalar Python-complex Moebius and
+    distance arithmetic on those entries, so every orbit is bit-identical
+    to a lone call.  Other families enumerate one basepoint at a time.
+    """
+    if group.family != "cyclic":
+        return [enumerate_orbit(group, x, y, r_max, node_budget) for y in ys]
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
+    return _cyclic_orbits(group, as_point(x), ys, r_max, node_budget)
+
+
+def _cyclic_orbits(group: GroupSpec, xp: Point, ys, r_max: float,
+                   node_budget: int) -> list[OrbitSet]:
+    """The cyclic orbits of enumerate_orbits, from one word list."""
+    letters = group._letters()  # g, g^-1
+    length = translation_length(letters[0])
+    accs = [np.eye(2, dtype=complex) for _ in letters]
+    # words[s][k - 1]: the entries of letters[s]^k, built when first needed
+    words = ([], [])
+    orbits = []
+    # an overflowed word product shows as a non-finite distance, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in ys:
+            yp = as_point(y)
+            d_xy = distance(xp, yp)
+            # d(x, g^k y) >= k L - d(x, y): no longer word lands within r_max
+            k_max = int(math.floor((r_max + d_xy) / length * (1.0 + 1e-12)))
+            if 2 * k_max > node_budget:
+                raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
+                                       f"r_max={r_max}: translation length {length:.3g} "
+                                       f"needs {2 * k_max} words")
+            records = [(d_xy, 0)]
+            for s, word in enumerate(words):
+                for k in range(1, k_max + 1):
+                    if k > len(word):
+                        accs[s] = accs[s] @ letters[s]
+                        word.append(accs[s].tolist())
+                    try:
+                        d = distance(xp, mobius_apply(word[k - 1], yp))
+                    except (OverflowError, ValueError):  # g^k y left the float range
+                        d = math.nan
+                    if not d < math.inf:
+                        raise EnumerationError(f"orbit distance at word length {k} is not finite "
+                                               f"(g^k overflowed); cannot certify r_max={r_max}")
+                    records.append((d, k))
+            orbits.append(_sorted_orbit(xp, yp, *zip(*records), r_max, exhaustive=False))
+    return orbits
 
 
 def counting_function(orbit: OrbitSet, radius: float) -> int:

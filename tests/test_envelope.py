@@ -301,6 +301,41 @@ def h3_gap_reference(t, r, gamma):
     return float(li_yau_rhs(3, 2.0, t, gamma)) - lhs
 
 
+class TestGridPoints:
+    def test_axes_broadcast_to_the_mesh(self):
+        t, r = grid_points((0.01, 30.0), (0.0, 20.0), 7, 5)
+        assert t.shape == (7, 1) and r.shape == (1, 5)
+        T, R = np.broadcast_arrays(t, r)
+        assert T.shape == R.shape == (7, 5)
+        dense = np.meshgrid(np.geomspace(0.01, 30.0, 7), np.linspace(0.0, 20.0, 5),
+                            indexing="ij")
+        assert np.array_equal(T, dense[0]) and np.array_equal(R, dense[1])
+
+    @pytest.mark.parametrize("fit", ["theorem1", "gradient", "envelope"])
+    def test_fits_equal_the_dense_mesh(self, fit):
+        log_oracle, log_bound = {
+            "theorem1": (lambda t, r: oracle.h3_dt_log_abs(t, r, 2)[0],
+                         lambda t, r: theorem1_rhs(H3, 2, t, r, 0.1)),
+            "gradient": (H3.radial_log_abs, lambda t, r: gradient_rhs_log(H3, t, r, 0.1)),
+            "envelope": (H3.log_kernel, lambda t, r: sharp_envelope_log(H3, t, r)),
+        }[fit]
+        t_range, r_range = (0.05, 20.0), (0.1, 20.0)
+        grids = [grid_points(t_range, r_range, n, n) for n in (30, 120)]
+        dense = [np.meshgrid(np.geomspace(*t_range, n), np.linspace(*r_range, n), indexing="ij")
+                 for n in (30, 120)]
+        for sparse, full in zip(grids, dense):
+            assert np.array_equal(log_oracle(*sparse), log_oracle(*full))
+            assert np.array_equal(log_bound(*sparse), log_bound(*full))
+            assert fit_constant(log_oracle, log_bound, sparse) == \
+                fit_constant(log_oracle, log_bound, full)
+        assert two_grid_fit(log_oracle, log_bound, *grids) == \
+            two_grid_fit(log_oracle, log_bound, *dense)
+
+    def test_fit_broadcasts_an_evaluator_of_one_axis(self):
+        grid = grid_points((0.1, 10.0), (0.0, 5.0), 10, 10)
+        assert fit_constant(lambda t, r: 0.0 * t, lambda t, r: -r, grid) == math.exp(5.0)
+
+
 class TestFitConstant:
     def test_identity(self):
         grid = grid_points((0.1, 10.0), (0.0, 5.0), 10, 10)

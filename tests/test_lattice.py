@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from heatlab.lattice import (
     critical_exponent,
     distance,
     enumerate_orbit,
+    enumerate_orbits,
     mobius_apply,
     parse_group,
     poincare_series,
@@ -124,6 +126,49 @@ def scalar_dfs_orbit(group: GroupSpec, x, y, r_max: float) -> tuple[np.ndarray, 
             stack.append((child, b, depth + 1))
     records = sorted(r for r in records if r[0] <= r_max)
     return np.array([d for d, _ in records]), np.array([w for _, w in records])
+
+
+def cyclic_loop_orbit(group: GroupSpec, x, y, r_max: float,
+                      node_budget: int = 2_000_000) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for the cyclic word list: the per-basepoint loop that
+    accumulates g^k for every basepoint and applies each word as a numpy
+    matrix.  Sorted distances and word lengths below r_max, or the
+    EnumerationError that loop raised."""
+    xp, yp = lattice.as_point(x), lattice.as_point(y)
+    g = group.generators[0]
+    length = translation_length(g)
+    d_xy = distance(xp, yp)
+    k_max = int(math.floor((r_max + d_xy) / length * (1.0 + 1e-12)))
+    if 2 * k_max > node_budget:
+        raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
+                               f"r_max={r_max}: translation length {length:.3g} "
+                               f"needs {2 * k_max} words")
+    records = [(d_xy, 0)]
+    ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=complex)
+    for mat0 in (g, ginv):
+        acc = np.eye(2, dtype=complex)
+        for k in range(1, k_max + 1):
+            acc = acc @ mat0
+            try:
+                d = distance(xp, mobius_apply(acc, yp))
+            except (OverflowError, ValueError):
+                d = math.nan
+            if not d < math.inf:
+                raise EnumerationError(f"orbit distance at word length {k} is not finite "
+                                       f"(g^k overflowed); cannot certify r_max={r_max}")
+            records.append((d, k))
+    records = sorted(r for r in records if r[0] <= r_max)
+    return np.array([d for d, _ in records]), np.array([k for _, k in records])
+
+
+def first_error(calls) -> str:
+    """The message of the first EnumerationError the calls raise, in order."""
+    try:
+        for call in calls:
+            call()
+    except EnumerationError as exc:
+        return str(exc)
+    raise AssertionError("no call raised EnumerationError")
 
 
 def random_reduced_words(n_letters: int, max_len: int, per_length: int, seed: int):
@@ -557,6 +602,98 @@ class TestBlockSearch:
         assert np.count_nonzero(got) == ref_d.size > 10_000
         assert np.array_equal(np.sort(orbit.word_lengths[got]), np.sort(ref_w))
         assert np.max(np.abs(orbit.distances[got] - ref_d)) <= 1e-12
+
+
+def conjugated(mat: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """by @ mat @ by^{-1} for a det-1 conjugator: the same motion about a
+    moved axis."""
+    inv = np.array([[by[1, 1], -by[0, 1]], [-by[1, 0], by[0, 0]]])
+    return by @ mat @ inv
+
+
+_SHEAR_3 = np.array([[1.0, 0.4 + 0.3j], [-0.2 + 0.1j, 1.0 + (0.4 + 0.3j) * (-0.2 + 0.1j)]])
+_SHEAR_2 = np.array([[1.0, 0.5], [-0.3, 0.85]])
+CYCLIC_CASES = {
+    "screw": (3, screw(1.5 + 2.5j)),
+    "screw_off_axis": (3, conjugated(screw(0.9 - 1.1j), _SHEAR_3)),
+    "plane_axis": (2, axis_group(2.0).generators[0].real),
+    "plane_off_axis": (2, conjugated(np.diag([math.exp(0.7), math.exp(-0.7)]), _SHEAR_2)),
+}
+OFF_AXIS = {  # basepoint x, then basepoints y of unequal word ranges
+    3: ((0.3 + 0.1j, 1.2), [(0.2j, 2.0), (-0.5 + 0.4j, 0.3), (1.1 + 0j, 4.0), (0.3 + 0.1j, 1.2)]),
+    2: ((0.3, 1.2), [(0.2, 2.0), (-0.5, 0.3), (1.1, 4.0), (0.3, 1.2)]),
+}
+
+
+class TestCyclicWordList:
+    @pytest.mark.parametrize("r_max", [3.0, 17.5, 60.0])
+    @pytest.mark.parametrize("case", sorted(CYCLIC_CASES))
+    def test_orbits_equal_the_per_word_loop(self, case, r_max):
+        dim, g = CYCLIC_CASES[case]
+        group = GroupSpec(dim=dim, generators=(g,), family="cyclic")
+        x, ys = OFF_AXIS[dim]
+        batch = enumerate_orbits(group, x, ys, r_max)
+        assert len(batch) == len(ys)
+        for y, orbit in zip(ys, batch):
+            ref_d, ref_w = cyclic_loop_orbit(group, x, y, r_max)
+            for got in (orbit, enumerate_orbit(group, x, y, r_max),
+                        enumerate_orbits(group, x, [y], r_max)[0]):
+                assert np.array_equal(got.distances, ref_d)
+                assert np.array_equal(got.word_lengths, ref_w)
+                assert (got.x, got.y) == (lattice.as_point(x), lattice.as_point(y))
+                assert got.r_max == r_max
+
+    @pytest.mark.parametrize("make", [lambda: axis_group(0.7, 3), schottky_pair,
+                                      lambda: GroupSpec(dim=2, generators=(), family="trivial")],
+                             ids=["cyclic", "schottky", "trivial"])
+    def test_mixed_batch_equals_per_basepoint_calls(self, make):
+        # far, near, repeated and on-axis basepoints: the word list grows,
+        # is reused, and grows again
+        group = make()
+        x = (0.1, 2.0)
+        ys = [(0.0, 2.0), (0.4, 40.0), (0.1, 2.0), (-0.3, 0.05), (0.4, 40.0), (2.0, 1.0)]
+        batch = enumerate_orbits(group, x, ys, 14.0)
+        for y, orbit in zip(ys, batch):
+            alone = enumerate_orbit(group, x, y, 14.0)
+            assert np.array_equal(orbit.distances, alone.distances)
+            assert np.array_equal(orbit.word_lengths, alone.word_lengths)
+            assert orbit.exhaustive == alone.exhaustive
+        assert enumerate_orbits(group, x, [], 14.0) == []
+
+    @pytest.mark.parametrize("ys, node_budget, match", [
+        # the second basepoint overflows at word length 217, before the third
+        ([(0j, 1.0), (0j, math.exp(30.0)), (0j, math.exp(-30.0))], 2_000_000, "word length 217"),
+        # the second basepoint needs 512 words; the first completes in 472
+        ([(0j, 1.0), (0j, math.exp(30.0)), (0j, math.exp(300.0))], 500, "needs 512 words"),
+        # the first basepoint's budget error comes before the second's overflow
+        ([(0j, math.exp(60.0)), (0j, math.exp(30.0))], 540, "needs 552 words"),
+        # and the first basepoint's overflow before the second's budget error
+        ([(0j, math.exp(30.0)), (0j, math.exp(60.0))], 540, "word length 217"),
+    ], ids=["overflow", "budget", "budget_first", "overflow_first"])
+    def test_batch_raises_the_loops_first_error(self, ys, node_budget, match):
+        group, x, r_max = axis_group(1.5, 3), (0j, 1.0), 354.0
+        expected = first_error(lambda y=y: cyclic_loop_orbit(group, x, y, r_max, node_budget)
+                               for y in ys)
+        assert match in expected
+        assert expected == first_error(
+            lambda y=y: enumerate_orbit(group, x, y, r_max, node_budget) for y in ys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning from the word products
+            with pytest.raises(EnumerationError) as info:
+                enumerate_orbits(group, x, ys, r_max, node_budget)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("translation, dim, r_max", [(1.5, 3, 356.0), (1.5, 3, 2000.0),
+                                                         (2.0, 2, 720.0)])
+    def test_overflow_raises_without_warnings(self, translation, dim, r_max):
+        group, p = axis_group(translation, dim), (0j, 1.0)
+        expected = first_error([lambda: cyclic_loop_orbit(group, p, p, r_max)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (enumerate_orbit, lambda *a: enumerate_orbits(a[0], a[1], [a[2]], a[3])):
+                with pytest.raises(EnumerationError) as info:
+                    call(group, p, p, r_max)
+                assert str(info.value) == expected
 
 
 class TestNonFiniteRadii:

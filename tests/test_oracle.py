@@ -437,13 +437,14 @@ class TestFdLadderOverArrays:
     # where C pow rounds the squares of 2h and h differently from step * step
     # and the order-2 value moves with them
     T, R = (np.concatenate([mesh.ravel(), extra]) for mesh, extra in zip(
-        envelope.grid_points((0.05, 20.0), (0.2, 10.0), 8, 8),
+        np.broadcast_arrays(*envelope.grid_points((0.05, 20.0), (0.2, 10.0), 8, 8)),
         ([0.05, 0.04, 0.12], [12.0, math.sqrt(160.0), 2.0])))
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_array_ladder_equals_scalar_calls(self, order):
         fd = oracle.fd_time_derivatives(lambda t, r: np.exp(oracle.h3_log(t, r)),
                                         order, self.T, self.R)
+        assert self.T.shape == (8 * 8 + 3,)  # the full mesh, not 8 (t, r) pairs
         assert fd.value.shape == fd.rel_error.shape == fd.subnormal_stencil.shape == self.T.shape
         for k, (t, r) in enumerate(zip(self.T.tolist(), self.R.tolist())):
             one = oracle.fd_time_derivative(h3_value, order, t, r)

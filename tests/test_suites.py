@@ -148,9 +148,11 @@ def test_theorem2_rows_equal_the_loop(group, seed):
 
 def test_a_report_sums_its_orbits_in_few_calls(tmp_path, monkeypatch):
     # quotient: one orbit sum per (grid, order) and one bound per (grid,
-    # order, triple); theorem2: one orbit sum.  A per-orbit loop would make
-    # 132 orbit-sum and 240 bound calls.
-    calls = {"orbit sums": 0, "bounds": 0}
+    # order, triple); theorem2: one orbit sum.  Enumerations: poincare's 4
+    # orbits, then an exponent orbit and one call per grid in quotient and
+    # theorem2.  A per-orbit loop would make 132 orbit-sum, 240 bound and 78
+    # enumeration calls.
+    calls = {"orbit sums": 0, "bounds": 0, "enumerations": 0}
 
     def counted(kind, function):
         def wrapper(*args, **kwargs):
@@ -162,10 +164,13 @@ def test_a_report_sums_its_orbits_in_few_calls(tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, name, counted("orbit sums", getattr(oracle, name)))
     monkeypatch.setattr(lattice, "theorem2_rhs_log",
                         counted("bounds", lattice.theorem2_rhs_log))
+    for name in ("enumerate_orbit", "enumerate_orbits"):
+        monkeypatch.setattr(lattice, name, counted("enumerations", getattr(lattice, name)))
     assert cli.main(["report", "--out", str(tmp_path)]) in (0, 1)  # 1: rows failing by design
     assert (tmp_path / "quotient.csv").exists() and (tmp_path / "theorem2.csv").exists()
     assert 0 < calls["orbit sums"] <= 5
     assert 0 < calls["bounds"] <= 8
+    assert 0 < calls["enumerations"] <= 10
 
 
 def theorem1_loop_rows(cfg: SuiteConfig) -> list:
