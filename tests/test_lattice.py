@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatlab import lattice
+from heatlab import lattice, oracle
 from heatlab.config import ConfigError
 from heatlab.lattice import (
     EnumerationError,
@@ -159,6 +159,68 @@ def cyclic_loop_orbit(group: GroupSpec, x, y, r_max: float,
             records.append((d, k))
     records = sorted(r for r in records if r[0] <= r_max)
     return np.array([d for d, _ in records]), np.array([k for _, k in records])
+
+
+def row_major_orbit(group: GroupSpec, x, y, r_max: float,
+                    node_budget: int = 2_000_000) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference for the letter-major block search: the earlier search over
+    (N, 4) rows of word matrix entries, which expands each block row by row
+    through one gather of the letters.  Sorted distances, word lengths and
+    the visited count, or the EnumerationError that search raised."""
+    xp, yp = lattice.as_point(x), lattice.as_point(y)
+    circles = group._letter_circles()
+    letters = np.array([g.reshape(4) for g in group._letters()])
+    inverse = np.arange(len(letters)) ^ 1
+    centers = np.array([circles[j][0] for j in inverse])
+    radii = np.array([circles[j][1] for j in inverse])
+    slack = distance((0j, 1.0 + radii.max()), yp)
+    try:
+        reach = 2.0 * radii * math.sinh(r_max + slack)
+    except OverflowError:
+        reach = math.inf
+    (xz, xh), (yz, yh) = xp, yp
+    dists, words = [np.array([distance(xp, yp)])], [np.zeros(1, dtype=int)]
+    visited = 0
+    stack = [(np.eye(2, dtype=complex).reshape(1, 4), np.array([-1]), 0)]
+    while stack:
+        mats, last, depth = stack.pop()
+        a, b, c, d = mats.T
+        z, h = lattice._mobius_points(d, -b, -c, a, xz, xh)
+        if not np.all((0.0 < h) & (h < math.inf) & np.isfinite(z)):
+            raise EnumerationError(f"pulled-back basepoint left the float range at depth "
+                                   f"{depth}; cannot certify r_max={r_max}")
+        num = np.abs(z[:, None] - centers) ** 2 + (h * h)[:, None] - radii * radii
+        far = num > reach * h[:, None]
+        rows, nxt = np.nonzero((inverse != last[:, None]) & ~far)
+        visited += rows.size
+        if visited > node_budget:
+            raise EnumerationError(f"node budget {node_budget} exhausted before certifying "
+                                   f"r_max={r_max}; disks may be nearly tangent, or the "
+                                   "orbit below r_max is larger than the budget")
+        m, g = mats[rows].T, letters[nxt].T
+        child = np.stack((m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
+                          m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3]), axis=1)
+        z, h = lattice._mobius_points(*child.T, yz, yh)
+        with np.errstate(all="ignore"):
+            dist = np.arccosh(1.0 + (np.abs(xz - z) ** 2 + (xh - h) ** 2) / (2.0 * xh * h))
+        bad = np.flatnonzero(~((0.0 < h) & (h < math.inf) & (dist < math.inf)))
+        if bad.size and not 0.0 < h[bad[0]] < math.inf:
+            raise EnumerationError(f"word matrix entries overflowed at depth {depth + 1} (image "
+                                   f"height {h[bad[0]]}); cannot certify r_max={r_max}")
+        if bad.size:
+            raise EnumerationError(f"orbit distance {dist[bad[0]]} at depth {depth + 1} is not "
+                                   "finite (word matrix entries overflowed); cannot certify "
+                                   f"r_max={r_max}")
+        hit = dist <= r_max
+        dists.append(dist[hit])
+        words.append(np.full(np.count_nonzero(hit), depth + 1))
+        for start in range(0, rows.size, lattice._BLOCK):
+            stack.append((child[start:start + lattice._BLOCK],
+                          nxt[start:start + lattice._BLOCK], depth + 1))
+    dists, words = np.concatenate(dists), np.concatenate(words)
+    inside = dists <= r_max
+    order = np.lexsort((words[inside], dists[inside]))
+    return dists[inside][order], words[inside][order], visited
 
 
 def first_error(calls) -> str:
@@ -604,6 +666,84 @@ class TestBlockSearch:
         assert np.max(np.abs(orbit.distances[got] - ref_d)) <= 1e-12
 
 
+def one_generator(dim: int) -> GroupSpec:
+    gen = schottky_generator(2.0, 1.0)
+    return GroupSpec(dim=dim, generators=(gen.astype(complex) if dim == 3 else gen,),
+                     family="schottky")
+
+
+LETTER_MAJOR_CASES = {  # (group, x, y, r_max)
+    "plane": (schottky_pair, (0.0, 2.0), (0.3, 1.5), 20.0),
+    "space": (space_pair, (0.1 + 0.2j, 2.0), (0.3j, 2.5), 20.0),
+    "shifted": (shifted_pair, (0.1 + 2.2j, 1.8), (2.0j, 2.0), 20.0),
+    "one_generator_plane": (lambda: one_generator(2), (0.2, 1.5), (-0.4, 0.7), 300.0),
+    "one_generator_space": (lambda: one_generator(3), (0.2j, 1.5), (-0.4 + 0.1j, 0.7), 300.0),
+    "ties": (space_pair, (0j, 5.0), (0j, 5.0), 25.0),  # many exactly equal distances
+}
+
+
+class TestLetterMajorSearch:
+    @pytest.mark.parametrize("case", sorted(LETTER_MAJOR_CASES))
+    def test_orbit_and_budget_threshold_equal_the_row_major_search(self, case):
+        make, x, y, r_max = LETTER_MAJOR_CASES[case]
+        ref_d, ref_w, visited = row_major_orbit(make(), x, y, r_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning
+            orbit = enumerate_orbit(make(), x, y, r_max, node_budget=visited)
+            with pytest.raises(EnumerationError, match=f"node budget {visited - 1} exhausted"):
+                enumerate_orbit(make(), x, y, r_max, node_budget=visited - 1)
+        assert len(orbit) > 20
+        assert np.array_equal(orbit.distances, ref_d)
+        assert np.array_equal(orbit.word_lengths, ref_w)
+        if case == "ties":
+            assert np.count_nonzero(np.diff(orbit.distances) == 0.0) > 1000
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("x, y, r_max", [((0.0, 5.0), (0.0, 5.0), 720.0),
+                                             ((0.0, 1e100), (0.0, 1.0), 720.0)],
+                             ids=["words", "pulled_back"])
+    def test_overflow_raises_the_row_major_error(self, dim, x, y, r_max):
+        if dim == 3:
+            x, y = (complex(x[0]), x[1]), (complex(y[0]), y[1])
+        group = one_generator(dim)
+        expected = first_error([lambda: row_major_orbit(group, x, y, r_max)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EnumerationError) as info:
+                enumerate_orbit(group, x, y, r_max)
+        assert str(info.value) == expected
+
+
+class TestSortedOrbit:
+    @pytest.mark.parametrize("make, x, r_max", [
+        (lambda: axis_group(2.0), (0.0, 1.0), 40.0),
+        (lambda: axis_group(1.5, 3), (0j, 1.0), 60.0),
+        (space_pair, (0j, 5.0), 25.0),
+        (schottky_pair, (0.0, 2.0), 20.0),
+    ], ids=["cyclic_plane", "cyclic_space", "schottky_space", "schottky_plane"])
+    def test_order_equals_lexsort_on_tied_orbits(self, make, x, r_max):
+        orbit = enumerate_orbit(make(), x, x, r_max)
+        assert np.count_nonzero(np.diff(orbit.distances) == 0.0) >= 4
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            perm = rng.permutation(len(orbit))
+            d, w = orbit.distances[perm], orbit.word_lengths[perm].astype(int)
+            order = np.lexsort((w, d))
+            got = lattice._sorted_orbit(orbit.x, orbit.y, d, w, r_max, exhaustive=False)
+            assert np.array_equal(got.distances, d[order])
+            assert np.array_equal(got.word_lengths, w[order])
+
+    def test_runs_of_ties_with_mixed_lengths_and_points_beyond_r_max(self):
+        rng = np.random.default_rng(6)
+        d = rng.choice([0.0, 0.5, 1.25, 2.0, 3.5, 7.0], size=400)
+        w = rng.integers(0, 40, size=400)
+        order = np.lexsort((w, d))
+        keep = d[order] <= 3.5
+        got = lattice._sorted_orbit((0.0, 1.0), (0.0, 1.0), d, w, 3.5, exhaustive=False)
+        assert np.array_equal(got.distances, d[order][keep])
+        assert np.array_equal(got.word_lengths, w[order][keep])
+
+
 def conjugated(mat: np.ndarray, by: np.ndarray) -> np.ndarray:
     """by @ mat @ by^{-1} for a det-1 conjugator: the same motion about a
     moved axis."""
@@ -739,10 +879,17 @@ class TestOrbitArrays:
             replaced.distances[0] = 1.0
 
     @pytest.mark.parametrize("kind", sorted(ORBITS))
-    def test_word_lengths_are_int32(self, kind):
+    def test_word_lengths_use_the_smallest_unsigned_type(self, kind):
         orbit = self.ORBITS[kind]()
-        assert orbit.word_lengths.dtype == np.int32
+        assert orbit.word_lengths.dtype == np.min_scalar_type(int(orbit.word_lengths.max()))
+        assert orbit.word_lengths.dtype == np.uint8
         assert orbit.distances.dtype == np.float64
+
+    def test_words_past_255_letters_take_uint16(self):
+        # k up to (r_max + d(x, y)) / L = 300 / 1: g^300 needs 16 bits
+        orbit = enumerate_orbit(axis_group(1.0), (0.0, 1.0), (0.0, 1.0), 299.5)
+        assert int(orbit.word_lengths.max()) == 299
+        assert orbit.word_lengths.dtype == np.uint16
 
 
 class TestCountingFunction:
@@ -784,6 +931,37 @@ class TestCountingFunction:
             expected = (float(np.max(counts[mask] * np.exp(-delta * ks[mask])))
                         if mask.any() else 1.0)
             assert orbit.counting_constant(delta) == expected
+
+
+class TestCountingConstantMemo:
+    def test_memo_equals_a_fresh_computation(self):
+        orbit = enumerate_orbit(space_pair(), (0.1 + 0.2j, 2.0), (0.3j, 2.5), 16.0)
+        for delta in (0.0, 0.4, 0.4, 1.3):
+            fresh = lattice._counting_constant(orbit.distances, orbit.r_max, delta)
+            assert orbit.counting_constant(delta) == fresh
+        assert sorted(orbit._counting) == [0.0, 0.4, 1.3]
+        # replace starts an empty memo, so a new r_max gets its own constants
+        short = dataclasses.replace(orbit, r_max=9.5)
+        assert short._counting == {}
+        assert short.counting_constant(0.4) == lattice._counting_constant(
+            orbit.distances, 9.5, 0.4)
+        assert dataclasses.replace(short) == short  # the memo is not compared
+
+    def test_series_and_three_orders_compute_it_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return counting_constant(*args)
+
+        counting_constant = lattice._counting_constant
+        monkeypatch.setattr(lattice, "_counting_constant", counted)
+        orbit = enumerate_orbit(space_pair(), (0.1 + 0.2j, 2.0), (0.3j, 2.5), 16.0)
+        delta = 0.5
+        poincare_series(orbit, delta + 0.5, delta)
+        for order in (0, 1, 2):
+            oracle.quotient_kernels([orbit], "h3", np.array([0.5, 2.0]), order, 14.0, delta)
+        assert calls == [delta]
 
 
 class TestCriticalExponent:
