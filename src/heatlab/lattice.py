@@ -292,7 +292,7 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     reach, radii_sq = reach[:, None], (radii * radii)[:, None]
     (xz, xh), (yz, yh) = xp, yp
 
-    dists, counts = [np.array([distance(xp, yp)])], [(0, 1)]
+    dists, words = [np.array([distance(xp, yp)])], [np.zeros(1, dtype=int)]
     visited = 0
     # blocks of (word matrix entries a, b, c, d of one length, their last
     # letters, that length)
@@ -303,7 +303,8 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
         if not np.all((0.0 < h) & (h < math.inf) & np.isfinite(z)):  # nan too
             raise EnumerationError(f"pulled-back basepoint left the float range at depth "
                                    f"{depth}; cannot certify r_max={r_max}")
-        # (letters, words): the words are the long, contiguous axis
+        # (letters, words): the words are the long, contiguous axis; z and h
+        # are finite, so num is never nan and <= is the negation of >
         num = np.abs(z - centers) ** 2 + h * h - radii_sq
         keep = (last != inverse[:, None]) & (num <= reach * h)
         # the kept (word, next letter) pairs, letter-major; one nonzero per
@@ -332,13 +333,12 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
                                    f"r_max={r_max}")
         hit = dist[dist <= r_max]
         dists.append(hit)
-        counts.append((depth + 1, hit.size))
+        words.append(np.full(hit.size, depth + 1))
         for start in range(0, nxt.size, _BLOCK):
             stop = start + _BLOCK
             stack.append((tuple(entry[start:stop] for entry in child), nxt[start:stop],
                           depth + 1))
-    lengths, sizes = zip(*counts)
-    return _sorted_orbit(xp, yp, np.concatenate(dists), np.repeat(lengths, sizes), r_max,
+    return _sorted_orbit(xp, yp, np.concatenate(dists), np.concatenate(words), r_max,
                          exhaustive=False)
 
 
