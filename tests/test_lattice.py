@@ -164,9 +164,9 @@ def cyclic_loop_orbit(group: GroupSpec, x, y, r_max: float,
 def row_major_orbit(group: GroupSpec, x, y, r_max: float,
                     node_budget: int = 2_000_000) -> tuple[np.ndarray, np.ndarray, int]:
     """Reference for the letter-major block search: the earlier search over
-    (N, 4) rows of word matrix entries, which expands each block row by row
-    through one gather of the letters.  Sorted distances, word lengths and
-    the visited count, or the EnumerationError that search raised."""
+    (N, 4) rows of word matrix entries, whose children come out row-major
+    from one gather of the letters.  Sorted distances, word lengths and the
+    visited count, or the EnumerationError that search raised."""
     xp, yp = lattice.as_point(x), lattice.as_point(y)
     circles = group._letter_circles()
     letters = np.array([g.reshape(4) for g in group._letters()])
