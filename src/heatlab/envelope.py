@@ -226,7 +226,9 @@ def li_yau_gap(model: SpaceModel, t, r, gamma: float = 2.0):
     In 3-space `t` and `r` broadcast: arrays give an array of gaps, each
     entry equal to a scalar call, and scalars a float.  The plane takes
     scalars only (ValueError otherwise): its time derivative is a
-    Richardson difference of the kernel at each point.
+    Richardson difference of the kernel at each point.  Where the plane
+    kernel underflows to 0 the gap would divide by it; ValueError names t
+    and r instead.
     """
     oracle.check_domain(t, r, radial=True)
     if model.n == 3:
@@ -237,7 +239,11 @@ def li_yau_gap(model: SpaceModel, t, r, gamma: float = 2.0):
     else:
         if np.ndim(t) or np.ndim(r):
             raise ValueError("the plane Li-Yau gap takes a scalar t and r")
-        h = math.exp(model.log_kernel(t, r))
+        log_h = model.log_kernel(t, r)
+        h = math.exp(log_h)
+        if h == 0.0:
+            raise ValueError(f"the plane kernel underflows to 0 at t={t!r}, r={r!r} "
+                             f"(log h = {log_h!r}); the Li-Yau gap divides by it")
         grad_log_sq = (math.exp(model.radial_log_abs(t, r)) / h) ** 2
         # the time derivative stays a Richardson difference: the plane
         # workload in perfbench/checks.py checks the gap against that

@@ -16,7 +16,9 @@ block of orbits, and quotient_kernel is its one-orbit view.  The 3-space
 closed form is one expression in a distance part (log(r/sinh r), r^2) and
 the times; a block computes the distance part once over all its points,
 and an orbit summed alone keeps it for the next call on the same orbit,
-keyed by its read-only distances array.
+keyed by its read-only distances array.  Scalar calls of the plane kernel
+and of its r-derivative keep their last 64 passes, keyed by the weight and
+(t, r), for the repeated stencil times of finite differences.
 
 All evaluators work in log space internally; linear values may underflow to
 zero in extreme regimes, the log variants never do.
@@ -25,7 +27,9 @@ zero in extreme regimes, the log variants never do.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -272,16 +276,6 @@ def _h2_radial_weight(u, r, t):
     return (1.0 - s * s / (2.0 * t)) / s - 0.5 / np.tanh(r + 0.5 * u * u)
 
 
-def _h2_flat(t, r, radial: bool = False) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Domain-checked (t, r), broadcast and flattened, and the broadcast shape."""
-    check_domain(t, r, radial)
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if t.shape != r.shape:
-        t, r = np.broadcast_arrays(t, r)
-    return t.ravel(), r.ravel(), t.shape
-
-
 _H2_LOG_CONST = 0.5 * math.log(2.0) - 1.5 * LOG_4PI
 
 
@@ -340,10 +334,13 @@ def h2_log(t, r):
     pass; raises QuadratureError when they differ by more than 1e-9 of the
     integral.  `t` and `r` broadcast: scalars give a float, arrays an array
     whose entries are bit-identical to scalar calls.
+
+    A call with float t and r (Python or numpy) is memoized: after the
+    domain check, a repeat of the same (t, r) under the same rules returns
+    the float the first pass computed (see _h2_memo, 64 points).  Errors
+    and array calls are never memoized.
     """
-    ts, rs, shape = _h2_flat(t, r)
-    log_h = _h2_log_prefactor(ts, rs) + np.log(_h2_moment(ts, rs))
-    return float(log_h[0]) if shape == () else log_h.reshape(shape)
+    return _h2_log_abs(t, r, None, memo=True)[0]
 
 
 def h2_dt_log_abs(t, r, order: int):
@@ -361,15 +358,44 @@ def h2_dt_log_abs(t, r, order: int):
 def h2_radial_log_abs(t, r):
     """log |d_r h| on the plane, r > 0, vectorized: the r-derivative weights
     the nodes of h2_log's pass (see _h2_radial_weight), certified like a
-    time-derivative moment."""
-    return _h2_log_abs(t, r, _h2_radial_weight, radial=True)[0]
+    time-derivative moment.  Float calls are memoized like h2_log's, under
+    their own key; errors and arrays never are."""
+    return _h2_log_abs(t, r, _h2_radial_weight, radial=True, memo=True)[0]
 
 
-def _h2_log_abs(t, r, weight, radial: bool = False):
+# Scalar passes of h2_log and h2_radial_log_abs, keyed by (weight, t, r):
+# the weight is None for the kernel and _h2_radial_weight for the
+# r-derivative.  The finite differences of one plane point share their
+# stencil times, so a point's kernel, two time differences, radial gradient
+# and Li-Yau gap make 23 calls on 8 distinct passes.  Each entry also holds
+# the rules and the grading threshold it ran under, and is served only while
+# those are the same objects, so a replaced rule never reads a value another
+# computed.  The oldest entry leaves first once there are _H2_MEMO_SIZE.
+_H2_MEMO_SIZE = 64
+_h2_memo: OrderedDict[tuple, tuple] = OrderedDict()
+
+
+def _h2_log_abs(t, r, weight, radial: bool = False, memo: bool = False):
     """(log |moment|, sign of the moment) of `weight` times the plane
     integrand, the prefactor included, at broadcast (t, r); floats for
-    scalars."""
-    ts, rs, shape = _h2_flat(t, r, radial)
+    scalars.  With `memo`, float t and r go through _h2_memo once the
+    domain check passes."""
+    check_domain(t, r, radial)
+    if memo and isinstance(t, float) and isinstance(r, float):
+        key, rules = (weight, t, r), (_GL_PLAIN, _GL_GRADED, _H2_GRADE_BELOW)
+        entry = _h2_memo.get(key)
+        if entry is not None and all(map(operator.is_, entry[0], rules)):
+            return entry[1]
+        value = _h2_log_abs(t, r, weight, radial)
+        if entry is None and len(_h2_memo) >= _H2_MEMO_SIZE:
+            _h2_memo.popitem(last=False)
+        _h2_memo[key] = rules, value
+        return value
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if t.shape != r.shape:
+        t, r = np.broadcast_arrays(t, r)
+    ts, rs, shape = t.ravel(), r.ravel(), t.shape
     moment = _h2_moment(ts, rs, weight)
     with np.errstate(divide="ignore"):
         log_abs = _h2_log_prefactor(ts, rs) + np.log(np.abs(moment))
@@ -391,9 +417,11 @@ def fd_time_derivatives(kernel, order: int, t, r) -> FdDerivative:
     a point or at every point of numpy arrays `t` and `r` that broadcast.
 
     `kernel` is an evaluator f(t, r) of the same kind as `t` and `r`:
-    floats for floats, arrays for arrays; it is called once per stencil
-    point, with t shifted by the step.  The step is 1e-3 * t; the error
-    estimate is the difference of the last two Richardson extrapolants.
+    floats for floats, arrays for arrays; it is called once per distinct
+    stencil point, with t shifted by the step: 6 calls at order 1, and 7 at
+    order 2, whose three levels share the centre.  The step is 1e-3 * t;
+    the error estimate is the difference of the last two Richardson
+    extrapolants.
     Each array entry is bit-identical to a call at that point alone.
     Trust a value only where precision_ok.
     """
@@ -407,13 +435,19 @@ def fd_time_derivatives(kernel, order: int, t, r) -> FdDerivative:
                             subnormal_stencil=abs(value) < sys.float_info.min)
     h = _FD_STEP_SCALE * t  # the widest stencil point, t - 4h, stays positive
     stencil = _FD_STENCILS[order]
-    seen = []
+    # order 2's centre t + 0 * step is t at every step: one call serves the
+    # three levels
+    centre = kernel(t + 0.0 * h, r) if order == 2 else None
+    seen = [] if centre is None else [centre]
 
     def diff(step):
         acc = 0.0
         for offset, coeff in stencil:
-            f = kernel(t + offset * step, r)
-            seen.append(f)
+            if offset:
+                f = kernel(t + offset * step, r)
+                seen.append(f)
+            else:
+                f = centre
             acc += coeff * f
         # the exact square: Python's step ** 2 calls C pow, which rounds
         # differently on about 1 step in 1,200

@@ -293,6 +293,13 @@ class TestLiYau:
         with pytest.raises(ValueError):
             li_yau_gap(H3, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("t, r", [(0.05, 13.0), (0.01, 6.0)])
+    def test_h2_underflowed_kernel_is_named(self, t, r):
+        # r^2/4t = 845 and 900: exp(h2_log) is 0, which the gap divides by
+        assert math.exp(oracle.h2_log(t, r)) == 0.0
+        with pytest.raises(ValueError, match=f"underflows to 0 at t={t!r}, r={r!r}"):
+            li_yau_gap(H2, t, r, 2.0)
+
 
 def h3_gap_reference(t, r, gamma):
     """The 3-space Li-Yau gap in scalar float arithmetic."""

@@ -301,6 +301,113 @@ class TestH2FixedNodeRule:
                 call()
 
 
+H2_MEMOIZED = {"h2_log": oracle.h2_log, "h2_radial_log_abs": oracle.h2_radial_log_abs}
+
+
+class TestH2Memo:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        oracle._h2_memo.clear()
+
+    @pytest.mark.parametrize("name, t, r", [("_GL_PLAIN", 0.01, 3.0), ("_GL_GRADED", 0.5, 1e-3),
+                                            ("_H2_GRADE_BELOW", 0.5, 1e-3)])
+    def test_a_replaced_rule_is_not_served_a_warm_entry(self, monkeypatch, name, t, r):
+        warm = [call(t, r) for call in H2_MEMOIZED.values()]
+        assert len(oracle._h2_memo) == 2
+        # a certificate that must fail: a coarse rule, or one panel near
+        # the branch points
+        replacement = 0.0 if name == "_H2_GRADE_BELOW" else coarse_rule(getattr(oracle, name))
+        monkeypatch.setattr(oracle, name, replacement)
+        for call in H2_MEMOIZED.values():
+            with pytest.raises(oracle.QuadratureError, match=f"t={t!r}, r={r!r}"):
+                call(t, r)
+        monkeypatch.undo()
+        assert [call(t, r) for call in H2_MEMOIZED.values()] == warm
+
+    @pytest.mark.parametrize("t, r", [(0.05, 1.0), (30.0, 0.1), (0.5, 1e-3), (1e-3, 60.0)])
+    @pytest.mark.parametrize("name", sorted(H2_MEMOIZED))
+    def test_a_hit_has_the_bits_of_a_cold_call_and_the_array_entry(self, name, t, r):
+        call = H2_MEMOIZED[name]
+        first = call(t, r)
+        assert call(t, r) is first and call(np.float64(t), np.float64(r)) is first
+        batch = call(np.array([t, 2.0 * t]), np.array([r, r]))
+        assert len(oracle._h2_memo) == 1  # the array call neither read nor wrote it
+        oracle._h2_memo.clear()
+        cold = call(np.float64(t), r)
+        assert isinstance(cold, float) and same_bits(cold, first) and same_bits(batch[0], first)
+
+    @pytest.mark.parametrize("t, r", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, math.inf), (-1.0, 1.0), (1.0, -1.0), (0.0, 1.0)])
+    def test_bad_points_raise_after_a_valid_call(self, t, r):
+        for call in H2_MEMOIZED.values():
+            call(1.0, 1.0)
+            with pytest.raises(ValueError, match="time|distance|radial"):
+                call(t, r)
+        assert len(oracle._h2_memo) == 2
+
+    @pytest.mark.parametrize("r", [0.0, -0.0])
+    def test_radial_r_zero_raises_after_the_kernel_there(self, r):
+        oracle.h2_log(1.0, 0.0)
+        with pytest.raises(ValueError, match="radial derivative needs a finite r > 0"):
+            oracle.h2_radial_log_abs(1.0, r)
+
+    def test_a_quadrature_error_is_raised_on_every_call(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_GL_PLAIN", coarse_rule(oracle._GL_PLAIN))
+        for _ in range(2):
+            for call in H2_MEMOIZED.values():
+                with pytest.raises(oracle.QuadratureError, match="t=0.01, r=3.0"):
+                    call(0.01, 3.0)
+        assert not oracle._h2_memo
+
+    def test_the_memo_stays_bounded(self):
+        points = [(0.5 + k / 64.0, 2.0) for k in range(oracle._H2_MEMO_SIZE + 36)]
+        for t, r in points:
+            oracle.h2_log(t, r)
+            assert len(oracle._h2_memo) <= oracle._H2_MEMO_SIZE
+        assert len(oracle._h2_memo) == oracle._H2_MEMO_SIZE
+        assert (None, *points[-1]) in oracle._h2_memo
+        assert (None, *points[0]) not in oracle._h2_memo
+
+
+def plane_quantities(t: float, r: float) -> list:
+    """The five quantities of the plane benchmark at one point: the kernel,
+    its first two finite-difference time derivatives, the radial gradient
+    and the Li-Yau gap, each error kept in place of its result."""
+    model = build_real_hyperbolic(2)
+    calls = (lambda: oracle.h2_log(t, r),
+             lambda: oracle.fd_time_derivative(plane_value, 1, t, r),
+             lambda: oracle.fd_time_derivative(plane_value, 2, t, r),
+             lambda: oracle.radial_gradient("h2", t, r),
+             lambda: envelope.li_yau_gap(model, t, r, 2.0))
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except (ValueError, oracle.QuadratureError) as exc:
+            out.append(exc)
+    return out
+
+
+# (1.3, 2.4) is a normal point; at (0.05, 13) the kernel underflows and the
+# Li-Yau gap raises
+@pytest.mark.parametrize("t, r", [(1.3, 2.4), (0.05, 13.0)])
+def test_a_plane_point_makes_one_pass_per_distinct_quadrature(monkeypatch, t, r):
+    # 21 h2_log and 2 h2_radial_log_abs calls at the normal point: the
+    # kernel at t, t +- h, t +- 2h and t +- 4h, and the radial moment at t
+    oracle._h2_memo.clear()
+    passes = []
+
+    def counted(ts, rs, weight=None):
+        passes.append(ts.size)
+        return moment(ts, rs, weight)
+
+    moment = oracle._h2_moment
+    monkeypatch.setattr(oracle, "_h2_moment", counted)
+    results = plane_quantities(t, r)
+    assert 0 < len(passes) <= 8 and set(passes) == {1}
+    assert isinstance(results[-1], ValueError) == (r * r / (4.0 * t) > 800.0)
+
+
 # Every entry point that checks its (t, r) domain, called as f(t, r).
 DOMAIN_CHECKED = {
     "h3_dt_log_abs": lambda t, r: oracle.h3_dt_log_abs(t, r, 1),
@@ -467,7 +574,25 @@ class TestFdLadderOverArrays:
             return np.exp(oracle.h3_log(t, r))
 
         oracle.fd_time_derivatives(kernel, 2, self.T, self.R)
-        assert shapes == [self.T.shape] * 9
+        assert shapes == [self.T.shape] * 7
+
+
+@pytest.mark.parametrize("order, calls", [(1, 6), (2, 7)])
+def test_scalar_ladder_calls_the_kernel_once_per_distinct_time(order, calls):
+    times = []
+
+    def kernel(t, r):
+        times.append(t)
+        return h3_value(t, r)
+
+    fd = oracle.fd_time_derivative(kernel, order, 0.7, 2.0)
+    assert len(times) == len(set(times)) == calls
+    h = 1e-3 * 0.7
+    assert set(times) >= {0.7 + k * h for k in (-1, 1)}  # the smallest step's stencil
+    assert (0.7 in times) == (order == 2)
+    value, rel_error, subnormal = scalar_fd_reference(h3_value, order, 0.7, 2.0)
+    assert same_bits(fd.value, value) and same_bits(fd.rel_error, rel_error)
+    assert fd.subnormal_stencil == subnormal
 
 
 def make_cyclic_h3(translation: float) -> lattice.GroupSpec:
