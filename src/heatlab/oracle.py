@@ -337,7 +337,7 @@ def h2_log(t, r):
 
     A call with float t and r (Python or numpy) is memoized: after the
     domain check, a repeat of the same (t, r) under the same rules returns
-    the float the first pass computed (see _h2_memo, 64 points).  Errors
+    the float the first pass computed (see _h2_memo, 64 entries).  Errors
     and array calls are never memoized.
     """
     return _h2_log_abs(t, r, None, memo=True)[0]
