@@ -198,6 +198,8 @@ def theorem1_rhs(model: SpaceModel, i: int, t, r, epsilon: float):
 def gradient_rhs_log(model: SpaceModel, t, r, epsilon: float):
     """Log of the gradient bound shape
     t^{-(n+1)/2} exp(-(1-eps)(|rho|^2 t + <rho,H> + r^2/(4t))), c = 1."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     return (
@@ -209,8 +211,8 @@ def gradient_rhs_log(model: SpaceModel, t, r, epsilon: float):
 def li_yau_rhs(n: int, curvature_sq: float, t, gamma: float):
     """Right-hand side n R^2 g^2 / (sqrt(2)(g-1)) + n g^2 / (2t) of the
     curvature gradient inequality, with R^2 the Ricci lower-bound scale."""
-    if gamma <= 1.0:
-        raise ValueError("the inequality needs gamma > 1")
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"the inequality needs a finite gamma > 1, got {gamma!r}")
     t = np.asarray(t, dtype=float)
     return n * curvature_sq * gamma ** 2 / (math.sqrt(2.0) * (gamma - 1.0)) \
         + n * gamma ** 2 / (2.0 * t)

@@ -155,10 +155,11 @@ class GroupSpec:
         return enumerate_orbit(self, x, y, r_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitSet:
     """Sorted orbit distances d(x, gy) with word-length provenance, complete
-    below r_max (no missing orbit point at distance <= r_max)."""
+    below r_max (no missing orbit point at distance <= r_max).  Equality and
+    hashing are by identity."""
 
     x: Point
     y: Point
@@ -170,7 +171,7 @@ class OrbitSet:
     _counting: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # read-only, so a cache keyed by the identity of `distances` stays valid
+        # read-only, so a cache keyed by the orbit stays valid
         self.distances.setflags(write=False)
         self.word_lengths.setflags(write=False)
 
@@ -470,6 +471,8 @@ def poincare_series(orbit: OrbitSet, s: float, delta: float) -> PoincareEval:
     """
     if not s > delta:
         raise ValueError(f"series certified to converge only for s > delta ({s} <= {delta})")
+    if not s < math.inf:
+        raise ValueError(f"s must be finite, got {s!r}")
     partial = float(np.sum(np.exp(-s * orbit.distances)))
     if orbit.exhaustive:
         return PoincareEval(partial_sum=partial, n_terms=len(orbit), tail_bound=0.0)

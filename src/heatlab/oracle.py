@@ -14,11 +14,12 @@ counting bound over unit shells, is bounded in closed form;
 quotient_kernels sums many orbits over one t-grid in one array pass per
 block of orbits, and quotient_kernel is its one-orbit view.  The 3-space
 closed form is one expression in a distance part (log(r/sinh r), r^2) and
-the times; a block computes the distance part once over all its points,
-and an orbit summed alone keeps it for the next call on the same orbit,
-keyed by its read-only distances array.  Scalar calls of the plane kernel
-and of its r-derivative keep their last 64 passes, keyed by the weight and
-(t, r), for the repeated stencil times of finite differences.
+the times; a block computes the distance part once over all its points and
+keeps it for the next call on the same orbits and prefixes.  Float calls of
+the plane kernel and its derivatives keep their last 64 passes, keyed by the
+weight and (t, r), for the repeated stencil times of finite differences.
+Both caches are `functools.lru_cache`s, so their `cache_info()` reads the
+hit rates.
 
 All evaluators work in log space internally; linear values may underflow to
 zero in extreme regimes, the log variants never do.
@@ -27,9 +28,7 @@ zero in extreme regimes, the log variants never do.
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,7 +84,7 @@ def _log_r_over_sinh(r):
 
 def _h3_distance_part(r):
     """The factors of the 3-space kernel that depend on the distance alone,
-    (log(r / sinh r), r^2); an orbit sum computes them once per orbit."""
+    (log(r / sinh r), r^2); an orbit sum computes them once per block."""
     r = np.asarray(r, dtype=float)
     return _log_r_over_sinh(r), r * r
 
@@ -257,16 +256,21 @@ def _h2_scaled_integrand(u, r, t):
     return (2.0 * math.sqrt(2.0)) * u * s * np.exp(-exponent) / np.sqrt(den)
 
 
-def _h2_time_weight(order: int):
-    """Weight P_i(s, t) with d^i/dt^i of the plane integrand = P_i * integrand:
-    P_1 = s^2/(4t^2) - 3/(2t) - 1/4, P_2 = P_1^2 + 3/(2t^2) - s^2/(2t^3)."""
-    def weight(u, r, t):
-        s = r + u * u
-        p1 = s * s / (4.0 * t * t) - 1.5 / t - 0.25
-        if order == 1:
-            return p1
-        return p1 * p1 + 1.5 / (t * t) - s * s / (2.0 * t * t * t)
-    return weight
+def _h2_dt1_weight(u, r, t):
+    """Weight P_1 with d/dt of the plane integrand = P_1 * integrand, at
+    s = r + u^2: P_1 = s^2/(4t^2) - 3/(2t) - 1/4."""
+    s = r + u * u
+    return s * s / (4.0 * t * t) - 1.5 / t - 0.25
+
+
+def _h2_dt2_weight(u, r, t):
+    """Weight P_2 = P_1^2 + 3/(2t^2) - s^2/(2t^3) of the second t-derivative."""
+    s = r + u * u
+    p1 = _h2_dt1_weight(u, r, t)
+    return p1 * p1 + 1.5 / (t * t) - s * s / (2.0 * t * t * t)
+
+
+_H2_TIME_WEIGHTS = (None, _h2_dt1_weight, _h2_dt2_weight)  # by order; None is the kernel
 
 
 def _h2_radial_weight(u, r, t):
@@ -335,62 +339,58 @@ def h2_log(t, r):
     integral.  `t` and `r` broadcast: scalars give a float, arrays an array
     whose entries are bit-identical to scalar calls.
 
-    A call with float t and r (Python or numpy) is memoized: after the
-    domain check, a repeat of the same (t, r) under the same rules returns
-    the float the first pass computed (see _h2_memo, 64 entries).  Errors
-    and array calls are never memoized.
+    A call with float t and r (Python or numpy) is cached: after the domain
+    check, a repeat of the same (t, r) returns the float the first pass
+    computed (see _h2_float_pass, 64 entries).  Errors and array calls are
+    never cached.
     """
-    return _h2_log_abs(t, r, None, memo=True)[0]
+    return _h2_log_abs(t, r, None)[0]
 
 
 def h2_dt_log_abs(t, r, order: int):
     """(log |d^i_t h|, sign) for the plane kernel, i <= 2, vectorized.
 
     The time derivatives weight the nodes of h2_log's pass by P_i (see
-    _h2_time_weight); each derivative moment is certified to 1e-8 of the
-    integral of |P_i| times the integrand.  Order 0 is h2_log.
+    _h2_dt1_weight and _h2_dt2_weight); each derivative moment is certified
+    to 1e-8 of the integral of |P_i| times the integrand.  Order 0 is
+    h2_log.  Float calls are cached like h2_log's, under their weight.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"plane time derivatives stop at order 2, got {order}")
-    return _h2_log_abs(t, r, None if order == 0 else _h2_time_weight(order))
+    return _h2_log_abs(t, r, _H2_TIME_WEIGHTS[order])
 
 
 def h2_radial_log_abs(t, r):
     """log |d_r h| on the plane, r > 0, vectorized: the r-derivative weights
     the nodes of h2_log's pass (see _h2_radial_weight), certified like a
-    time-derivative moment.  Float calls are memoized like h2_log's, under
-    their own key; errors and arrays never are."""
-    return _h2_log_abs(t, r, _h2_radial_weight, radial=True, memo=True)[0]
+    time-derivative moment.  Float calls are cached like h2_log's, under
+    their weight; errors and arrays never are."""
+    return _h2_log_abs(t, r, _h2_radial_weight)[0]
 
 
-# Scalar passes of h2_log and h2_radial_log_abs, keyed by (weight, t, r):
-# the weight is None for the kernel and _h2_radial_weight for the
-# r-derivative.  The finite differences of one plane point share their
-# stencil times, so a point's kernel, two time differences, radial gradient
-# and Li-Yau gap make 23 calls on 8 distinct passes.  Each entry also holds
-# the rules and the grading threshold it ran under, and is served only while
-# those are the same objects, so a replaced rule never reads a value another
-# computed.  The oldest entry leaves first once there are _H2_MEMO_SIZE.
-_H2_MEMO_SIZE = 64
-_h2_memo: OrderedDict[tuple, tuple] = OrderedDict()
-
-
-def _h2_log_abs(t, r, weight, radial: bool = False, memo: bool = False):
+def _h2_log_abs(t, r, weight):
     """(log |moment|, sign of the moment) of `weight` times the plane
     integrand, the prefactor included, at broadcast (t, r); floats for
-    scalars.  With `memo`, float t and r go through _h2_memo once the
-    domain check passes."""
-    check_domain(t, r, radial)
-    if memo and isinstance(t, float) and isinstance(r, float):
-        key, rules = (weight, t, r), (_GL_PLAIN, _GL_GRADED, _H2_GRADE_BELOW)
-        entry = _h2_memo.get(key)
-        if entry is not None and all(map(operator.is_, entry[0], rules)):
-            return entry[1]
-        value = _h2_log_abs(t, r, weight, radial)
-        if entry is None and len(_h2_memo) >= _H2_MEMO_SIZE:
-            _h2_memo.popitem(last=False)
-        _h2_memo[key] = rules, value
-        return value
+    scalars.  Float t and r go through _h2_float_pass once the domain check
+    passes."""
+    check_domain(t, r, radial=weight is _h2_radial_weight)
+    if isinstance(t, float) and isinstance(r, float):
+        return _h2_float_pass(weight, t, r)
+    return _h2_pass(t, r, weight)
+
+
+# The finite differences of one plane point share their stencil times, so a
+# point's kernel, two time differences, radial gradient and Li-Yau gap make
+# 23 calls on 8 distinct passes.  The key is the weight and (t, r), not the
+# rules, which are constants: code that replaces a rule clears the cache.
+@lru_cache(maxsize=64)
+def _h2_float_pass(weight, t: float, r: float) -> tuple[float, float]:
+    """_h2_pass at float t and r that passed the domain check."""
+    return _h2_pass(t, r, weight)
+
+
+def _h2_pass(t, r, weight):
+    """_h2_log_abs after its domain check, uncached."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if t.shape != r.shape:
@@ -503,26 +503,23 @@ def _tail_envelope_constant(model: rootspace.SpaceModel, order: int, epsilon: fl
     return math.exp(float(np.max(log_abs - log_env))) * 1.5  # safety headroom over the grid fit
 
 
-# The distance part of the last 3-space orbit summed alone, over its first k
-# points: (distances, log(r/sinh r), r^2).  Keyed by the identity of the
-# read-only `distances` array, so it cannot go stale.  One orbit at most: a
-# copy on every orbit would add 16 bytes per point to each orbit a caller
-# keeps.
-_last_orbit: tuple | None = None
+def _block_distances(orbits, ks) -> np.ndarray:
+    """The first ks[g] distances of each orbit, concatenated."""
+    return np.concatenate([orbit.distances[:k] for orbit, k in zip(orbits, ks)])
 
 
-def _h3_orbit_terms(distances: np.ndarray, k: int):
-    """(log(r/sinh r), r^2) over distances[:k], reused from the previous call
-    on the same array when it is read-only."""
-    global _last_orbit
-    memo = _last_orbit
-    if memo is None or memo[0] is not distances or memo[1].size < k:
-        used = distances[:k]
-        check_domain(1.0, used)  # the distance test h3_dt_log_abs makes
-        memo = (distances, *_h3_distance_part(used))
-        if not distances.flags.writeable:
-            _last_orbit = memo
-    return memo[1][:k], memo[2][:k]
+# One block at most: its distance part holds 16 bytes per point.  OrbitSets
+# hash by identity and their distances are read-only, so no entry goes stale.
+@lru_cache(maxsize=1)
+def _h3_block_terms(orbits: tuple, ks: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(log(r/sinh r), r^2), read-only, over _block_distances(orbits, ks),
+    after the distance test h3_dt_log_abs makes."""
+    distances = _block_distances(orbits, ks)
+    check_domain(1.0, distances)
+    parts = _h3_distance_part(distances)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 # (times x points) terms per pass of quotient_kernels; bounds each
@@ -551,21 +548,14 @@ def _block_sums(model: rootspace.SpaceModel, ts: np.ndarray, order: int, orbits:
 
     One distance-part pass and one exp cover the block's terms; each orbit
     is then summed over its own contiguous columns, which groups the
-    additions as a sum over that orbit alone does.  One orbit alone reads
-    its distance part through the _last_orbit memo."""
-    if len(orbits) == 1:
-        distances = np.asarray(orbits[0].distances, dtype=float)
-    else:
-        distances = np.concatenate([orbit.distances[:k] for orbit, k in zip(orbits, ks)])
-    size = sum(ks)
+    additions as a sum over that orbit alone does.  In 3-space the distance
+    part comes from _h3_block_terms, which keeps the last block's."""
     if model.n == 3:
-        log_ros, rr = _h3_orbit_terms(distances, size)
+        log_ros, rr = _h3_block_terms(tuple(orbits), tuple(ks))
         log_abs, sign = _h3_dt_log_abs_from(ts[:, None], log_ros, rr, order)
     else:
-        log_abs, sign = model.dt_log_abs(ts[:, None], distances[:size], order)
+        log_abs, sign = model.dt_log_abs(ts[:, None], _block_distances(orbits, ks), order)
     terms = np.exp(log_abs) if sign is None else np.exp(log_abs) * sign
-    if len(ks) == 1:
-        return np.sum(terms, axis=1)[None]
     sums = np.empty((len(ks), ts.size))
     lo = 0
     for g, k in enumerate(ks):
@@ -613,19 +603,15 @@ def _orbit_sums(model: rootspace.SpaceModel, orbits: list, ts: np.ndarray, order
               for block in _orbit_blocks(ks, ts.size)]
     values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    if not cut:
-        return values, ks, np.zeros_like(values)
-    if delta is None:
-        raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
-    envelope = _tail_envelope_constant(model, order, epsilon)
-    scales = [envelope * orbits[g].counting_constant(delta) for g in cut]
-    # a column of scales gives a row per orbit; one float skips its broadcasting
-    scale = scales[0] if len(scales) == 1 else np.array(scales)[:, None]
-    tails = _truncation_tails(model, order, epsilon, delta, scale, math.floor(r_cut), ts)
-    tails = tails.reshape(len(cut), ts.size)
-    if len(cut) < len(orbits):
-        tails, bound = np.zeros_like(values), tails
-        tails[cut] = bound
+    tails = np.zeros_like(values)
+    if cut:
+        if delta is None:
+            raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
+        envelope = _tail_envelope_constant(model, order, epsilon)
+        # a column of scales gives a row per cut orbit
+        scales = np.array([[envelope * orbits[g].counting_constant(delta)] for g in cut])
+        tails[cut] = _truncation_tails(model, order, epsilon, delta, scales, math.floor(r_cut),
+                                       ts)
     return values, ks, tails
 
 
@@ -639,7 +625,9 @@ def quotient_kernels(orbits, space: str, t, order: int, r_cut: float,
     `value` and `truncation_bound` are (orbits x times) arrays and
     `terms_used` is an integer array over the orbits; each row is
     bit-identical to quotient_kernel on that orbit alone.  The orbits are
-    summed in blocks of at most _ORBIT_BLOCK terms, one pass each.  The
+    summed in blocks of at most _ORBIT_BLOCK terms, one pass each; in
+    3-space a repeat of the last block, at another order or t-grid, reuses
+    its distance part (see _h3_block_terms).  The
     truncation bound weights the Gaussian envelope of the derivative with
     the exponential counting bound c * e^{delta R} over the unit shells from
     floor(r_cut) on, and bounds that whole series in closed form (see
@@ -664,8 +652,8 @@ def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
     already-enumerated `OrbitSet`.  `t` is a positive time or a 1-D array of
     them; for an array, `value` and `truncation_bound` are arrays over t,
     each entry bit-identical to a scalar call at that t, and for a scalar
-    they are floats.  In 3-space the distance part of the orbit is kept
-    between calls on the same orbit (see _h3_orbit_terms).
+    they are floats.  In 3-space repeated calls on the same orbit and r_cut
+    share one distance part (see _h3_block_terms).
     """
     model = rootspace.named_model(space)
     ts = _orbit_sum_times(t, r_cut, delta, epsilon)

@@ -233,6 +233,14 @@ class TestRhsShapes:
         assert math.exp(float(gradient_rhs_log(H3, t, 0.0, 0.1))) == pytest.approx(expected,
                                                                         rel=1e-13)
 
+    @pytest.mark.parametrize("epsilon", [1.5, 1.0, 0.0, -0.2, math.nan])
+    def test_gradient_epsilon_is_checked_like_theorem1(self, epsilon):
+        # at 1.5 the shape would grow with r: +2.0 at (t, r) = (1, 2)
+        for rhs in (lambda: theorem1_rhs(H3, 1, 1.0, 2.0, epsilon),
+                    lambda: gradient_rhs_log(H3, 1.0, 2.0, epsilon)):
+            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+                rhs()
+
     def test_gradient_dominates_radial_gradient(self):
         coarse = grid_points((0.05, 20.0), (0.1, 20.0), 30, 30)
         fine = grid_points((0.05, 20.0), (0.1, 20.0), 120, 120)
@@ -267,6 +275,13 @@ class TestLiYau:
 
     def test_h2_spot_check(self):
         assert li_yau_gap(H2, 1.0, 1.0, 2.0) >= 0.0
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 1.0, 0.5])
+    def test_gamma_must_be_finite_and_above_one(self, gamma):
+        with pytest.raises(ValueError, match="finite gamma > 1"):
+            li_yau_gap(H3, 1.0, 2.0, gamma)
+        with pytest.raises(ValueError, match="finite gamma > 1"):
+            li_yau_rhs(3, 2.0, np.array([0.5, 1.0]), gamma)
 
     @pytest.mark.parametrize("t, r", [(np.array([1.0, 2.0]), 1.0), (1.0, np.array([1.0]))])
     def test_h2_takes_scalars_only(self, t, r):

@@ -945,7 +945,7 @@ class TestCountingConstantMemo:
         assert short._counting == {}
         assert short.counting_constant(0.4) == lattice._counting_constant(
             orbit.distances, 9.5, 0.4)
-        assert dataclasses.replace(short) == short  # the memo is not compared
+        assert dataclasses.replace(short) != short  # equality is identity
 
     def test_series_and_three_orders_compute_it_once(self, monkeypatch):
         calls = []
@@ -962,6 +962,15 @@ class TestCountingConstantMemo:
         for order in (0, 1, 2):
             oracle.quotient_kernels([orbit], "h3", np.array([0.5, 2.0]), order, 14.0, delta)
         assert calls == [delta]
+
+
+class TestOrbitSetIdentity:
+    def test_equality_and_hash_are_identity(self):
+        a, b = (enumerate_orbit(space_pair(), (0.1 + 0.2j, 2.0), (0.3j, 2.5), 16.0)
+                for _ in range(2))
+        assert len(a) >= 2 and np.array_equal(a.distances, b.distances)
+        assert a == a and not a == b and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestCriticalExponent:
@@ -1023,6 +1032,15 @@ class TestPoincareSeries:
         orbit = enumerate_orbit(axis_group(2.0), (0.0, 1.0), (0.0, 1.0), 10.0)
         with pytest.raises(ValueError):
             poincare_series(orbit, s=0.05, delta=0.05)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_rejects_an_infinite_s(self, delta):
+        # exp(-inf * 0) is NaN: at delta 0 the partial sum would be NaN
+        orbit = enumerate_orbit(axis_group(2.0), (0.0, 1.0), (0.0, 1.0), 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^s must be finite"):
+                poincare_series(orbit, s=math.inf, delta=delta)
 
     def test_brackets_nested_under_doubling(self):
         group = axis_group(2.0)

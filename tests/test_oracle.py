@@ -10,6 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from heatlab import envelope, lattice, oracle, rootspace
 from heatlab.rootspace import SpaceModel, build_real_hyperbolic
+from heatlab.suites import SuiteConfig, run_suite
 
 
 def h3_value(t, r, order=0):
@@ -304,26 +305,12 @@ class TestH2FixedNodeRule:
 H2_MEMOIZED = {"h2_log": oracle.h2_log, "h2_radial_log_abs": oracle.h2_radial_log_abs}
 
 
+def h2_cached() -> int:
+    """Entries in the plane's float-pass cache."""
+    return oracle._h2_float_pass.cache_info().currsize
+
+
 class TestH2Memo:
-    @pytest.fixture(autouse=True)
-    def cold(self):
-        oracle._h2_memo.clear()
-
-    @pytest.mark.parametrize("name, t, r", [("_GL_PLAIN", 0.01, 3.0), ("_GL_GRADED", 0.5, 1e-3),
-                                            ("_H2_GRADE_BELOW", 0.5, 1e-3)])
-    def test_a_replaced_rule_is_not_served_a_warm_entry(self, monkeypatch, name, t, r):
-        warm = [call(t, r) for call in H2_MEMOIZED.values()]
-        assert len(oracle._h2_memo) == 2
-        # a certificate that must fail: a coarse rule, or one panel near
-        # the branch points
-        replacement = 0.0 if name == "_H2_GRADE_BELOW" else coarse_rule(getattr(oracle, name))
-        monkeypatch.setattr(oracle, name, replacement)
-        for call in H2_MEMOIZED.values():
-            with pytest.raises(oracle.QuadratureError, match=f"t={t!r}, r={r!r}"):
-                call(t, r)
-        monkeypatch.undo()
-        assert [call(t, r) for call in H2_MEMOIZED.values()] == warm
-
     @pytest.mark.parametrize("t, r", [(0.05, 1.0), (30.0, 0.1), (0.5, 1e-3), (1e-3, 60.0)])
     @pytest.mark.parametrize("name", sorted(H2_MEMOIZED))
     def test_a_hit_has_the_bits_of_a_cold_call_and_the_array_entry(self, name, t, r):
@@ -331,8 +318,8 @@ class TestH2Memo:
         first = call(t, r)
         assert call(t, r) is first and call(np.float64(t), np.float64(r)) is first
         batch = call(np.array([t, 2.0 * t]), np.array([r, r]))
-        assert len(oracle._h2_memo) == 1  # the array call neither read nor wrote it
-        oracle._h2_memo.clear()
+        assert h2_cached() == 1  # the array call neither read nor wrote it
+        oracle._h2_float_pass.cache_clear()
         cold = call(np.float64(t), r)
         assert isinstance(cold, float) and same_bits(cold, first) and same_bits(batch[0], first)
 
@@ -343,7 +330,7 @@ class TestH2Memo:
             call(1.0, 1.0)
             with pytest.raises(ValueError, match="time|distance|radial"):
                 call(t, r)
-        assert len(oracle._h2_memo) == 2
+        assert h2_cached() == 2
 
     @pytest.mark.parametrize("r", [0.0, -0.0])
     def test_radial_r_zero_raises_after_the_kernel_there(self, r):
@@ -357,16 +344,20 @@ class TestH2Memo:
             for call in H2_MEMOIZED.values():
                 with pytest.raises(oracle.QuadratureError, match="t=0.01, r=3.0"):
                     call(0.01, 3.0)
-        assert not oracle._h2_memo
+        assert h2_cached() == 0
 
     def test_the_memo_stays_bounded(self):
-        points = [(0.5 + k / 64.0, 2.0) for k in range(oracle._H2_MEMO_SIZE + 36)]
+        size = oracle._h2_float_pass.cache_info().maxsize
+        points = [(0.5 + k / 64.0, 2.0) for k in range(size + 36)]
         for t, r in points:
             oracle.h2_log(t, r)
-            assert len(oracle._h2_memo) <= oracle._H2_MEMO_SIZE
-        assert len(oracle._h2_memo) == oracle._H2_MEMO_SIZE
-        assert (None, *points[-1]) in oracle._h2_memo
-        assert (None, *points[0]) not in oracle._h2_memo
+            assert h2_cached() <= size
+        assert h2_cached() == size
+        info = oracle._h2_float_pass.cache_info()
+        oracle.h2_log(*points[-1])  # the newest entry is kept
+        assert oracle._h2_float_pass.cache_info().hits == info.hits + 1
+        oracle.h2_log(*points[0])  # the oldest has left
+        assert oracle._h2_float_pass.cache_info().misses == info.misses + 1
 
 
 def plane_quantities(t: float, r: float) -> list:
@@ -394,7 +385,6 @@ def plane_quantities(t: float, r: float) -> list:
 def test_a_plane_point_makes_one_pass_per_distinct_quadrature(monkeypatch, t, r):
     # 21 h2_log and 2 h2_radial_log_abs calls at the normal point: the
     # kernel at t, t +- h, t +- 2h and t +- 4h, and the radial moment at t
-    oracle._h2_memo.clear()
     passes = []
 
     def counted(ts, rs, weight=None):
@@ -868,14 +858,20 @@ class TestQuotientKernelReusedTerms:
 
     def test_memo_holds_the_last_orbit_only(self):
         a, b = self.orbits()
+
+        def counts():
+            info = oracle._h3_block_terms.cache_info()
+            return info.hits, info.misses, info.currsize
+
         oracle.quotient_kernel(a, "h3", 1.0, None, None, 0, 11.0, delta=0.6)
-        memo = oracle._last_orbit
-        assert memo[0] is a.distances
+        assert counts() == (0, 1, 1)
+        oracle.quotient_kernel(a, "h3", 2.0, None, None, 2, 11.0, delta=0.6)
+        assert counts() == (1, 1, 1)  # another time and order reuse the entry
         oracle.quotient_kernel(a, "h3", 2.0, None, None, 2, 6.0, delta=0.6)
-        assert oracle._last_orbit is memo  # a shorter prefix reuses the entry
+        assert counts() == (1, 2, 1)  # a shorter prefix is another block
         oracle.quotient_kernel(b, "h3", 1.0, None, None, 0, 30.0, delta=0.6)
-        assert oracle._last_orbit[0] is b.distances
-        assert not any(part is a.distances for part in oracle._last_orbit)
+        oracle.quotient_kernel(a, "h3", 2.0, None, None, 2, 6.0, delta=0.6)
+        assert counts() == (1, 4, 1)  # b's block pushed a's out
 
     def test_bad_order_and_time_raise(self):
         a, _ = self.orbits()
@@ -890,6 +886,38 @@ class TestQuotientKernelReusedTerms:
         a, _ = self.orbits()
         with pytest.raises(ValueError, match="^delta must be"):
             oracle.quotient_kernel(a, "h3", 1.0, None, None, 0, 11.0, delta=delta)
+
+
+def count_distance_parts(monkeypatch) -> list:
+    """Warm the 3-space tail constants at epsilon 0.2, then count the
+    calls of oracle._h3_distance_part from here on."""
+    for order in (0, 1, 2):
+        oracle._tail_envelope_constant(SpaceModel(3), order, 0.2)
+    passes = []
+    part = oracle._h3_distance_part
+
+    def counted(r):
+        passes.append(np.size(r))
+        return part(r)
+
+    monkeypatch.setattr(oracle, "_h3_distance_part", counted)
+    return passes
+
+
+def test_a_quotient_run_makes_one_distance_part_per_grid(monkeypatch):
+    passes = count_distance_parts(monkeypatch)
+    run_suite(SuiteConfig(name="quotient"))
+    assert len(passes) == 2  # the 20- and 40-point grids, each summed at orders 0 and 1
+
+
+def test_scalar_calls_on_one_orbit_make_one_distance_part(monkeypatch):
+    # the orbits benchmark's pattern: every order at every time of a grid
+    orbit = schottky_h3().orbit((0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
+    passes = count_distance_parts(monkeypatch)
+    for order in (0, 1, 2):
+        for t in np.geomspace(0.1, 10.0, 12).tolist():
+            oracle.quotient_kernel(orbit, "h3", t, None, None, order, 12.0, 0.6)
+    assert len(passes) == 1
 
 
 def batch_orbits():
