@@ -556,6 +556,8 @@ def _block_sums(model: rootspace.SpaceModel, ts: np.ndarray, order: int, orbits:
     else:
         log_abs, sign = model.dt_log_abs(ts[:, None], _block_distances(orbits, ks), order)
     terms = np.exp(log_abs) if sign is None else np.exp(log_abs) * sign
+    if len(ks) == 1:
+        return np.sum(terms, axis=1)[None]
     sums = np.empty((len(ks), ts.size))
     lo = 0
     for g, k in enumerate(ks):
@@ -603,7 +605,7 @@ def _orbit_sums(model: rootspace.SpaceModel, orbits: list, ts: np.ndarray, order
               for block in _orbit_blocks(ks, ts.size)]
     values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    tails = np.zeros_like(values)
+    tails = np.zeros(values.shape)
     if cut:
         if delta is None:
             raise ValueError("supply delta (critical-exponent bound) for the truncation tail")
