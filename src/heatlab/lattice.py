@@ -168,7 +168,7 @@ class OrbitSet:
     r_max: float
     exhaustive: bool = False  # the whole group was enumerated
     # counting_constant by delta; init=False, so dataclasses.replace starts empty
-    _counting: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _counting: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # read-only, so a cache keyed by the orbit stays valid
