@@ -233,6 +233,7 @@ def li_yau_gap(model: SpaceModel, t, r, gamma: float = 2.0):
     and r instead.
     """
     oracle.check_domain(t, r, radial=True)
+    rhs = li_yau_rhs(model.n, model.n - 1.0, t, gamma)  # checks gamma before the oracles run
     if model.n == 3:
         t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
         slope = 1.0 / r - 1.0 / np.tanh(r) - r / (2.0 * t)  # d_r log h
@@ -254,7 +255,7 @@ def li_yau_gap(model: SpaceModel, t, r, gamma: float = 2.0):
                                        1, t, r)
         dt_over_h = fd.value / h
     lhs = grad_log_sq - gamma * dt_over_h
-    return _float_or_array(li_yau_rhs(model.n, model.n - 1.0, t, gamma) - lhs)
+    return _float_or_array(rhs - lhs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 Upper half-space coordinates throughout: a point is (z, h) with z complex
 (real for the plane) and height h > 0; distance comes from the standard
-cosh identity.  Orbit enumeration is certified complete below its cutoff:
-cyclic groups via the translation-length bound, ping-pong groups via nested
-isometric-disk images in a depth-first search over blocks of word matrices
-(four contiguous entry arrays per block), where each word pulls the basepoint
-back once and measures it against the fixed letter domes.  GroupSpec checks
-the certificate when it is built; the search aborts with EnumerationError
-when its node budget or the float range runs out.
+cosh identity.  enumerate_orbits is the one enumeration path, for a list of
+basepoints, and enumerate_orbit its one-basepoint view.  Orbit enumeration
+is certified complete below its cutoff: cyclic groups via the
+translation-length bound, ping-pong groups via nested isometric-disk images
+in a depth-first search over blocks of word matrices (four contiguous entry
+arrays per block), where each word pulls the basepoint back once and
+measures it against the fixed letter domes.  GroupSpec checks the
+certificate when it is built; the search aborts with EnumerationError when
+its node budget or the float range runs out.  Summing the kernel over an
+orbit is oracle.quotient_kernels' job, on the OrbitSets made here.
 """
 
 from __future__ import annotations
@@ -151,9 +154,6 @@ class GroupSpec:
                     )
         return circles
 
-    def orbit(self, x, y, r_max: float) -> "OrbitSet":
-        return enumerate_orbit(self, x, y, r_max)
-
 
 @dataclass(frozen=True, eq=False)
 class OrbitSet:
@@ -239,12 +239,27 @@ def _mobius_points(a, b, c, d, z, h):
 
 def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
                     node_budget: int = 2_000_000) -> OrbitSet:
-    """All orbit distances d(x, gy) <= r_max, certified complete.
+    """enumerate_orbits on the one basepoint y."""
+    return enumerate_orbits(group, x, [y], r_max, node_budget)[0]
 
-    Cyclic: d(y, g^k y) >= |k| L bounds the word range directly, and its
-    2 k_max words count against node_budget; the words are those of
-    enumerate_orbits on one basepoint.  Schottky: depth-first search over
-    blocks of at most _BLOCK reduced words of one length, held as four
+
+def enumerate_orbits(group: GroupSpec, x, ys, r_max: float,
+                     node_budget: int = 2_000_000) -> list[OrbitSet]:
+    """All orbit distances d(x, gy) <= r_max for each basepoint y of ys, in
+    order, each orbit certified complete; the first failure raises as a loop
+    over the basepoints would.
+
+    x and each y must have a finite z and a finite height > 0; the check
+    runs once per basepoint and its ValueError names the point.  Trivial:
+    the one distance d(x, y).  Cyclic: d(y, g^k y) >= |k| L bounds the word
+    range directly, and its 2 k_max words count against node_budget.  One
+    word list serves every basepoint: the entries of g^k and g^-k, as Python
+    complex numbers, accumulated by the same matrix products whatever the
+    batch, up to the longest word a basepoint needs.  Each basepoint then
+    runs through the scalar Python-complex Moebius and distance arithmetic
+    on those entries, so an orbit is bit-identical whichever batch it comes
+    in.  Schottky: one search per basepoint (_schottky_orbit), depth-first
+    over blocks of at most _BLOCK reduced words of one length, held as four
     contiguous arrays of matrix entries a, b, c, d; each popped block is
     expanded by every allowed next letter in one array pass.  The subtree
     below a prefix w with next letter b lies inside the image under w of the
@@ -256,8 +271,8 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     letter-major, one nonzero per letter, and their children are one
     product of gathered word and letter entries.  The order of the blocks
     does not change the words visited, so the orbit and the node-budget
-    count are those of a row-major search.  The orbit is sorted by distance,
-    then word length (_sorted_orbit).  A word whose image point or
+    count are those of a row-major search.  Each orbit is sorted by
+    distance, then word length (_sorted_orbit).  A word whose image point or
     pulled-back basepoint overflows raises EnumerationError.
 
     The 124,049-point orbit of the 3-space pair (disks at +-2, +-6) at
@@ -266,13 +281,27 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
     """
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    xp, yp = as_point(x), as_point(y)
+    xp = _basepoint("x", x)
+    yps = (_basepoint("y", y) for y in ys)  # lazy, so the first failure is the loop's
     if group.family == "trivial":
-        return _sorted_orbit(xp, yp, [distance(xp, yp)], [0], r_max, exhaustive=True)
-
+        return [_sorted_orbit(xp, yp, [distance(xp, yp)], [0], r_max, exhaustive=True)
+                for yp in yps]
     if group.family == "cyclic":
-        return _cyclic_orbits(group, xp, [yp], r_max, node_budget)[0]
+        return _cyclic_orbits(group, xp, yps, r_max, node_budget)
+    return [_schottky_orbit(group, xp, yp, r_max, node_budget) for yp in yps]
 
+
+def _basepoint(name: str, p) -> Point:
+    """as_point(p), once its z and height are finite and the height positive."""
+    z, h = as_point(p)
+    if not (cmath.isfinite(z) and 0.0 < h < math.inf):
+        raise ValueError(f"basepoint {name}={p!r} needs a finite z and a finite height > 0")
+    return z, h
+
+
+def _schottky_orbit(group: GroupSpec, xp: Point, yp: Point, r_max: float,
+                    node_budget: int) -> OrbitSet:
+    """The Schottky orbit of enumerate_orbits at one basepoint."""
     circles = group._letter_circles()  # disjoint with a certified margin, as built
     letters = group._letters()
     ids = np.arange(len(letters))
@@ -343,26 +372,7 @@ def enumerate_orbit(group: GroupSpec, x, y, r_max: float,
                          exhaustive=False)
 
 
-def enumerate_orbits(group: GroupSpec, x, ys, r_max: float,
-                     node_budget: int = 2_000_000) -> list[OrbitSet]:
-    """enumerate_orbit(group, x, y, r_max, node_budget) for each basepoint y
-    of ys, in order; the first failure raises as that loop would.
-
-    A cyclic group builds one word list for all of them: the entries of
-    g^k and g^-k, as Python complex numbers, accumulated by the same matrix
-    products as a lone call, up to the longest word a basepoint needs.
-    Each basepoint then runs through the scalar Python-complex Moebius and
-    distance arithmetic on those entries, so every orbit is bit-identical
-    to a lone call.  Other families enumerate one basepoint at a time.
-    """
-    if group.family != "cyclic":
-        return [enumerate_orbit(group, x, y, r_max, node_budget) for y in ys]
-    if not 0.0 < r_max < math.inf:
-        raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    return _cyclic_orbits(group, as_point(x), ys, r_max, node_budget)
-
-
-def _cyclic_orbits(group: GroupSpec, xp: Point, ys, r_max: float,
+def _cyclic_orbits(group: GroupSpec, xp: Point, yps, r_max: float,
                    node_budget: int) -> list[OrbitSet]:
     """The cyclic orbits of enumerate_orbits, from one word list."""
     letters = group._letters()  # g, g^-1
@@ -373,8 +383,7 @@ def _cyclic_orbits(group: GroupSpec, xp: Point, ys, r_max: float,
     orbits = []
     # an overflowed word product shows as a non-finite distance, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for y in ys:
-            yp = as_point(y)
+        for yp in yps:
             d_xy = distance(xp, yp)
             # d(x, g^k y) >= k L - d(x, y): no longer word lands within r_max
             k_max = int(math.floor((r_max + d_xy) / length * (1.0 + 1e-12)))

@@ -11,8 +11,10 @@ model; the public names "h2" and "h3" resolve to a model through
 extrapolation serve as an independent cross-check.  Quotient kernels are
 orbit sums whose truncation tail, the Gaussian envelope against the
 counting bound over unit shells, is bounded in closed form;
-quotient_kernels sums many orbits over one t-grid in one array pass per
-block of orbits, and quotient_kernel is its one-orbit view.  The 3-space
+quotient_kernels, the one orbit-sum path, sums many orbits over one t-grid
+in one array pass per block of orbits, and quotient_kernel is its one-orbit
+view.  Both take orbits that lattice.enumerate_orbits has enumerated; the
+oracle itself never enumerates.  The 3-space
 closed form is one expression in a distance part (log(r/sinh r), r^2) and
 the times; a block computes the distance part once over all its points and
 keeps it for the next call on the same orbits and prefixes.  Float calls of
@@ -566,9 +568,25 @@ def _block_sums(model: rootspace.SpaceModel, ts: np.ndarray, order: int, orbits:
     return sums
 
 
-def _orbit_sum_times(t, r_cut: float, delta: float | None, epsilon: float) -> np.ndarray:
-    """`t` as an array, once it is a positive time or a nonempty 1-D array
-    of them, and once r_cut, delta and epsilon pass their checks."""
+def quotient_kernels(orbits, space: str, t, order: int, r_cut: float,
+                     delta: float | None = None, epsilon: float = 0.2) -> QuotientKernelEval:
+    """Orbit sums of kernel time derivatives over the points with
+    d(x, gy) <= r_cut of each `OrbitSet` in the nonempty sequence `orbits`,
+    on the space named "h2" or "h3", at a positive time `t` or a 1-D array
+    of them.
+
+    `value` and `truncation_bound` are (orbits x times) arrays and
+    `terms_used` is an integer array over the orbits; each row is
+    bit-identical to a call on that orbit alone.  The orbits are summed in
+    blocks of at most _ORBIT_BLOCK terms, one pass each; in 3-space a repeat
+    of the last block, at another order or t-grid, reuses its distance part
+    (see _h3_block_terms).  The truncation bound weights the Gaussian
+    envelope of the derivative with the exponential counting bound
+    c * e^{delta R} over the unit shells from floor(r_cut) on, and bounds
+    that whole series in closed form (see _truncation_tails); an exhaustive
+    orbit summed to its end has tail 0.
+    """
+    model = rootspace.named_model(space)
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or ts.size == 0:
         raise ValueError("t must be a positive time or a nonempty 1-D array of them")
@@ -582,13 +600,10 @@ def _orbit_sum_times(t, r_cut: float, delta: float | None, epsilon: float) -> np
     if not 0.0 < epsilon < 1.0:
         raise ValueError("tail envelope needs epsilon in (0, 1); the Gaussian decay rate "
                          "(1 - epsilon)/(4t) must stay positive for the tail to converge")
-    return ts
-
-
-def _orbit_sums(model: rootspace.SpaceModel, orbits: list, ts: np.ndarray, order: int,
-                r_cut: float, delta: float | None, epsilon: float):
-    """quotient_kernels on a model, a nonempty list of orbits and checked
-    1-D times, as (values, terms used per orbit, tails)."""
+    ts = ts.reshape(-1)
+    orbits = list(orbits)
+    if not orbits:
+        raise ValueError("quotient_kernels needs at least one orbit")
     # each orbit's terms within r_cut; the orbits with a tail, which are all
     # but the exhaustive ones summed to their end
     ks, cut = [], []
@@ -614,61 +629,23 @@ def _orbit_sums(model: rootspace.SpaceModel, orbits: list, ts: np.ndarray, order
         scales = np.array([[envelope * orbits[g].counting_constant(delta)] for g in cut])
         tails[cut] = _truncation_tails(model, order, epsilon, delta, scales, math.floor(r_cut),
                                        ts)
-    return values, ks, tails
-
-
-def quotient_kernels(orbits, space: str, t, order: int, r_cut: float,
-                     delta: float | None = None, epsilon: float = 0.2) -> QuotientKernelEval:
-    """Orbit sums of kernel time derivatives over the points with
-    d(x, gy) <= r_cut of each `OrbitSet` in the nonempty sequence `orbits`,
-    on the space named "h2" or "h3", at a positive time `t` or a 1-D array
-    of them.
-
-    `value` and `truncation_bound` are (orbits x times) arrays and
-    `terms_used` is an integer array over the orbits; each row is
-    bit-identical to quotient_kernel on that orbit alone.  The orbits are
-    summed in blocks of at most _ORBIT_BLOCK terms, one pass each; in
-    3-space a repeat of the last block, at another order or t-grid, reuses
-    its distance part (see _h3_block_terms).  The
-    truncation bound weights the Gaussian envelope of the derivative with
-    the exponential counting bound c * e^{delta R} over the unit shells from
-    floor(r_cut) on, and bounds that whole series in closed form (see
-    _truncation_tails); an exhaustive orbit summed to its end has tail 0.
-    """
-    model = rootspace.named_model(space)
-    ts = _orbit_sum_times(t, r_cut, delta, epsilon).reshape(-1)
-    orbits = list(orbits)
-    if not orbits:
-        raise ValueError("quotient_kernels needs at least one orbit")
-    values, ks, tails = _orbit_sums(model, orbits, ts, order, r_cut, delta, epsilon)
     return QuotientKernelEval(value=values, terms_used=np.array(ks), truncation_bound=tails)
 
 
-def quotient_kernel(group, space: str, t, x, y, order: int, r_cut: float,
+def quotient_kernel(orbit, space: str, t, x, y, order: int, r_cut: float,
                     delta: float | None = None, epsilon: float = 0.2) -> QuotientKernelEval:
-    """quotient_kernels on one orbit: the orbit sum of kernel time
-    derivatives over points with d(x, gy) <= r_cut, on the space named "h2"
-    or "h3".
-
-    `group` is either an object with an ``orbit(x, y, r_max)`` method or an
-    already-enumerated `OrbitSet`.  `t` is a positive time or a 1-D array of
-    them; for an array, `value` and `truncation_bound` are arrays over t,
-    each entry bit-identical to a scalar call at that t, and for a scalar
-    they are floats.  In 3-space repeated calls on the same orbit and r_cut
-    share one distance part (see _h3_block_terms).
+    """quotient_kernels on the one `OrbitSet` orbit: for a scalar `t`,
+    `value` and `truncation_bound` are floats and `terms_used` an int; for
+    a 1-D array, arrays over t, each entry bit-identical to a scalar call
+    at that t.  `x` and `y` are ignored (the orbit carries its basepoints);
+    they keep their places for positional callers until this view goes.
     """
-    model = rootspace.named_model(space)
-    ts = _orbit_sum_times(t, r_cut, delta, epsilon)
-    if hasattr(group, "distances") and hasattr(group, "r_max"):
-        orbit = group
-    else:
-        orbit = group.orbit(x, y, r_cut)
-    values, (k,), tails = _orbit_sums(model, [orbit], ts.reshape(-1), order, r_cut, delta,
-                                      epsilon)
-    if ts.ndim == 0:
-        return QuotientKernelEval(value=values.item(0), terms_used=k,
-                                  truncation_bound=tails.item(0))
-    return QuotientKernelEval(value=values[0], terms_used=k, truncation_bound=tails[0])
+    ev = quotient_kernels([orbit], space, t, order, r_cut, delta, epsilon)
+    if np.ndim(t) == 0:
+        return QuotientKernelEval(value=ev.value.item(0), terms_used=int(ev.terms_used[0]),
+                                  truncation_bound=ev.truncation_bound.item(0))
+    return QuotientKernelEval(value=ev.value[0], terms_used=int(ev.terms_used[0]),
+                              truncation_bound=ev.truncation_bound[0])
 
 
 def _truncation_tails(model: rootspace.SpaceModel, order: int, epsilon: float, delta: float,

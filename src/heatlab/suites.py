@@ -198,7 +198,7 @@ def suite_poincare(cfg: SuiteConfig) -> list[CheckRow]:
     rows = []
     group = _axis_group(2, 2.0)
     x = (0.0, 1.0)
-    exponent_orbit = group.orbit(x, x, 60.0)
+    exponent_orbit = lattice.enumerate_orbit(group, x, x, 60.0)
     est = lattice.critical_exponent(exponent_orbit)
     rows.append(CheckRow("critical_exponent_small",
                          {"r_max": 60.0, "points": len(exponent_orbit)},
@@ -207,7 +207,7 @@ def suite_poincare(cfg: SuiteConfig) -> list[CheckRow]:
     delta_used = max(est.conservative, 1e-6)
     previous: tuple[float, float] | None = None
     for r_max in (10.0, 20.0, 40.0):
-        orbit = group.orbit(x, x, r_max)
+        orbit = lattice.enumerate_orbit(group, x, x, r_max)
         ev = lattice.poincare_series(orbit, s=1.0, delta=delta_used)
         lo, hi = ev.bracket
         rows.append(CheckRow("bracket_contains_closed_form",
@@ -227,7 +227,7 @@ def suite_poincare(cfg: SuiteConfig) -> list[CheckRow]:
 def _quotient_setup(cfg: SuiteConfig, translation: float = 18.0):
     group = cfg.group or _axis_group(3, translation)
     x = (0.0 + 0.0j, 1.0)
-    est_orbit = group.orbit(x, x, 60.0)
+    est_orbit = lattice.enumerate_orbit(group, x, x, 60.0)
     est = lattice.critical_exponent(est_orbit)
     delta = max(est.conservative, 1e-6)
     # keep the separation sweep inside the injectivity region: past half the

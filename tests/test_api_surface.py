@@ -149,3 +149,29 @@ def test_scan_walks_suites_and_the_main_guard_but_not_allowed_names():
                        "if __name__ == '__main__':\n    main()\n")
     found = unreached({"mod.py": module}, {"mod.py": module}, frozenset({"allowed"}))
     assert found == {"allowed", "_only_allowed"}
+
+
+_ENUMERATIONS = {"orbit", "enumerate_orbit", "enumerate_orbits"}
+
+
+def enumeration_references(tree: ast.AST) -> list[int]:
+    """Lines of `tree` that name an enumeration: a group's .orbit method, or
+    lattice's enumerate_orbit(s) as an attribute or a bare name."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in _ENUMERATIONS
+                  or isinstance(node, ast.Name) and node.id in _ENUMERATIONS - {"orbit"})
+
+
+def test_the_oracle_sums_orbits_it_never_enumerates(trees):
+    # lattice enumerates, the oracle sums: oracle.py takes OrbitSets only
+    lines = enumeration_references(trees[str(ROOT / "src" / "heatlab" / "oracle.py")])
+    assert not lines, f"oracle.py enumerates orbits at lines {lines}"
+
+
+def test_enumeration_scan_flags_each_form():
+    snippets = ["orbit = group.orbit(x, y, r_cut)", "lattice.enumerate_orbit(g, x, y, 1.0)",
+                "enumerate_orbits(g, x, ys, 1.0)"]
+    for snippet in snippets:
+        assert enumeration_references(ast.parse(snippet)) == [1], snippet
+    # an OrbitSet held in a local named orbit is summed, not enumerated
+    assert enumeration_references(ast.parse("for orbit in orbits:\n    orbit.distances")) == []

@@ -304,6 +304,12 @@ class TestLiYau:
             assert np.float64(one).tobytes() == gaps[index].tobytes() \
                 == np.float64(h3_gap_reference(tk, rk, 2.0)).tobytes()
 
+    def test_h2_checks_gamma_before_the_oracle_passes(self):
+        oracle._h2_float_pass.cache_clear()
+        with pytest.raises(ValueError, match="finite gamma > 1"):
+            li_yau_gap(H2, 1.0, 2.0, math.nan)
+        assert oracle._h2_float_pass.cache_info().misses == 0
+
     def test_rejects_gamma_at_most_one(self):
         with pytest.raises(ValueError):
             li_yau_gap(H3, 1.0, 1.0, 1.0)

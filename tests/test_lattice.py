@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath
@@ -858,6 +859,23 @@ class TestNonFiniteRadii:
         orbit = enumerate_orbit(schottky_pair(), (0.0, 2.0), (0.3, 1.5), 12.0)
         with pytest.raises(ValueError, match="^delta must be"):
             orbit.counting_constant(delta)
+
+
+NON_FINITE_POINTS = [(0j, math.nan), (complex(math.nan, 0.0), 1.0), (0j, math.inf),
+                     (complex(math.inf, 0.0), 1.0)]
+
+
+@pytest.mark.parametrize("point", NON_FINITE_POINTS, ids=["nan_h", "nan_z", "inf_h", "inf_z"])
+@pytest.mark.parametrize("role", ["x", "y"])
+@pytest.mark.parametrize("make", [lambda: GroupSpec(dim=3, generators=(), family="trivial"),
+                                  lambda: axis_group(2.0, 3), space_pair],
+                         ids=["trivial", "cyclic", "schottky"])
+def test_non_finite_basepoint_is_named(make, role, point):
+    # not an unrelated float-range or cutoff error from deep in the search
+    good = (0.1j, 2.0)
+    x, y = (point, good) if role == "x" else (good, point)
+    with pytest.raises(ValueError, match=re.escape(f"basepoint {role}={point!r}")):
+        enumerate_orbit(make(), x, y, 10.0)
 
 
 class TestOrbitArrays:

@@ -594,8 +594,8 @@ def make_cyclic_h3(translation: float) -> lattice.GroupSpec:
 class TestQuotientKernel:
     def test_trivial_group_is_kernel(self):
         group = lattice.GroupSpec(dim=3, generators=(), family="trivial")
-        x, y = (0j, 1.0), (0j, math.e)
-        ev = oracle.quotient_kernel(group, "h3", 1.0, x, y, 0, 10.0)
+        orbit = lattice.enumerate_orbit(group, (0j, 1.0), (0j, math.e), 10.0)
+        ev = oracle.quotient_kernel(orbit, "h3", 1.0, None, None, 0, 10.0)
         assert ev.truncation_bound == 0.0
         assert ev.terms_used == 1
         assert ev.value == pytest.approx(h3_value(1.0, 1.0), rel=1e-14)
@@ -604,36 +604,40 @@ class TestQuotientKernel:
         group = make_cyclic_h3(4.0)
         x = (0j, 1.0)
         y = (0j, math.exp(1.0))
-        small = oracle.quotient_kernel(group, "h3", 2.0, x, y, 0, 10.0, delta=0.05)
-        large = oracle.quotient_kernel(group, "h3", 2.0, x, y, 0, 20.0, delta=0.05)
+        small = oracle.quotient_kernel(lattice.enumerate_orbit(group, x, y, 10.0), "h3", 2.0,
+                                       None, None, 0, 10.0, delta=0.05)
+        large = oracle.quotient_kernel(lattice.enumerate_orbit(group, x, y, 20.0), "h3", 2.0,
+                                       None, None, 0, 20.0, delta=0.05)
         assert abs(large.value - small.value) <= small.truncation_bound
         assert large.truncation_bound < small.truncation_bound
 
     def test_symmetry_between_basepoints(self):
         group = make_cyclic_h3(5.0)
         x, y = (0j, 1.0), (0j, math.exp(2.0))
-        a = oracle.quotient_kernel(group, "h3", 1.5, x, y, 1, 40.0, delta=0.05)
-        b = oracle.quotient_kernel(group, "h3", 1.5, y, x, 1, 40.0, delta=0.05)
+        a, b = (oracle.quotient_kernel(lattice.enumerate_orbit(group, p, q, 40.0), "h3", 1.5,
+                                       None, None, 1, 40.0, delta=0.05)
+                for p, q in ((x, y), (y, x)))
         assert a.value == pytest.approx(b.value, abs=1e-12 * max(1.0, abs(a.value)))
 
     def test_rejects_cut_below_quotient_distance(self):
-        group = make_cyclic_h3(4.0)
-        with pytest.raises(ValueError):
-            oracle.quotient_kernel(group, "h3", 1.0, (0j, 1.0), (0j, math.exp(2.0)), 0, 1.5)
+        orbit = lattice.enumerate_orbit(make_cyclic_h3(4.0), (0j, 1.0), (0j, math.exp(2.0)), 10.0)
+        with pytest.raises(ValueError, match="exceed the quotient distance"):
+            oracle.quotient_kernel(orbit, "h3", 1.0, None, None, 0, 1.5)
 
     def test_rejects_epsilon_outside_unit(self):
-        group = make_cyclic_h3(4.0)
-        with pytest.raises(ValueError):
-            oracle.quotient_kernel(group, "h3", 1.0, (0j, 1.0), (0j, 1.0), 0, 10.0,
-                                   delta=0.05, epsilon=1.2)
+        orbit = lattice.enumerate_orbit(make_cyclic_h3(4.0), (0j, 1.0), (0j, 1.0), 10.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            oracle.quotient_kernel(orbit, "h3", 1.0, None, None, 0, 10.0, delta=0.05,
+                                   epsilon=1.2)
 
     def test_h2_order_zero(self):
         half = math.exp(2.0)
         mat = np.array([[half, 0.0], [0.0, 1.0 / half]])
         group = lattice.GroupSpec(dim=2, generators=(mat,), family="cyclic")
         x = (0.0, 1.0)
-        ev = oracle.quotient_kernel(group, "h2", 1.0, x, x, 0, 12.0, delta=0.05)
-        direct = sum(math.exp(oracle.h2_log(1.0, d)) for d in group.orbit(x, x, 12.0).distances)
+        orbit = lattice.enumerate_orbit(group, x, x, 12.0)
+        ev = oracle.quotient_kernel(orbit, "h2", 1.0, None, None, 0, 12.0, delta=0.05)
+        direct = sum(math.exp(oracle.h2_log(1.0, d)) for d in orbit.distances)
         assert ev.value == pytest.approx(direct, rel=1e-12)
 
 
@@ -644,8 +648,9 @@ class TestQuotientKernel:
         group = lattice.GroupSpec(dim=2, generators=(mat,), family="cyclic")
         x, y = (0.0, 1.0), (0.3, 1.5)
         ts = np.geomspace(0.5, 10.0, 6)
-        ev = oracle.quotient_kernel(group, "h2", ts, x, y, order, 12.0, delta=0.05)
-        distances = group.orbit(x, y, 12.0).distances
+        orbit = lattice.enumerate_orbit(group, x, y, 12.0)
+        ev = oracle.quotient_kernel(orbit, "h2", ts, None, None, order, 12.0, delta=0.05)
+        distances = orbit.distances
         assert ev.terms_used == len(distances)
         for k, t in enumerate(ts):
             terms = []
@@ -723,8 +728,8 @@ class TestQuotientKernelGrid:
 
     def orbits(self):
         x, y = (0.1 + 0.2j, 1.0), (-0.3j, 1.7)
-        cyclic = make_cyclic_h3(3.0).orbit(x, y, 40.0)
-        schottky = schottky_h3().orbit((0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
+        cyclic = lattice.enumerate_orbit(make_cyclic_h3(3.0), x, y, 40.0)
+        schottky = lattice.enumerate_orbit(schottky_h3(), (0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
         return {"cyclic": (cyclic, 30.0), "schottky": (schottky, 11.0)}
 
     def assert_grid_matches_scalars(self, orbit, order, r_cut, delta):
@@ -776,7 +781,7 @@ class TestQuotientKernelGrid:
         # at t = 1000 the shells from r_cut = 20 underflow to 0 and grow to a
         # peak at shell 1750; at t = 200 the peak is shell 19.  Either peak is
         # tens of shells wide, so the series is nearly its integral
-        orbit = make_cyclic_h3(3.0).orbit((0j, 1.0), (0j, 1.0), 20.0)
+        orbit = lattice.enumerate_orbit(make_cyclic_h3(3.0), (0j, 1.0), (0j, 1.0), 20.0)
         for order in (0, 1, 2):
             ev = oracle.quotient_kernel(orbit, "h3", t, None, None, order, 20.0, delta=delta)
             exact = exact_tail(orbit, t, order, 20.0, delta)
@@ -821,8 +826,8 @@ class TestQuotientKernelReusedTerms:
     CUT_FRACTIONS = (0.75, 0.45, 1.0)  # shrinks, then grows past the reused prefix
 
     def orbits(self):
-        a = schottky_h3().orbit((0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
-        b = make_cyclic_h3(3.0).orbit((0.1 + 0.2j, 1.0), (-0.3j, 1.7), 40.0)
+        a = lattice.enumerate_orbit(schottky_h3(), (0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
+        b = lattice.enumerate_orbit(make_cyclic_h3(3.0), (0.1 + 0.2j, 1.0), (-0.3j, 1.7), 40.0)
         return a, b
 
     @pytest.mark.parametrize("order", [0, 1, 2])
@@ -912,7 +917,7 @@ def test_a_quotient_run_makes_one_distance_part_per_grid(monkeypatch):
 
 def test_scalar_calls_on_one_orbit_make_one_distance_part(monkeypatch):
     # the orbits benchmark's pattern: every order at every time of a grid
-    orbit = schottky_h3().orbit((0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
+    orbit = lattice.enumerate_orbit(schottky_h3(), (0.1 + 0.2j, 2.0), (-0.3j, 1.7), 14.0)
     passes = count_distance_parts(monkeypatch)
     for order in (0, 1, 2):
         for t in np.geomspace(0.1, 10.0, 12).tolist():
@@ -929,12 +934,12 @@ def batch_orbits():
                                 family="cyclic"),
               lattice.parse_group("[group]\ndim = 2\nfamily = cyclic\ngenerator = 2.0,0,0,0.5\n"),
               lattice.parse_group("[group]\ndim = 2\nfamily = schottky\ngenerator = 2,3,1,2\n")]
-    return [group.orbit(x, y, 80.0) for group in groups], 80.0
+    return [lattice.enumerate_orbit(group, x, y, 80.0) for group in groups], 80.0
 
 
 def trivial_orbit(r_cut: float) -> lattice.OrbitSet:
     group = lattice.GroupSpec(dim=3, generators=(), family="trivial")
-    return group.orbit((0j, 1.0), (0j, math.exp(1.3)), r_cut)
+    return lattice.enumerate_orbit(group, (0j, 1.0), (0j, math.exp(1.3)), r_cut)
 
 
 def closed_form_tail(model, order, delta, scale, k0, ts, epsilon=0.2):

@@ -79,11 +79,13 @@ class TestModelOracle:
     @pytest.mark.parametrize("call", [
         lambda space: oracle.radial_gradient(space, 1.0, 1.0),
         lambda space: oracle.quotient_kernel(
-            lattice.GroupSpec(dim=3, generators=(), family="trivial"), space, 1.0,
-            (0j, 1.0), (0j, math.e), 0, 10.0),
+            lattice.enumerate_orbit(lattice.GroupSpec(dim=3, generators=(), family="trivial"),
+                                    (0j, 1.0), (0j, math.e), 10.0),
+            space, 1.0, None, None, 0, 10.0),
         lambda space: oracle.quotient_kernels(
-            [lattice.GroupSpec(dim=3, generators=(), family="trivial").orbit(
-                (0j, 1.0), (0j, math.e), 10.0)], space, 1.0, 0, 10.0),
+            lattice.enumerate_orbits(lattice.GroupSpec(dim=3, generators=(), family="trivial"),
+                                     (0j, 1.0), [(0j, math.e)], 10.0),
+            space, 1.0, 0, 10.0),
         lambda space: lpthresholds.riesz_kernel_decay(space, 1.0),
     ], ids=["radial_gradient", "quotient_kernel", "quotient_kernels", "riesz_kernel_decay"])
     def test_unknown_space_names_rejected(self, call, space):
