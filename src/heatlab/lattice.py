@@ -50,20 +50,39 @@ def as_point(p) -> Point:
     raise ValueError(f"cannot interpret {p!r} as an upper half-space point")
 
 
+def _check_point(z: complex, h: float) -> None:
+    """Raise ValueError unless z is finite and 0 < h < inf; NaN fails."""
+    if h <= 0.0:
+        raise ValueError("points must have positive height")
+    if not (cmath.isfinite(z) and h < math.inf):
+        raise ValueError(f"points need a finite z and a finite height, got {(z, h)!r}")
+
+
 def distance(p, q) -> float:
-    """Hyperbolic distance: cosh d = 1 + (|z_p - z_q|^2 + (h_p - h_q)^2) / (2 h_p h_q)."""
+    """Hyperbolic distance: cosh d = 1 + (|z_p - z_q|^2 + (h_p - h_q)^2) / (2 h_p h_q).
+
+    Raises ValueError for a height <= 0 or a non-finite z or height.  Finite
+    points far apart can still overflow, to inf or OverflowError."""
     zp, hp = as_point(p)
     zq, hq = as_point(q)
     if hp <= 0.0 or hq <= 0.0:
         raise ValueError("points must have positive height")
     num = abs(zp - zq) ** 2 + (hp - hq) ** 2
-    return math.acosh(1.0 + num / (2.0 * hp * hq))
+    d = math.acosh(1.0 + num / (2.0 * hp * hq))
+    if not d < math.inf:
+        # every non-finite z or height ends here, so finite points pay one test
+        _check_point(zp, hp)
+        _check_point(zq, hq)
+    return d
 
 
 def mobius_apply(mat, p) -> Point:
     """Action of a unimodular 2x2 matrix on the upper half-space; `mat` is
-    any nested ((a, b), (c, d)), such as a numpy matrix or its tolist()."""
+    any nested ((a, b), (c, d)), such as a numpy matrix or its tolist().
+    The point is checked as in distance."""
     z, h = as_point(p)
+    if not (0.0 < h < math.inf and cmath.isfinite(z)):
+        _check_point(z, h)
     (a, b), (c, d) = mat
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     czd = c * z + d

@@ -17,7 +17,8 @@ view.  Both take orbits that lattice.enumerate_orbits has enumerated; the
 oracle itself never enumerates.  The 3-space
 closed form is one expression in a distance part (log(r/sinh r), r^2) and
 the times; a block computes the distance part once over all its points and
-keeps it for the next call on the same orbits and prefixes.  Float calls of
+keeps it for the next call on the same orbits and prefixes, and a block of
+one orbit skips the terms past a proven underflow radius.  Float calls of
 the plane kernel and its derivatives keep their last 64 passes, keyed by the
 weight and (t, r), for the repeated stencil times of finite differences.
 Both caches are `functools.lru_cache`s, so their `cache_info()` reads the
@@ -96,10 +97,13 @@ def _h3_log_from(t, log_ros, rr):
     return -1.5 * (LOG_4PI + np.log(t)) + log_ros - t - rr / (4.0 * t)
 
 
+_H3_ORDER_ERROR = "closed-form time derivatives stop at order 2, got {}"
+
+
 def _h3_prefactor_from(t, rr, order: int):
     """h3_dt_prefactor at order 1 or 2 from rr = r^2."""
     if order not in (1, 2):
-        raise ValueError(f"closed-form time derivatives stop at order 2, got {order}")
+        raise ValueError(_H3_ORDER_ERROR.format(order))
     u = rr / (4.0 * t * t) - 1.5 / t - 1.0
     if order == 1:
         return u
@@ -117,8 +121,52 @@ def _h3_dt_log_abs_from(t, log_ros, rr, order: int):
     return log_abs, np.sign(pref)
 
 
+def _h3_cut_radius(t: float, order: int) -> float:
+    """A distance R past which every term of a 3-space orbit sum at time t,
+    exp(log |d^i_t h|) * sign as _block_sums computes it, is exactly +0.0;
+    an order outside 0..2 raises the order error of _h3_prefactor_from.
+
+    Proof, with q = r^2/(4t), a = -1.5 log(4 pi t) - t and
+    f(q) = q - i log(1 + q):
+    - Bound.  log h <= a - q, since log(r/sinh r) <= 0.  With
+      u = q/t - 1.5/t - 1 and u' = (1.5 - 2q)/t^2 (h3_dt_prefactor),
+      |p_1| = |u| <= c_1 (1 + q) and |p_2| <= u^2 + |u'| <= c_2 (1 + q)^2,
+      where c_0 = 1, c_1 = 1 + 1.5/t and c_2 = c_1^2 + 2/t^2.  So
+      log |d^i_t h| <= a + log c_i - f(q), which is at most -747 wherever
+      f(q) >= g = a + log c_i + 747.
+    - Root.  The step q <- max(0, g + i log1p(q)) keeps f(q) >= g: the new
+      q' is at most q, and f(q') = g + i (log1p(q) - log1p(q')) >= g, or
+      q' = 0 and g < 0 = f(0).  The start max(2g + 3, 0) satisfies it,
+      because f(q) >= q/2 - 1.28 for i <= 2.
+    - Cut.  Q = max(q, 2t + 11) >= 11 and f increases on [1, inf), so
+      f >= g on [Q, inf) (if q < 1, then g <= f(q) < 1 < f(11)).  exp
+      returns exactly 0.0 below about -745.13, so every term at
+      r >= R = sqrt(4 t Q) is 0.0; the unit from -747 to -746 covers the
+      rounding of the terms and of R.
+    - Sign.  For q >= 2t + 11, s = q - t - 1.5 >= t + 9.5, so t p_1 = s and
+      t^2 p_2 = s^2 - 2s - 2t - 1.5 are positive: those zeros are +0.0,
+      never -0.0.
+    - Times.  t Q grows with t: where the root q(t) of f = g exceeds
+      2t + 11, d(t q)/dt >= q - 1.2 (3.5 + t) > 0, since t g' >= -3.5 - t
+      and f' >= 5/6 there.  So the R of a grid's largest time serves every
+      time of the grid.
+    An overflow of c_i, at t near 0, gives R = inf: no cut.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(_H3_ORDER_ERROR.format(order))
+    g = -1.5 * (LOG_4PI + math.log(t)) - t + 747.0
+    if order:
+        c_1 = 1.0 + 1.5 / t
+        g += math.log(c_1 if order == 1 else c_1 * c_1 + 2.0 / t / t)  # inf for tiny t
+    q = max(2.0 * g + 3.0, 0.0)
+    for _ in range(4):  # each step shrinks q's excess over the root by i/(1 + q)
+        q = max(g + order * math.log1p(q), 0.0)
+    return math.sqrt(4.0 * t * max(q, 2.0 * t + 11.0))
+
+
 def h3_log(t, r):
     """log of the 3-space heat kernel (4 pi t)^{-3/2} (r/sinh r) e^{-t - r^2/(4t)}."""
+    check_domain(t, r)
     return _h3_log_from(np.asarray(t, dtype=float), *_h3_distance_part(r))
 
 
@@ -551,9 +599,23 @@ def _block_sums(model: rootspace.SpaceModel, ts: np.ndarray, order: int, orbits:
     One distance-part pass and one exp cover the block's terms; each orbit
     is then summed over its own contiguous columns, which groups the
     additions as a sum over that orbit alone does.  In 3-space the distance
-    part comes from _h3_block_terms, which keeps the last block's."""
+    part comes from _h3_block_terms, which keeps the last block's.  A
+    3-space block of one orbit evaluates only its first kc columns, the
+    distances below _h3_cut_radius at the largest time: the columns from kc
+    on are terms exp would round to +0.0 at every time, so they stay zeros
+    of a zero (times x k) array, and the same np.sum over full rows adds
+    the same floats in the same groups as the whole row does."""
     if model.n == 3:
         log_ros, rr = _h3_block_terms(tuple(orbits), tuple(ks))
+        if len(ks) == 1:
+            cut = _h3_cut_radius(float(ts.max()), order)
+            kc = max(1, int(np.searchsorted(orbits[0].distances[:ks[0]], cut)))
+            log_abs, sign = _h3_dt_log_abs_from(ts[:, None], log_ros[:kc], rr[:kc], order)
+            terms = np.zeros((ts.size, ks[0]))
+            live = np.exp(log_abs, out=terms[:, :kc])
+            if sign is not None:
+                live *= sign
+            return np.sum(terms, axis=1)[None]
         log_abs, sign = _h3_dt_log_abs_from(ts[:, None], log_ros, rr, order)
     else:
         log_abs, sign = model.dt_log_abs(ts[:, None], _block_distances(orbits, ks), order)
@@ -580,7 +642,10 @@ def quotient_kernels(orbits, space: str, t, order: int, r_cut: float,
     bit-identical to a call on that orbit alone.  The orbits are summed in
     blocks of at most _ORBIT_BLOCK terms, one pass each; in 3-space a repeat
     of the last block, at another order or t-grid, reuses its distance part
-    (see _h3_block_terms).  The truncation bound weights the Gaussian
+    (see _h3_block_terms), and an orbit that runs alone in 3-space skips the
+    terms past the proven underflow radius of its largest time, whose float
+    value is +0.0 (see _h3_cut_radius and _block_sums); the sums keep their
+    bits.  The truncation bound weights the Gaussian
     envelope of the derivative with the exponential counting bound
     c * e^{delta R} over the unit shells from floor(r_cut) on, and bounds
     that whole series in closed form (see _truncation_tails); an exhaustive

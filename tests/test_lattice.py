@@ -878,6 +878,19 @@ def test_non_finite_basepoint_is_named(make, role, point):
         enumerate_orbit(make(), x, y, 10.0)
 
 
+@pytest.mark.parametrize("point", NON_FINITE_POINTS + [(0j, -1.0), (0j, 0.0)],
+                         ids=["nan_h", "nan_z", "inf_h", "inf_z", "negative_h", "zero_h"])
+@pytest.mark.parametrize("call", [lambda p: distance(p, (0.1j, 2.0)),
+                                  lambda p: distance((0.1j, 2.0), p),
+                                  lambda p: mobius_apply(((1.0, 0.0), (0.0, 1.0)), p)],
+                         ids=["distance_p", "distance_q", "mobius_apply"])
+def test_a_bad_point_raises(call, point):
+    # not a silent nan or inf, nor the identity's (0j, -1.0) for (0j, -1.0)
+    message = "positive height" if point[1] <= 0.0 else "finite z and a finite height"
+    with pytest.raises(ValueError, match=message):
+        call(point)
+
+
 class TestOrbitArrays:
     ORBITS = {
         "trivial": lambda: enumerate_orbit(GroupSpec(dim=2, generators=(), family="trivial"),

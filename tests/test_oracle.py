@@ -65,6 +65,18 @@ class TestH3Kernel:
         with pytest.raises(ValueError):
             oracle.h3_dt_log_abs(1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("t, r, match", [
+        (1.0, -1.0, "distance"), (1.0, math.nan, "distance"), (1.0, math.inf, "distance"),
+        (math.nan, 1.0, "time"), (0.0, 1.0, "time"), (-1.0, 1.0, "time"), (math.inf, 1.0, "time"),
+        (np.array([[0.5], [1.0]]), np.array([0.0, 2.0, -0.5]), "distance"),
+        (np.array([[0.5], [0.0]]), np.array([0.0, 2.0]), "time"),
+    ], ids=["negative_r", "nan_r", "inf_r", "nan_t", "zero_t", "negative_t", "inf_t",
+            "grid_negative_r", "grid_zero_t"])
+    def test_h3_log_checks_its_domain(self, t, r, match):
+        # like h3_dt_log_abs: not a value, a nan or an inf with a RuntimeWarning
+        with pytest.raises(ValueError, match=match):
+            oracle.h3_log(t, r)
+
     def test_total_mass(self):
         # integral of h_t over the space: 4 pi sinh^2(r) volume element
         for t in (0.5, 1.0, 2.0):
@@ -1059,3 +1071,71 @@ class TestQuotientKernels:
     def test_rejects_an_empty_batch(self):
         with pytest.raises(ValueError, match="at least one orbit"):
             oracle.quotient_kernels([], "h3", self.T_GRID, 0, 10.0, delta=0.05)
+
+
+class TestUnderflowCut:
+    """A 3-space block of one orbit evaluates only the distances below
+    oracle._h3_cut_radius at its largest time."""
+
+    GRIDS = [np.geomspace(1e-2, 1e2, 25), np.geomspace(1e-2, 1.0, 9)]
+
+    @staticmethod
+    def orbits():
+        # 319 cyclic points to r_cut 80, and 2,237 Schottky points to r_cut 24
+        cyclic = lattice.enumerate_orbit(make_cyclic_h3(0.5), (0.1 + 0.2j, 1.0), (-0.3j, 1.7),
+                                         80.0)
+        schottky = lattice.enumerate_orbit(schottky_h3(), (0.1 + 0.2j, 2.0), (-0.3j, 1.7), 26.0)
+        return [(cyclic, 80.0), (schottky, 24.0)]
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_sums_keep_the_bits_of_the_full_rows(self, order):
+        for orbit, r_cut in self.orbits():
+            for ts in self.GRIDS:
+                values, tails, used = lone_orbit_sum(orbit, "h3", ts, order, r_cut, 0.6)
+                grid = oracle.quotient_kernel(orbit, "h3", ts, None, None, order, r_cut, 0.6)
+                assert grid.value.tobytes() == values.tobytes()
+                assert grid.truncation_bound.tobytes() == tails.tobytes()
+                assert grid.terms_used == used
+                for k, t in enumerate(ts.tolist()):
+                    one = oracle.quotient_kernel(orbit, "h3", t, None, None, order, r_cut, 0.6)
+                    assert same_bits(one.value, values[k])
+                    assert same_bits(one.truncation_bound, tails[k])
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_terms_past_the_cut_are_positive_zeros(self, order):
+        for t in np.geomspace(1e-3, 1e3, 61).tolist():
+            r = oracle._h3_cut_radius(t, order) * np.array([1.0, 1.0 + 1e-9, 1.5, 4.0])
+            log_abs, sign = oracle.h3_dt_log_abs(t, r, order)
+            terms = np.exp(log_abs) * sign
+            assert np.all(terms == 0.0) and not np.any(np.signbit(terms)), (t, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_the_cut_is_near_the_last_nonzero_term(self, order):
+        # the bound drops log(r/sinh r), about -r, which grows with t; at
+        # t <= 1 the term a tenth inside the cut has not underflowed
+        for t in np.geomspace(1e-3, 1.0, 25).tolist():
+            r = 0.9 * oracle._h3_cut_radius(t, order)
+            log_abs, _ = oracle.h3_dt_log_abs(t, r, order)
+            assert math.exp(float(log_abs)) > 0.0, (t, order)
+
+    def test_a_scalar_call_evaluates_fewer_columns(self, monkeypatch):
+        orbit, r_cut = self.orbits()[0]
+        columns = []
+        part = oracle._h3_dt_log_abs_from
+
+        def counted(t, log_ros, rr, order):
+            columns.append(np.size(rr))
+            return part(t, log_ros, rr, order)
+
+        monkeypatch.setattr(oracle, "_h3_dt_log_abs_from", counted)
+        ev = oracle.quotient_kernel(orbit, "h3", 0.1, None, None, 0, r_cut, 0.6)
+        assert ev.terms_used == 319
+        assert len(columns) == 1 and columns[0] < ev.terms_used
+
+    @pytest.mark.parametrize("order", [-1, 3])
+    def test_an_order_outside_the_closed_forms_still_raises(self, order):
+        orbit, r_cut = self.orbits()[0]
+        for t in (1.0, self.GRIDS[1]):
+            with pytest.raises(ValueError,
+                               match=f"closed-form time derivatives stop at order 2, got {order}"):
+                oracle.quotient_kernel(orbit, "h3", t, None, None, order, r_cut, 0.6)
