@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -100,12 +101,28 @@ def _hyperplane_distance(p, center: complex, radius: float) -> float:
     return math.asinh(num / (2.0 * radius * h)) if num > 0.0 else 0.0
 
 
+def dome_slack(group: GroupSpec, y) -> float:
+    """The prune slack of the block search in closed form: the distance from
+    y to the nearest point outside every open letter dome, plus 1e-9."""
+    z, h = lattice.as_point(y)
+    depth = max(math.asinh((r * r - abs(z - c) ** 2 - h * h) / (2.0 * r * h))
+                for c, r in group._letter_circles())
+    return max(0.0, depth) + 1e-9
+
+
+def above_slack(group: GroupSpec, y) -> float:
+    """The earlier, larger prune slack: the distance from y to the point
+    (0, 1 + largest radius) above every dome."""
+    return distance((0j, 1.0 + max(r for _, r in group._letter_circles())), y)
+
+
 def scalar_dfs_orbit(group: GroupSpec, x, y, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distances and word lengths of the ping-pong orbit below r_max."""
+    """Sorted distances and word lengths of the ping-pong orbit below r_max,
+    pruned with the larger slack of the point above every dome."""
     xp, yp = lattice.as_point(x), lattice.as_point(y)
     circles = group._letter_circles()
     letters = group._letters()
-    slack = distance((0j, 1.0 + max(r for _, r in circles)), yp)
+    slack = above_slack(group, yp)
     records = [(distance(xp, yp), 0)]
     stack = [(np.eye(2, dtype=complex), -1, 0)]
     while stack:
@@ -162,19 +179,20 @@ def cyclic_loop_orbit(group: GroupSpec, x, y, r_max: float,
     return np.array([d for d, _ in records]), np.array([k for _, k in records])
 
 
-def row_major_orbit(group: GroupSpec, x, y, r_max: float,
-                    node_budget: int = 2_000_000) -> tuple[np.ndarray, np.ndarray, int]:
+def row_major_orbit(group: GroupSpec, x, y, r_max: float, node_budget: int = 2_000_000,
+                    slack=dome_slack) -> tuple[np.ndarray, np.ndarray, int]:
     """Reference for the letter-major block search: the earlier search over
     (N, 4) rows of word matrix entries, whose children come out row-major
-    from one gather of the letters.  Sorted distances, word lengths and the
-    visited count, or the EnumerationError that search raised."""
+    from one gather of the letters, pruning with slack(group, y).  Sorted
+    distances, word lengths and the visited count, or the EnumerationError
+    that search raised."""
     xp, yp = lattice.as_point(x), lattice.as_point(y)
     circles = group._letter_circles()
     letters = np.array([g.reshape(4) for g in group._letters()])
     inverse = np.arange(len(letters)) ^ 1
     centers = np.array([circles[j][0] for j in inverse])
     radii = np.array([circles[j][1] for j in inverse])
-    slack = distance((0j, 1.0 + radii.max()), yp)
+    slack = slack(group, yp)
     try:
         reach = 2.0 * radii * math.sinh(r_max + slack)
     except OverflowError:
@@ -715,6 +733,99 @@ class TestLetterMajorSearch:
         assert str(info.value) == expected
 
 
+def on_dome(dim: int, lift: float) -> tuple:
+    """A point at Euclidean radius 1 + lift from the centre 2 of the unit
+    letter disk at +2: above its dome for lift > 0, inside it for lift < 0."""
+    rho = 1.0 + lift
+    z = 2.0 + rho * math.cos(1.1) * (1.0 if dim == 2 else 0.6 + 0.8j)
+    return z, rho * math.sin(1.1)
+
+
+SLACK_CASES = {  # (group, x, y, r_max): y outside every dome, 1e-12 outside one, inside one
+    "plane_outside": (schottky_pair, (0.0, 2.0), (0.3, 1.5), 15.0),
+    "plane_at_dome": (schottky_pair, (0.0, 2.0), on_dome(2, 1e-12), 15.0),
+    "plane_inside": (schottky_pair, (0.0, 2.0), (2.1, 0.5), 15.0),
+    "space_outside": (space_pair, (0.1 + 0.2j, 2.0), (0.3j, 2.5), 15.0),
+    "space_at_dome": (space_pair, (0.1 + 0.2j, 2.0), on_dome(3, 1e-12), 15.0),
+    "space_inside": (space_pair, (0.1 + 0.2j, 2.0), (2.1 + 0.2j, 0.5), 15.0),
+}
+
+
+def search_slack(group: GroupSpec, y) -> float:
+    """lattice._dome_slack over the group's letter domes."""
+    circles = group._letter_circles()
+    return lattice._dome_slack(np.array([c for c, _ in circles]),
+                               np.array([r for _, r in circles]), *lattice.as_point(y))
+
+
+class TestDomeSlack:
+    """The block search prunes with the distance from y to the nearest point
+    outside every open dome (plus a 1e-9 pad), not with the distance to a
+    point above them all, and returns the same orbit."""
+
+    @pytest.mark.parametrize("case", sorted(SLACK_CASES))
+    def test_orbit_keeps_its_bits_and_visits_no_more_words(self, case):
+        make, x, y, r_max = SLACK_CASES[case]
+        group = make()
+        slack = search_slack(group, y)
+        assert slack == pytest.approx(dome_slack(group, y), rel=1e-12, abs=1e-15)
+        if case.endswith("inside"):
+            assert slack > 0.1
+        else:
+            assert slack == 1e-9
+        orbit = enumerate_orbit(group, x, y, r_max)
+        ref_d, ref_w, above = row_major_orbit(group, x, y, r_max, slack=above_slack)
+        assert len(orbit) > 20
+        assert np.array_equal(orbit.distances, ref_d)
+        assert np.array_equal(orbit.word_lengths, ref_w)
+        assert (orbit.distances.dtype, orbit.word_lengths.dtype) == (np.float64, np.uint8)
+        # the independent per-node search at the larger slack
+        dfs_d, dfs_w = scalar_dfs_orbit(group, x, y, r_max)
+        assert dfs_d.size == len(orbit)
+        assert np.max(np.abs(orbit.distances - dfs_d)) <= 1e-13
+        assert np.array_equal(np.sort(orbit.word_lengths), np.sort(dfs_w))
+        # the budget threshold of the new rule, against the larger slack's
+        _, _, visited = row_major_orbit(group, x, y, r_max)
+        enumerate_orbit(group, x, y, r_max, node_budget=visited)
+        with pytest.raises(EnumerationError, match=f"node budget {visited - 1} exhausted"):
+            enumerate_orbit(group, x, y, r_max, node_budget=visited - 1)
+        assert visited <= above
+        if case.endswith("outside"):
+            assert visited < above
+
+    def test_deep_orbit_visits_243294_words(self):
+        # x = y = (0, 5) lies above every dome: the slack is the pad alone.
+        # The point (0, 2) above the domes gave a slack of d((0, 2), y) and
+        # 328,002 words for the same 124,049 points
+        group, p, r_max = space_pair(), (0j, 5.0), 36.6
+        orbit = enumerate_orbit(group, p, p, r_max, node_budget=243_294)
+        with pytest.raises(EnumerationError, match="node budget 243293 exhausted"):
+            enumerate_orbit(group, p, p, r_max, node_budget=243_293)
+        ref_d, ref_w, above = row_major_orbit(group, p, p, r_max, slack=above_slack)
+        assert above == 328_002
+        assert len(orbit) == 124_049
+        assert np.array_equal(orbit.distances, ref_d)
+        assert np.array_equal(orbit.word_lengths, ref_w)
+
+    def test_deep_orbit_peak_memory(self):
+        # the search's blocks and the sort's temporaries stay below 6 times
+        # the orbit it returns (its distances and uint8 word lengths)
+        group, p = space_pair(), (0j, 5.0)
+        tracemalloc.start()
+        try:
+            orbit = enumerate_orbit(group, p, p, 36.6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (orbit.distances.nbytes + orbit.word_lengths.nbytes)
+
+    @pytest.mark.parametrize("y, slack", [((0j, 1e-310), math.inf), ((1e200 + 0j, 1.0), 1e-9)],
+                             ids=["tiny_height", "far_z"])
+    def test_overflowing_terms_stay_sound(self, y, slack):
+        # a height too small to place prunes nothing; a far point is outside
+        assert search_slack(space_pair(), y) == slack
+
+
 class TestSortedOrbit:
     @pytest.mark.parametrize("make, x, r_max", [
         (lambda: axis_group(2.0), (0.0, 1.0), 40.0),
@@ -889,6 +1000,40 @@ def test_a_bad_point_raises(call, point):
     message = "positive height" if point[1] <= 0.0 else "finite z and a finite height"
     with pytest.raises(ValueError, match=message):
         call(point)
+
+
+class TestTinyHeights:
+    """Points whose height product 2 h_p h_q is below the normal float range."""
+
+    def test_distance_where_the_height_product_underflows(self):
+        assert distance((0j, 1e-200), (0j, 1e-200)) == 0.0
+        assert distance((0j, 1e-200), (0j, 2e-200)) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert distance((1e-200 + 0j, 1e-200), (0j, 1e-200)) == pytest.approx(
+            math.acosh(1.5), rel=1e-15)
+        assert distance((0j, 5e-324), (0j, 1.0)) == pytest.approx(-math.log(5e-324), rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+    def test_scaling_both_points_moves_no_distance(self, scale):
+        p, q = (0.3 + 0.1j, 1.2), (-0.5 + 0.4j, 0.7)
+        scaled = [(z * scale, h * scale) for z, h in (p, q)]
+        assert distance(*scaled) == pytest.approx(distance(p, q), rel=1e-14)
+
+    def test_normal_products_keep_their_bits(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            zp, zq = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+            hp, hq = 10.0 ** rng.uniform(-150, 150, size=2)
+            num = abs(zp - zq) ** 2 + (hp - hq) ** 2
+            assert distance((zp, hp), (zq, hq)) == math.acosh(1.0 + num / (2.0 * hp * hq))
+
+    def test_cyclic_orbit_at_a_tiny_basepoint(self):
+        # diag(e, 1/e) commutes with scaling, so the orbit is that at height 1
+        group = GroupSpec(dim=3, generators=(screw(2.0),), family="cyclic")
+        tiny = enumerate_orbit(group, (0j, 1e-200), (0j, 1e-200), 30.0)
+        unit = enumerate_orbit(group, (0j, 1.0), (0j, 1.0), 30.0)
+        assert len(tiny) == len(unit) == 31
+        assert np.allclose(tiny.distances, unit.distances, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(tiny.word_lengths, unit.word_lengths)
 
 
 class TestOrbitArrays:
