@@ -187,6 +187,7 @@ def theorem1_rhs(model: SpaceModel, i: int, t, r, epsilon: float):
     t^{-(n/2)-i} exp(-(1-eps)(|rho|^2 t + <rho,H> + r^2/(4t))), c = 1."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    oracle.check_domain(t, r)
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     return (
@@ -200,6 +201,7 @@ def gradient_rhs_log(model: SpaceModel, t, r, epsilon: float):
     t^{-(n+1)/2} exp(-(1-eps)(|rho|^2 t + <rho,H> + r^2/(4t))), c = 1."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    oracle.check_domain(t, r)
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     return (
@@ -213,9 +215,18 @@ def li_yau_rhs(n: int, curvature_sq: float, t, gamma: float):
     curvature gradient inequality, with R^2 the Ricci lower-bound scale."""
     if not 1.0 < gamma < math.inf:
         raise ValueError(f"the inequality needs a finite gamma > 1, got {gamma!r}")
+    # the terms of the expression n R^2 g^2/(sqrt2 (g-1)) + n g^2/(2t), in its
+    # order; the first overflows from gamma near 5e153 (n R^2 = 6), and a
+    # Python float's ** raises OverflowError past about 1.34e154
+    try:
+        gamma_sq = gamma ** 2
+        lead = n * curvature_sq * gamma_sq / (math.sqrt(2.0) * (gamma - 1.0))
+    except OverflowError:
+        lead = math.inf
+    if not lead < math.inf:
+        raise ValueError(f"the inequality's gamma term overflows at gamma={gamma!r}")
     t = np.asarray(t, dtype=float)
-    return n * curvature_sq * gamma ** 2 / (math.sqrt(2.0) * (gamma - 1.0)) \
-        + n * gamma ** 2 / (2.0 * t)
+    return lead + n * gamma_sq / (2.0 * t)
 
 
 def li_yau_gap(model: SpaceModel, t, r, gamma: float = 2.0):

@@ -19,7 +19,8 @@ closed form is one expression in a distance part (log(r/sinh r), r^2) and
 the times; a block computes the distance part once over all its points and
 keeps it for the next call on the same orbits and prefixes, and a block of
 one orbit skips the terms past a proven underflow radius.  Float calls of
-the plane kernel and its derivatives keep their last 64 passes, keyed by the
+the plane kernel and its derivatives run one lean pass on the point's nodes,
+with the bits of the array pass, and keep their last 64 passes, keyed by the
 weight and (t, r), for the repeated stencil times of finite differences.
 Both caches are `functools.lru_cache`s, so their `cache_info()` reads the
 hit rates.
@@ -176,6 +177,7 @@ def h3_dt_prefactor(t, r, order: int):
     With u = r^2/(4t^2) - 3/(2t) - 1 (the log-derivative in t):
     p_0 = 1, p_1 = u, p_2 = u^2 + u' where u' = 3/(2t^2) - r^2/(2t^3).
     """
+    check_domain(t, r)
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if order == 0:
@@ -339,16 +341,30 @@ def _h2_log_prefactor(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _H2_LOG_CONST - 1.5 * np.log(t) - t / 4.0 - r * r / (4.0 * t)
 
 
-def _h2_rule_pass(rule, t, r, u_max, weight, tol):
-    """Per row of (t, r, u_max) columns: the certified integral of weight *
-    integrand over [0, 1] * u_max (without the factor u_max); a derivative
-    weight is certified against the integral of |weight| * integrand."""
+def _h2_u_max(t, r, sqrt):
+    """(u_max, graded): u_max = sqrt(s_max - r) from the phase cut, and
+    whether the point takes the graded panels (sqrt(2r) < a tenth of u_max,
+    see _GL_GRADED).  `sqrt` is math.sqrt for floats and np.sqrt for
+    arrays; both round correctly, so a float gets its array entry's bits."""
+    cut = (4.0 * _H2_EXP_CUT) * t
+    u_max = sqrt(cut / (sqrt(r * r + cut) + r))
+    g = _H2_GRADE_BELOW * u_max
+    return u_max, 2.0 * r < g * g
+
+
+def _h2_rule_pass(rule, t, r, u_max, weight, named):
+    """The certified integral of weight * integrand over [0, 1] * u_max
+    (without the factor u_max): at one point for floats t, r and u_max, or
+    per row of (t, r, u_max) columns.  A derivative weight is certified
+    against the integral of |weight| * integrand (see _h2_moment for the
+    tolerances); QuadratureError names the entries of `named`, the point's
+    t and r or their rows."""
     u = u_max * rule[0]
     f = _h2_scaled_integrand(u, r, t)
-    if weight is not None:
-        f = f * weight(u, r, t)
-    return gl_certified(f, rule, tol, "plane-kernel", {"t": t[:, 0], "r": r[:, 0]},
-                        absolute=weight is not None)
+    if weight is None:
+        return gl_certified(f, rule, _H2_REL_TOL, "plane-kernel", named)
+    return gl_certified(f * weight(u, r, t), rule, _H2_MOMENT_TOL, "plane-kernel", named,
+                        absolute=True)
 
 
 def _h2_moment(t: np.ndarray, r: np.ndarray, weight=None) -> np.ndarray:
@@ -363,18 +379,18 @@ def _h2_moment(t: np.ndarray, r: np.ndarray, weight=None) -> np.ndarray:
     float.
     """
     out = np.empty(t.shape)
-    tol = _H2_REL_TOL if weight is None else _H2_MOMENT_TOL
     for lo in range(0, t.size, _H2_BLOCK):
         tb, rb = t[lo:lo + _H2_BLOCK, None], r[lo:lo + _H2_BLOCK, None]
-        cut = (4.0 * _H2_EXP_CUT) * tb
-        u_max = np.sqrt(cut / (np.sqrt(rb * rb + cut) + rb))  # sqrt(s_max - r)
-        graded = (2.0 * rb < (_H2_GRADE_BELOW * u_max) ** 2)[:, 0]
+        u_max, graded = _h2_u_max(tb, rb, np.sqrt)
+        graded = graded[:, 0]
         if not graded.any():
-            fine = _h2_rule_pass(_GL_PLAIN, tb, rb, u_max, weight, tol)
+            fine = _h2_rule_pass(_GL_PLAIN, tb, rb, u_max, weight, {"t": tb[:, 0], "r": rb[:, 0]})
         else:
             fine = np.empty(tb.shape[0])
             for rule, rows in ((_GL_PLAIN, ~graded), (_GL_GRADED, graded)):
-                fine[rows] = _h2_rule_pass(rule, tb[rows], rb[rows], u_max[rows], weight, tol)
+                tr, rr = tb[rows], rb[rows]
+                fine[rows] = _h2_rule_pass(rule, tr, rr, u_max[rows], weight,
+                                           {"t": tr[:, 0], "r": rr[:, 0]})
         out[lo:lo + _H2_BLOCK] = fine * u_max[:, 0]
     return out
 
@@ -433,10 +449,21 @@ def _h2_log_abs(t, r, weight):
 # point's kernel, two time differences, radial gradient and Li-Yau gap make
 # 23 calls on 8 distinct passes.  The key is the weight and (t, r), not the
 # rules, which are constants: code that replaces a rule clears the cache.
+# A miss runs one lean pass: u_max and the rule in float arithmetic, then
+# _h2_rule_pass on the point's 96 nodes, with no blocks, row masks or
+# one-element arrays.  A kernel pass takes 18-19 us where _h2_pass on one
+# point took 40-41 us (timeit, 2-core x86-64, numpy 2.4).
 @lru_cache(maxsize=64)
 def _h2_float_pass(weight, t: float, r: float) -> tuple[float, float]:
-    """_h2_pass at float t and r that passed the domain check."""
-    return _h2_pass(t, r, weight)
+    """_h2_pass at float t and r that passed the domain check, with the
+    bits and the QuadratureError of its array entry: the same per-rule core
+    and the same numpy calls on the moment."""
+    u_max, graded = _h2_u_max(t, r, math.sqrt)
+    moment = _h2_rule_pass(_GL_GRADED if graded else _GL_PLAIN, t, r, u_max, weight,
+                           {"t": t, "r": r}) * u_max
+    # log 0 = -inf, as _h2_pass's np.log gives, without entering np.errstate
+    log_abs = _h2_log_prefactor(t, r) + (np.log(np.abs(moment)) if moment else -math.inf)
+    return float(log_abs), float(np.sign(moment))
 
 
 def _h2_pass(t, r, weight):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -282,6 +283,24 @@ class TestLiYau:
             li_yau_gap(H3, 1.0, 2.0, gamma)
         with pytest.raises(ValueError, match="finite gamma > 1"):
             li_yau_rhs(3, 2.0, np.array([0.5, 1.0]), gamma)
+
+    # 1e300 made Python's gamma ** 2 raise OverflowError; from about 5.5e153
+    # on, 6 gamma^2 overflows and the gap read inf, though the term is finite
+    @pytest.mark.parametrize("gamma", [1e300, 1.35e154, 1e154])
+    def test_an_overflowing_gamma_is_named(self, gamma):
+        with pytest.raises(ValueError, match=re.escape(f"overflows at gamma={gamma!r}")):
+            li_yau_rhs(3, 2.0, np.array([0.5, 1.0]), gamma)
+        for model in (H2, H3):
+            with pytest.raises(ValueError, match=re.escape(f"overflows at gamma={gamma!r}")):
+                li_yau_gap(model, 1.0, 2.0, gamma)
+
+    def test_rhs_keeps_the_bits_of_its_expression(self):
+        for gamma in [1.0 + 1e-12, 1.5, 2.0, math.pi, 1e3, 1e150, 5e153]:
+            # from t = 10 on, 3 gamma^2/(2t) stays finite at 5e153
+            t = np.geomspace(10.0 if gamma > 1e153 else 1e-3, 1e3, 7)
+            expected = 3 * 2.0 * gamma ** 2 / (math.sqrt(2.0) * (gamma - 1.0)) \
+                + 3 * gamma ** 2 / (2.0 * t)
+            assert li_yau_rhs(3, 2.0, t, gamma).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("t, r", [(np.array([1.0, 2.0]), 1.0), (1.0, np.array([1.0]))])
     def test_h2_takes_scalars_only(self, t, r):

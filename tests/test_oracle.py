@@ -322,18 +322,62 @@ def h2_cached() -> int:
     return oracle._h2_float_pass.cache_info().currsize
 
 
+# The four weights of the plane pass through their public entry points: the
+# kernel and the radial derivative give log |moment|, the time derivatives
+# (log |moment|, sign).
+H2_ENTRIES = {"h2_log": oracle.h2_log,
+              "h2_dt1": lambda t, r: oracle.h2_dt_log_abs(t, r, 1),
+              "h2_dt2": lambda t, r: oracle.h2_dt_log_abs(t, r, 2),
+              "h2_radial_log_abs": oracle.h2_radial_log_abs}
+# TestH2FixedNodeRule's regimes, graded panels among them, and one more point
+H2_MEMO_CASES = [(name, t, r) for name in sorted(H2_ENTRIES)
+                 for t, r in [*TestH2FixedNodeRule.REGIMES, (0.05, 1.0)]
+                 if r > 0.0 or name != "h2_radial_log_abs"]
+
+
+def entry(value, k=None):
+    """A float or (log, sign) result as float64 bytes; with k, the entry k
+    of an array call's result."""
+    value = np.asarray(value, dtype=float)
+    return (value if k is None else value[..., k]).tobytes()
+
+
 class TestH2Memo:
-    @pytest.mark.parametrize("t, r", [(0.05, 1.0), (30.0, 0.1), (0.5, 1e-3), (1e-3, 60.0)])
-    @pytest.mark.parametrize("name", sorted(H2_MEMOIZED))
+    @pytest.mark.parametrize("name, t, r", H2_MEMO_CASES)
     def test_a_hit_has_the_bits_of_a_cold_call_and_the_array_entry(self, name, t, r):
-        call = H2_MEMOIZED[name]
+        call = H2_ENTRIES[name]
         first = call(t, r)
         assert call(t, r) is first and call(np.float64(t), np.float64(r)) is first
         batch = call(np.array([t, 2.0 * t]), np.array([r, r]))
         assert h2_cached() == 1  # the array call neither read nor wrote it
         oracle._h2_float_pass.cache_clear()
         cold = call(np.float64(t), r)
-        assert isinstance(cold, float) and same_bits(cold, first) and same_bits(batch[0], first)
+        assert entry(cold) == entry(first) == entry(batch, 0)
+        assert all(isinstance(x, float) for x in (cold if isinstance(cold, tuple) else [cold]))
+
+    @pytest.mark.parametrize("name", sorted(H2_ENTRIES))
+    def test_float_calls_have_the_bits_of_the_array_entries(self, name):
+        # the plane workload's range, as perfbench draws it
+        rng = np.random.default_rng(28)
+        t = np.exp(rng.uniform(math.log(0.01), math.log(30.0), 300))
+        r = rng.uniform(0.1, 20.0, 300)
+        call = H2_ENTRIES[name]
+        batch = call(t, r)
+        for k in range(t.size):
+            assert entry(call(float(t[k]), float(r[k]))) == entry(batch, k)
+
+    @pytest.mark.parametrize("rule, t, r", [("_GL_PLAIN", 0.01, 3.0),
+                                            ("_GL_GRADED", 0.5, 1e-3)])
+    @pytest.mark.parametrize("name", sorted(H2_ENTRIES))
+    def test_a_float_call_raises_the_error_of_its_array_entry(self, monkeypatch, name,
+                                                              rule, t, r):
+        monkeypatch.setattr(oracle, rule, coarse_rule(getattr(oracle, rule)))
+        call = H2_ENTRIES[name]
+        with pytest.raises(oracle.QuadratureError, match=f"t={t!r}, r={r!r}") as one:
+            call(t, r)
+        with pytest.raises(oracle.QuadratureError) as batch:
+            call(np.array([t]), np.array([r]))
+        assert str(one.value) == str(batch.value)
 
     @pytest.mark.parametrize("t, r", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
                                       (1.0, math.inf), (-1.0, 1.0), (1.0, -1.0), (0.0, 1.0)])
@@ -397,14 +441,19 @@ def plane_quantities(t: float, r: float) -> list:
 def test_a_plane_point_makes_one_pass_per_distinct_quadrature(monkeypatch, t, r):
     # 21 h2_log and 2 h2_radial_log_abs calls at the normal point: the
     # kernel at t, t +- h, t +- 2h and t +- 4h, and the radial moment at t
+    # A pass is one call of the per-rule core that float and array passes share
     passes = []
 
-    def counted(ts, rs, weight=None):
-        passes.append(ts.size)
-        return moment(ts, rs, weight)
+    def counted(rule, ts, rs, *args):
+        passes.append(np.size(ts))
+        return rule_pass(rule, ts, rs, *args)
 
-    moment = oracle._h2_moment
-    monkeypatch.setattr(oracle, "_h2_moment", counted)
+    def array_pass(*args):
+        raise AssertionError("a float call ran the array pass")
+
+    rule_pass = oracle._h2_rule_pass
+    monkeypatch.setattr(oracle, "_h2_rule_pass", counted)
+    monkeypatch.setattr(oracle, "_h2_moment", array_pass)
     results = plane_quantities(t, r)
     assert 0 < len(passes) <= 8 and set(passes) == {1}
     assert isinstance(results[-1], ValueError) == (r * r / (4.0 * t) > 800.0)
@@ -422,6 +471,10 @@ DOMAIN_CHECKED = {
     "fd_time_derivative": lambda t, r: oracle.fd_time_derivative(h3_value, 1, t, r),
     "li_yau_gap_h2": lambda t, r: envelope.li_yau_gap(build_real_hyperbolic(2), t, r),
     "li_yau_gap_h3": lambda t, r: envelope.li_yau_gap(build_real_hyperbolic(3), t, r),
+    "h3_dt_prefactor": lambda t, r: oracle.h3_dt_prefactor(t, r, 1),
+    "theorem1_rhs": lambda t, r: envelope.theorem1_rhs(build_real_hyperbolic(3), 1, t, r, 0.1),
+    "gradient_rhs_log": lambda t, r: envelope.gradient_rhs_log(build_real_hyperbolic(3), t, r,
+                                                               0.1),
 }
 
 
@@ -430,6 +483,15 @@ DOMAIN_CHECKED = {
                          ids=["nan_t", "nan_r", "inf_t", "inf_r"])
 @pytest.mark.parametrize("name", sorted(DOMAIN_CHECKED))
 def test_domain_check_rejects_non_finite(name, t, r):
+    with pytest.raises(ValueError, match="time|distance|radial"):
+        DOMAIN_CHECKED[name](t, r)
+
+
+# h3_dt_prefactor(-1.0, 2.0, 1) returned 1.5 and theorem1_rhs and
+# gradient_rhs_log -0.225 at (1.0, -1.0) before they checked their domain
+@pytest.mark.parametrize("t, r", [(-1.0, 2.0), (1.0, -1.0)], ids=["negative_t", "negative_r"])
+@pytest.mark.parametrize("name", sorted(DOMAIN_CHECKED))
+def test_domain_check_rejects_negative(name, t, r):
     with pytest.raises(ValueError, match="time|distance|radial"):
         DOMAIN_CHECKED[name](t, r)
 
