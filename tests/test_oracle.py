@@ -314,9 +314,6 @@ class TestH2FixedNodeRule:
                 call()
 
 
-H2_MEMOIZED = {"h2_log": oracle.h2_log, "h2_radial_log_abs": oracle.h2_radial_log_abs}
-
-
 def h2_cached() -> int:
     """Entries in the plane's float-pass cache."""
     return oracle._h2_float_pass.cache_info().currsize
@@ -382,11 +379,11 @@ class TestH2Memo:
     @pytest.mark.parametrize("t, r", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
                                       (1.0, math.inf), (-1.0, 1.0), (1.0, -1.0), (0.0, 1.0)])
     def test_bad_points_raise_after_a_valid_call(self, t, r):
-        for call in H2_MEMOIZED.values():
+        for call in H2_ENTRIES.values():
             call(1.0, 1.0)
             with pytest.raises(ValueError, match="time|distance|radial"):
                 call(t, r)
-        assert h2_cached() == 2
+        assert h2_cached() == len(H2_ENTRIES)
 
     @pytest.mark.parametrize("r", [0.0, -0.0])
     def test_radial_r_zero_raises_after_the_kernel_there(self, r):
@@ -397,7 +394,7 @@ class TestH2Memo:
     def test_a_quadrature_error_is_raised_on_every_call(self, monkeypatch):
         monkeypatch.setattr(oracle, "_GL_PLAIN", coarse_rule(oracle._GL_PLAIN))
         for _ in range(2):
-            for call in H2_MEMOIZED.values():
+            for call in H2_ENTRIES.values():
                 with pytest.raises(oracle.QuadratureError, match="t=0.01, r=3.0"):
                     call(0.01, 3.0)
         assert h2_cached() == 0
